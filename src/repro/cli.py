@@ -36,7 +36,7 @@ import sys
 
 from repro import NO_WAIT, WAIT, figure1_automaton, nowait_automaton_for
 from repro.core.semantics import WaitingSemantics, parse_semantics
-from repro.errors import SemanticsError
+from repro.errors import ReproError, SemanticsError
 
 
 def _semantics(text: str) -> WaitingSemantics:
@@ -522,7 +522,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (OSError, ReproError) as exc:
+        # A missing or malformed trace file, a port in use: one line,
+        # not a traceback.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -84,8 +84,8 @@ class TemporalEngine:
         # are never re-scanned for dates already seen.
         self._contact_cache = LazyContactCache(graph)
         # Lowered SweepPlans, keyed by (version, start, horizon,
-        # max_wait) — plans are immutable plain data, so any sweep of
-        # the same query at the same version can share one lowering.
+        # max_wait) — plans are immutable arrays, so any sweep of the
+        # same query at the same version can share one lowering.
         # Owned here, filled by build_sweep_plan.
         self._plan_memo: dict[tuple, tuple[tuple, "object"]] = {}
 
@@ -283,7 +283,7 @@ class TemporalEngine:
             if ready >= horizon:
                 continue  # reachable, but no departure fits the horizon
             for ei in index.out_edge_indices(node_idx):
-                target = index.target_idx[ei]
+                target = int(index.target_idx[ei])
                 if target in settled:
                     continue  # settled earlier, hence with arrival <= any new one
                 const = int(index.const_latency[ei])

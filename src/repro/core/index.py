@@ -3,9 +3,10 @@
 Interpretive journey search asks a Python :class:`PresenceFunction` one
 date at a time — a per-edge, per-date function call on the hottest path
 of the whole system.  :class:`CompiledTVG` lowers every *structured*
-presence into a sorted numpy array of contact dates over a bounded
-window, plus CSR-style per-node adjacency, so the two queries journey
-search needs become array operations:
+presence into sorted contact dates over a bounded window — all edges'
+dates in one flat int64 array sliced per edge by an ``edge_ptr`` CSR —
+plus CSR-style per-node adjacency, so the two queries journey search
+needs become array operations:
 
 * *next presence at or after t* — one ``searchsorted`` (binary search);
 * *all departures in [a, b)* — one slice of the sorted contact array.
@@ -226,16 +227,79 @@ class LazyContactCache:
 _EMPTY_CONTACTS = np.empty(0, dtype=np.int64)
 
 
+def _support_dates(presence: PresenceFunction, window: Interval) -> np.ndarray:
+    support = presence.support(window)
+    return np.fromiter(support.times(), dtype=np.int64, count=support.total_length())
+
+
+def pack_csr(
+    rows: Sequence[Sequence[int] | None],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(ptr, values)``: int rows packed into one flat int64 CSR, row
+    ``i`` being ``values[ptr[i]:ptr[i + 1]]`` (None packs as empty)."""
+    lengths = np.fromiter(
+        (0 if row is None else len(row) for row in rows),
+        dtype=np.int64,
+        count=len(rows),
+    )
+    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    filled = [row for row in rows if row is not None and len(row)]
+    values = np.concatenate(filled) if filled else _EMPTY_CONTACTS
+    return ptr, values.astype(np.int64, copy=False)
+
+
+def split_csr(
+    ptr: np.ndarray, values: np.ndarray, opaque: np.ndarray | None = None
+) -> list[np.ndarray | None]:
+    """The rows of a flat CSR as views of ``values`` (None where
+    ``opaque`` is set)."""
+    bounds = ptr.tolist()
+    rows: list[np.ndarray | None] = [
+        values[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+    ]
+    if opaque is not None:
+        for i in np.flatnonzero(opaque).tolist():
+            rows[i] = None
+    return rows
+
+
+def splice_csr(
+    ptr: np.ndarray, values: np.ndarray, rows: dict[int, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A flat CSR with ``rows`` (row index -> new values) replaced, as
+    new arrays; the inputs are left as they are."""
+    if not rows:
+        return ptr, values
+    lengths = np.diff(ptr)
+    pieces: list[np.ndarray] = []
+    copied = 0
+    for i in sorted(rows):
+        pieces += [values[copied : ptr[i]], rows[i]]
+        lengths[i] = len(rows[i])
+        copied = ptr[i + 1]
+    pieces.append(values[copied:])
+    spliced = np.zeros_like(ptr)
+    np.cumsum(lengths, out=spliced[1:])
+    return spliced, np.concatenate(pieces)
+
+
 class CompiledTVG:
     """A contact-sequence index of one graph over one time window.
 
-    For each edge ``i`` with a structured presence, ``contacts[i]`` is
-    the sorted ``np.int64`` array of its present dates within
-    ``[window.start, window.end)``; for black-box edges it is ``None``.
+    Contacts live in one flat CSR: edge ``i``'s sorted present dates
+    within ``[window.start, window.end)`` are
+    ``dates[edge_ptr[i]:edge_ptr[i + 1]]``.  Black-box edges are flagged
+    in ``opaque`` and hold an empty range there — their dates come from
+    the :class:`LazyContactCache`.  :attr:`contacts` is the per-edge
+    view (an array per structured edge, None per black-box edge).
     ``out_ptr``/``out_edge_idx`` form the CSR adjacency: the out-edge
     indices of node ``j`` (in insertion order, matching
     :meth:`TimeVaryingGraph.out_edges`) are
-    ``out_edge_idx[out_ptr[j]:out_ptr[j + 1]]``.
+    ``out_edge_idx[out_ptr[j]:out_ptr[j + 1]]``, and ``target_idx[i]``
+    is edge ``i``'s head node.  Arrays are never written after they are
+    built — :meth:`apply_deltas` splices new ones — so a
+    :class:`~repro.core.parallel.SweepPlan` may share them.
 
     ``cache`` optionally supplies a :class:`LazyContactCache`; with one,
     black-box queries are memoized through it instead of re-calling the
@@ -249,7 +313,9 @@ class CompiledTVG:
         "nodes",
         "node_index",
         "edge_list",
-        "contacts",
+        "edge_ptr",
+        "dates",
+        "opaque",
         "cache",
         "const_latency",
         "out_ptr",
@@ -276,52 +342,58 @@ class CompiledTVG:
             node: i for i, node in enumerate(self.nodes)
         }
         self.edge_list: tuple[Edge, ...] = graph.edges
+        edge_count = len(self.edge_list)
         edge_pos = {edge.key: i for i, edge in enumerate(self.edge_list)}
         self._edge_pos: dict[str, int] = edge_pos
 
-        self.contacts: list[np.ndarray | None] = []
+        lowered = [self._lower(edge.presence, window) for edge in self.edge_list]
+        self.edge_ptr, self.dates = pack_csr(lowered)
+        self.opaque = np.fromiter(
+            (c is None for c in lowered), dtype=bool, count=edge_count
+        )
         #: Latency value when the edge's zeta is constant, else -1 (call it).
-        self.const_latency = np.empty(len(self.edge_list), dtype=np.int64)
-        for i, edge in enumerate(self.edge_list):
-            self.contacts.append(self._lower(edge.presence, window))
-            latency = edge.latency
-            self.const_latency[i] = (
-                latency.value if isinstance(latency, ConstantLatency) else -1
-            )
+        self.const_latency = np.fromiter(
+            (
+                edge.latency.value if isinstance(edge.latency, ConstantLatency) else -1
+                for edge in self.edge_list
+            ),
+            dtype=np.int64,
+            count=edge_count,
+        )
 
         # CSR adjacency over edge indices, grouped by source node.
-        counts = np.zeros(len(self.nodes) + 1, dtype=np.int64)
-        per_node: list[list[int]] = [[] for _ in self.nodes]
-        for node in self.nodes:
-            j = self.node_index[node]
-            for edge in graph.out_edges(node):
-                per_node[j].append(edge_pos[edge.key])
-            counts[j + 1] = len(per_node[j])
-        self.out_ptr = np.cumsum(counts)
-        self.out_edge_idx = np.fromiter(
-            (ei for row in per_node for ei in row),
-            dtype=np.int64,
-            count=int(self.out_ptr[-1]),
-        )
+        per_node = [
+            [edge_pos[edge.key] for edge in graph.out_edges(node)]
+            for node in self.nodes
+        ]
+        self.out_ptr, self.out_edge_idx = pack_csr(per_node)
         # Hot-loop view of the CSR rows: plain tuples iterate faster than
         # numpy slices, so snapshot each row once (derived, never diverges).
         self._out_lists: tuple[tuple[int, ...], ...] = tuple(
-            tuple(self.out_edge_idx[self.out_ptr[j] : self.out_ptr[j + 1]].tolist())
-            for j in range(len(self.nodes))
+            tuple(row) for row in per_node
         )
         #: Head-node index of each edge (for index-space sweeps).
-        self.target_idx: tuple[int, ...] = tuple(
-            self.node_index[edge.target] for edge in self.edge_list
+        self.target_idx = np.fromiter(
+            (self.node_index[edge.target] for edge in self.edge_list),
+            dtype=np.int64,
+            count=edge_count,
         )
 
     @staticmethod
     def _lower(presence: PresenceFunction, window: Interval) -> np.ndarray | None:
         if not is_structured(presence):
             return None
-        support = presence.support(window)
-        return np.fromiter(
-            support.times(), dtype=np.int64, count=support.total_length()
-        )
+        return _support_dates(presence, window)
+
+    @property
+    def contacts(self) -> list[np.ndarray | None]:
+        """Per edge: its compiled contact dates, or None (black-box)."""
+        return split_csr(self.edge_ptr, self.dates, self.opaque)
+
+    def _compiled(self, edge_idx: int) -> np.ndarray | None:
+        if self.opaque[edge_idx]:
+            return None
+        return self.dates[self.edge_ptr[edge_idx] : self.edge_ptr[edge_idx + 1]]
 
     # -- staleness ------------------------------------------------------------
 
@@ -335,15 +407,17 @@ class CompiledTVG:
         return start >= self.window.start and end <= self.window.end
 
     def apply_deltas(self, deltas) -> bool:
-        """Patch the index in place from a complete mutation-delta chain.
+        """Patch the index from a complete mutation-delta chain.
 
         Presence swaps are the only mutation that leaves every compiled
         shape intact — same nodes, same edge set, same adjacency, same
         latencies — so a chain of pure ``"set_presence"`` deltas patches
-        as: relower each touched edge's contact array over the existing
-        window and refresh its :attr:`edge_list` entry.  Any other delta
-        kind (or an unknowable chain, ``deltas is None``) returns False
-        and the caller rebuilds from scratch.  Returns True with
+        as: relower each touched edge over the existing window, splice
+        the new ranges into fresh flat arrays (the old ones stay intact
+        for any plan still holding them), and refresh the touched
+        :attr:`edge_list` entries.  Any other delta kind (or an
+        unknowable chain, ``deltas is None``) returns False and the
+        caller rebuilds from scratch.  Returns True with
         :attr:`version` caught up on success.
         """
         if deltas is None:
@@ -353,14 +427,19 @@ class CompiledTVG:
             if delta.kind != "set_presence" or delta.edge_key is None:
                 return False
             touched[delta.edge_key] = None
+        relowered: dict[int, np.ndarray] = {}
         edges = list(self.edge_list)
+        opaque = self.opaque.copy()
         for key in touched:
             pos = self._edge_pos.get(key)
             if pos is None:
                 return False
-            edge = self.graph.edge(key)
-            edges[pos] = edge
-            self.contacts[pos] = self._lower(edge.presence, self.window)
+            edges[pos] = self.graph.edge(key)
+            lowered = self._lower(edges[pos].presence, self.window)
+            opaque[pos] = lowered is None
+            relowered[pos] = _EMPTY_CONTACTS if lowered is None else lowered
+        self.edge_ptr, self.dates = splice_csr(self.edge_ptr, self.dates, relowered)
+        self.opaque = opaque
         self.edge_list = tuple(edges)
         self.version = self.graph.version
         return True
@@ -371,14 +450,23 @@ class CompiledTVG:
         """Out-edge indices of a node, in insertion order."""
         return self._out_lists[node_idx]
 
+    def opaque_contacts(self, edge_idx: int, start: int, end: int) -> np.ndarray:
+        """Sorted dates of black-box edge ``edge_idx`` in ``[start, end)``,
+        through the cache when there is one."""
+        if end <= start:
+            return _EMPTY_CONTACTS
+        edge = self.edge_list[edge_idx]
+        if self.cache is not None:
+            return self.cache.contacts(edge, start, end)
+        return _support_dates(edge.presence, Interval(start, end))
+
     def next_present(self, edge_idx: int, time: int, limit: int) -> int | None:
         """Earliest contact of edge ``edge_idx`` in ``[time, limit)``."""
-        contacts = self.contacts[edge_idx]
+        contacts = self._compiled(edge_idx)
         if contacts is None:
-            edge = self.edge_list[edge_idx]
             if self.cache is None:
-                return edge.presence.next_present(time, limit)
-            found = self.cache.contacts(edge, time, limit)
+                return self.edge_list[edge_idx].presence.next_present(time, limit)
+            found = self.opaque_contacts(edge_idx, time, limit)
             return int(found[0]) if len(found) else None
         pos = int(np.searchsorted(contacts, time, side="left"))
         if pos < len(contacts) and contacts[pos] < limit:
@@ -389,25 +477,20 @@ class CompiledTVG:
         """All contacts of edge ``edge_idx`` in ``[start, end)``, sorted."""
         if end <= start:
             return []
-        contacts = self.contacts[edge_idx]
+        contacts = self._compiled(edge_idx)
         if contacts is None:
-            edge = self.edge_list[edge_idx]
-            if self.cache is None:
-                support = edge.presence.support(Interval(start, end))
-                return list(support.times())
-            return self.cache.contacts(edge, start, end).tolist()
+            return self.opaque_contacts(edge_idx, start, end).tolist()
         lo = int(np.searchsorted(contacts, start, side="left"))
         hi = int(np.searchsorted(contacts, end, side="left"))
         return contacts[lo:hi].tolist()
 
     def present_at(self, edge_idx: int, time: int) -> bool:
         """Membership test on the compiled contact sequence."""
-        contacts = self.contacts[edge_idx]
+        contacts = self._compiled(edge_idx)
         if contacts is None:
-            edge = self.edge_list[edge_idx]
             if self.cache is None:
-                return edge.present_at(time)
-            return bool(len(self.cache.contacts(edge, time, time + 1)))
+                return self.edge_list[edge_idx].present_at(time)
+            return bool(len(self.opaque_contacts(edge_idx, time, time + 1)))
         pos = int(np.searchsorted(contacts, time, side="left"))
         return pos < len(contacts) and int(contacts[pos]) == time
 
@@ -423,7 +506,7 @@ class CompiledTVG:
     @property
     def compiled_edge_count(self) -> int:
         """How many edges lowered exactly (the rest use the fallback)."""
-        return sum(1 for c in self.contacts if c is not None)
+        return int(len(self.opaque) - self.opaque.sum())
 
     def __repr__(self) -> str:
         return (

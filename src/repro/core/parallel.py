@@ -1,43 +1,41 @@
-"""The process-sharded all-pairs arrival sweep.
+"""Sweep plans and the process-sharded all-pairs arrival sweep.
 
-The batched bitmask sweep of
-:meth:`~repro.core.engine.TemporalEngine.arrival_matrix` is
-embarrassingly partitionable by *source blocks*: the arrival dates a
-sweep records for source ``i`` never depend on which other sources share
-the pass (masks are bookkeeping, not state), so splitting the source set
-into blocks and sweeping each block independently yields sub-matrices
-that stack into the exact serial matrix — element for element.
-
-Sharding it across processes takes one extra step: a worker cannot hold
-the graph.  Presences and latencies are arbitrary Python callables
-(black-box :class:`~repro.core.presence.FunctionPresence`, lambda
-latencies) that may not pickle — and even when they do, re-evaluating a
-black-box predicate in ``k`` workers would break the engine's
-at-most-once-per-(edge, date) contract.  So the parent first *lowers the
-whole sweep to plain data*: a :class:`SweepPlan` of per-edge contact
-dates (black-box edges resolved through the engine's long-lived
+Every arrival sweep — serial, sharded, clustered, incremental — runs a
+kernel (:mod:`repro.core.sweep_kernel`) over one :class:`SweepPlan`:
+the sweep lowered to a handful of flat int64 arrays plus its ints.  A
+worker cannot hold the graph: presences and latencies are arbitrary
+Python callables (black-box
+:class:`~repro.core.presence.FunctionPresence`, lambda latencies) that
+may not pickle, and re-evaluating a black-box predicate in ``k``
+workers would break the engine's at-most-once-per-(edge, date)
+contract.  So :func:`build_sweep_plan` lowers in the parent, straight
+from the compiled index's flat contact CSR: a window mask over the
+compiled dates plus ``arr = dep + latency[edge]``.  Only black-box
+edges (resolved through the engine's
 :class:`~repro.core.index.LazyContactCache`, so each predicate still
-fires at most once per (edge, date)) with the matching arrival dates
-precomputed (swallowing callable latencies), plus the CSR adjacency.
-The plan is tuples of ints — picklable, compact, and exactly what the
-block sweep :func:`sweep_block` needs.
+fires at most once per (edge, date)) and callable latencies are
+visited one edge at a time.  The plan pickles, ships over the wire as
+its arrays (:mod:`repro.service.wire`), and lowers to the bitset
+kernel's sorted form with one ``lexsort``.
 
-Workers then run the identical sweep over their block, with masks as
-wide as the *block* instead of the whole node set — on big graphs the
-serial sweep's masks are multi-word bignums, so blocks also shrink every
-mask merge to a few machine words.  ``benchmarks/bench_parallel.py``
-gates the resulting speedup; ``tests/properties/test_property_parallel``
-proves bit-for-bit equality with the serial sweep under all three
-waiting semantics, black-box edges included.
+The sweep is partitionable by *source blocks*: the arrival dates
+recorded for source ``i`` never depend on which other sources share
+the pass (masks are bookkeeping, not state), so sweeping blocks
+independently yields sub-matrices that stack into the exact serial
+matrix — element for element.  :func:`sharded_arrival_matrix` runs the
+blocks in a process pool; ``tests/properties/test_property_parallel``
+proves the equality with the serial sweep under all three waiting
+semantics, black-box edges included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, ClassVar, Hashable
 
 import numpy as np
 
+from repro.core.index import splice_csr, split_csr
 from repro.core.semantics import WaitingSemantics
 from repro.core.sweep_kernel import UNREACHED, resolve_kernel, sweep_block
 
@@ -60,34 +58,69 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
 #: back to the serial sweep.
 MIN_PARALLEL_NODES: int = 8
 
-#: Lowered plans kept per engine (FIFO eviction); plans are O(edges x
-#: horizon) tuples, so a small handful bounds memory while still
-#: covering the query mix between two mutations.
+#: Lowered plans kept per engine (FIFO eviction, current version only);
+#: plans are O(edges x horizon) arrays, so a small handful bounds memory
+#: while still covering the query mix between two mutations.
 PLAN_MEMO_SIZE: int = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepPlan:
-    """One sweep lowered to plain data (only ints and tuples — picklable).
+    """One sweep lowered to flat int64 arrays in CSR form plus ints.
 
-    ``contacts[e]`` holds edge ``e``'s sorted departure dates within
-    ``[start_time, horizon)`` and ``arrivals[e]`` the aligned arrival
-    dates (``dep + zeta(e, dep)`` precomputed, so callable latencies
-    never cross a process boundary).  ``out_edges[j]`` lists the
-    out-edge indices of node ``j`` in insertion order and
-    ``target_idx[e]`` the head node of edge ``e`` — the same CSR view
-    the compiled index uses.  ``max_wait`` is the waiting bound (None
-    for unbounded, 0 for no-wait).
+    Per contact: edge ``e``'s departure dates within ``[start_time,
+    horizon)`` are ``dep[edge_ptr[e]:edge_ptr[e + 1]]``, sorted, and
+    ``arr`` holds the aligned arrival dates (``dep + zeta(e, dep)``
+    precomputed, so callable latencies never cross a process
+    boundary).  Adjacency: the out-edges of node ``j`` in insertion
+    order are ``out_edge_idx[out_ptr[j]:out_ptr[j + 1]]`` and
+    ``target_idx[e]`` is the head node of edge ``e`` — the compiled
+    index's CSR.  ``max_wait`` is the waiting bound (None for
+    unbounded, 0 for no-wait).  The arrays are never written, so plans
+    may share them; plans compare by content.
     """
 
     n: int
-    out_edges: tuple[tuple[int, ...], ...]
-    target_idx: tuple[int, ...]
-    contacts: tuple[tuple[int, ...], ...]
-    arrivals: tuple[tuple[int, ...], ...]
+    out_ptr: np.ndarray
+    out_edge_idx: np.ndarray
+    target_idx: np.ndarray
+    edge_ptr: np.ndarray
+    dep: np.ndarray
+    arr: np.ndarray
     start_time: int
     horizon: int
     max_wait: int | None
+
+    #: The array fields, in wire order.
+    ARRAYS: ClassVar[tuple[str, ...]] = (
+        "out_ptr", "out_edge_idx", "target_idx", "edge_ptr", "dep", "arr",
+    )
+
+    @property
+    def contacts(self) -> list[np.ndarray]:
+        """Per edge: its departure dates (views of :attr:`dep`)."""
+        return split_csr(self.edge_ptr, self.dep)
+
+    @property
+    def arrivals(self) -> list[np.ndarray]:
+        """Per edge: its arrival dates (views of :attr:`arr`)."""
+        return split_csr(self.edge_ptr, self.arr)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SweepPlan):
+            return NotImplemented
+        return (self.n, self.start_time, self.horizon, self.max_wait) == (
+            other.n, other.start_time, other.horizon, other.max_wait
+        ) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.ARRAYS
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        for name in self.ARRAYS:
+            getattr(self, name).flags.writeable = False
 
 
 def build_sweep_plan(
@@ -98,43 +131,64 @@ def build_sweep_plan(
 ) -> tuple[list[Hashable], SweepPlan]:
     """Lower one sweep over ``engine``'s graph into a :class:`SweepPlan`.
 
-    Runs entirely in the parent: black-box presences are resolved here,
-    through the engine's :class:`~repro.core.index.LazyContactCache`, so
-    arbitrary predicates never need to pickle and each still fires at
-    most once per (edge, date) across the engine's lifetime.  Returns
-    the node ordering alongside (the matrix axes).
+    Runs entirely in the parent, from the compiled index's flat contact
+    CSR: the compiled dates inside ``[start_time, horizon)`` are kept
+    by one mask, and arrivals are ``dep + const_latency[edge]``.
+    Black-box presences are resolved here, through the engine's
+    :class:`~repro.core.index.LazyContactCache`, so arbitrary
+    predicates never need to pickle and each still fires at most once
+    per (edge, date) across the engine's lifetime; callable latencies
+    are evaluated per contact of their edge.  Returns the node
+    ordering alongside (the matrix axes).
 
     Plans are memoized on the engine by ``(version, start, horizon,
-    max_wait)`` — a plan is immutable plain data and the lowering loop
-    is O(edges x horizon), so repeated sweeps of the same query (the
-    incremental path re-sweeping a cone right after the full sweep that
-    seeded it, sharded blocks, retries) share one lowering.
+    max_wait)``, so repeated sweeps of the same query (the incremental
+    path re-sweeping a cone right after the full sweep that seeded it,
+    sharded blocks, retries) share one lowering.  A plan for an older
+    version can never be asked for again, so building one drops them.
     """
-    key = (engine.graph.version, start_time, horizon, semantics.max_wait)
+    version = engine.graph.version
+    key = (version, start_time, horizon, semantics.max_wait)
     memo = engine._plan_memo
     hit = memo.get(key)
     if hit is not None:
         nodes, plan = hit
         return list(nodes), plan
     index = engine.index_for(min(start_time, horizon), horizon)
-    contacts: list[tuple[int, ...]] = []
-    arrivals: list[tuple[int, ...]] = []
-    for ei in range(len(index.edge_list)):
-        departures = index.departures(ei, start_time, horizon)
-        contacts.append(tuple(departures))
-        arrivals.append(tuple(index.arrival(ei, dep) for dep in departures))
+    dates = index.dates
+    keep = (dates >= start_time) & (dates < horizon)
+    kept_before = np.zeros(len(dates) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept_before[1:])
+    # Black-box edges hold empty ranges in the flat arrays: splice their
+    # cache-resolved dates in.
+    plan_ptr, dep = splice_csr(
+        kept_before[index.edge_ptr],
+        dates[keep],
+        {
+            ei: index.opaque_contacts(ei, start_time, horizon)
+            for ei in np.flatnonzero(index.opaque).tolist()
+        },
+    )
+    latency = index.const_latency
+    arr = dep + np.repeat(latency, np.diff(plan_ptr))
+    for ei in np.flatnonzero(latency < 0).tolist():
+        lo, hi = plan_ptr[ei], plan_ptr[ei + 1]
+        zeta = index.edge_list[ei].latency
+        arr[lo:hi] = [d + zeta(d) for d in dep[lo:hi].tolist()]
     plan = SweepPlan(
         n=len(index.nodes),
-        out_edges=tuple(
-            tuple(index.out_edge_indices(j)) for j in range(len(index.nodes))
-        ),
-        target_idx=tuple(index.target_idx),
-        contacts=tuple(contacts),
-        arrivals=tuple(arrivals),
+        out_ptr=index.out_ptr,
+        out_edge_idx=index.out_edge_idx,
+        target_idx=index.target_idx,
+        edge_ptr=plan_ptr,
+        dep=dep,
+        arr=arr,
         start_time=start_time,
         horizon=horizon,
         max_wait=semantics.max_wait,
     )
+    for stale in [k for k in memo if k[0] != version]:
+        del memo[stale]
     if len(memo) >= PLAN_MEMO_SIZE:
         memo.pop(next(iter(memo)))
     memo[key] = (tuple(index.nodes), plan)
@@ -177,7 +231,7 @@ def effective_shards(n: int, shards: int | None) -> int:
 #: The worker's copy of the plan (and the kernel to run it on),
 #: installed once per process by the pool initializer — blocks are then
 #: the only per-task payload, so the plan (the big object: O(|E| x
-#: window) ints) is never re-pickled per shard.
+#: window) contacts) is never re-pickled per shard.
 _WORKER_PLAN: SweepPlan | None = None
 _WORKER_KERNEL: str | None = None
 

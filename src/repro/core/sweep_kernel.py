@@ -177,7 +177,7 @@ def merge_rows(
 
 
 class _BitsetLowering(NamedTuple):
-    """A plan's contacts flattened, sorted, and grouped — everything in
+    """A plan's contacts sorted and grouped — everything in
     :func:`sweep_block_bitset` that does not depend on the source block,
     so repeated sweeps of one plan (sharded blocks, incremental cone
     re-sweeps) pay the O(contacts) lowering once."""
@@ -202,38 +202,21 @@ _BITSET_LOWERINGS: dict[int, tuple["weakref.ref", _BitsetLowering]] = {}
 
 def _lower_plan_bitset(plan: "SweepPlan") -> _BitsetLowering:
     n = plan.n
-    contacts = plan.contacts
-    edge_count = len(contacts)
-    edge_len = np.fromiter(
-        (len(seq) for seq in contacts), dtype=np.int64, count=edge_count
-    )
-    total_contacts = int(edge_len.sum())
-    out_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in plan.out_edges], out=out_offsets[1:])
-    out_flat = np.fromiter(
-        (ei for row in plan.out_edges for ei in row),
-        dtype=np.int64,
-        count=int(out_offsets[-1]),
-    )
+    edge_count = len(plan.target_idx)
     src_of_edge = np.empty(edge_count, dtype=np.int64)
-    src_of_edge[out_flat] = np.repeat(np.arange(n), np.diff(out_offsets))
-    dep_flat = np.fromiter(
-        (d for seq in contacts for d in seq), dtype=np.int64, count=total_contacts
+    src_of_edge[plan.out_edge_idx] = np.repeat(
+        np.arange(n, dtype=np.int64), np.diff(plan.out_ptr)
     )
-    arr_flat = np.fromiter(
-        (a for seq in plan.arrivals for a in seq),
-        dtype=np.int64,
-        count=total_contacts,
+    edge_of_contact = np.repeat(
+        np.arange(edge_count, dtype=np.int64), np.diff(plan.edge_ptr)
     )
-    edge_of_contact = np.repeat(np.arange(edge_count), edge_len)
-    target_arr = np.asarray(plan.target_idx, dtype=np.int64)
-    order = np.lexsort(
-        (target_arr[edge_of_contact], arr_flat, dep_flat)
-    )
-    dep_s = dep_flat[order]
-    arr_s = arr_flat[order]
-    tgt_s = target_arr[edge_of_contact][order]
-    src_s = src_of_edge[edge_of_contact][order]
+    tgt_flat = plan.target_idx[edge_of_contact]
+    order = np.lexsort((tgt_flat, plan.arr, plan.dep))
+    dep_s = plan.dep[order]
+    arr_s = plan.arr[order]
+    tgt_s = tgt_flat[order]
+    src_s = src_of_edge[edge_of_contact[order]]
+    total_contacts = len(order)
     # Group starts: one merge group per distinct (departure, arrival,
     # target) — precomputed once, sliced per date below.
     if total_contacts:
@@ -456,10 +439,12 @@ def sweep_block_bignum(
         pending[key] |= 1 << row
     horizon = plan.horizon
     max_wait = plan.max_wait
-    out_edges = plan.out_edges
-    target_idx = plan.target_idx
-    contacts = plan.contacts
-    arrivals = plan.arrivals
+    out_ptr = plan.out_ptr.tolist()
+    out_edge_idx = plan.out_edge_idx.tolist()
+    target_idx = plan.target_idx.tolist()
+    edge_ptr = plan.edge_ptr.tolist()
+    dep = plan.dep.tolist()
+    arr = plan.arr.tolist()
     pops = dead_pops = push_count = 0
     while heap:
         time, node_idx = heapq.heappop(heap)
@@ -478,21 +463,19 @@ def sweep_block_bignum(
         if time >= horizon:
             continue
         latest = horizon if max_wait is None else min(horizon, time + max_wait + 1)
-        for ei in out_edges[node_idx]:
-            dates = contacts[ei]
-            lo = bisect_left(dates, time)
-            hi = bisect_left(dates, latest, lo)
+        for ei in out_edge_idx[out_ptr[node_idx] : out_ptr[node_idx + 1]]:
+            lo = bisect_left(dep, time, edge_ptr[ei], edge_ptr[ei + 1])
+            hi = bisect_left(dep, latest, lo, edge_ptr[ei + 1])
             if lo == hi:
                 continue
-            arrs = arrivals[ei]
             target = target_idx[ei]
             for k in range(lo, hi):
                 push_count += 1
-                key = (target, arrs[k])
+                key = (target, arr[k])
                 existing = pending.get(key)
                 if existing is None:
                     pending[key] = mask
-                    heapq.heappush(heap, (arrs[k], target))
+                    heapq.heappush(heap, (arr[k], target))
                 elif existing | mask != existing:
                     pending[key] = existing | mask
     if stats is not None:

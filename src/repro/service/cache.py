@@ -74,13 +74,15 @@ class QueryCache:
         retain: Callable[[Hashable], bool] | None = None,
     ) -> int:
         """Evict stale entries (version != ``current_version``), except
-        those ``retain`` vouches for.
+        the newest one per query that ``retain`` vouches for.
 
-        ``retain`` is a predicate on the *query* part of the key; a
-        stale entry it accepts stays in the cache as incremental seed
-        material (the service keeps old arrival matrices this way, so a
-        later query can patch instead of re-sweeping).  Returns how many
-        entries were purged.  Three separately monotone counters keep
+        ``retain`` is a predicate on the *query* part of the key; of
+        the stale entries it accepts, the newest per query stays in the
+        cache as incremental seed material (the service keeps its last
+        arrival matrix this way, so a later query can patch instead of
+        re-sweeping).  Older ones go: versions only grow, so
+        :meth:`ancestor` can never hand them back again.  Returns how
+        many entries were purged.  Three separately monotone counters keep
         the observability honest: ``purged`` counts only
         staleness-purged entries, ``retained`` counts stale entries a
         retain predicate kept (once per purge pass they survive), and
@@ -89,9 +91,14 @@ class QueryCache:
         untouched — invalidation is exact, not a flush.
         """
         stale = [key for key in self._entries if key[0] != current_version]
+        newest: dict[Hashable, int] = {}
+        if retain is not None:
+            for version, query in stale:
+                if retain(query):
+                    newest[query] = max(version, newest.get(query, version))
         kept = 0
         for key in stale:
-            if retain is not None and retain(key[1]):
+            if newest.get(key[1]) == key[0]:
                 kept += 1
                 continue
             del self._entries[key]

@@ -35,8 +35,9 @@ ping          —
 ``semantics`` is a wire string (default ``"wait"``); ``presence`` and
 ``latency`` are the specs of :mod:`repro.service.wire`.  Every op's
 required fields are validated up front (:data:`REQUIRED_PARAMS`): a
-missing field is a structured ``ServiceError`` naming it, never a raw
-``KeyError``.
+missing field, or a ``start``/``horizon``/``end`` that is not an
+integer, is a structured ``ServiceError`` naming it, never a raw
+``KeyError`` or ``TypeError``.
 
 Admission control (:mod:`repro.service.limits`) wraps the dispatcher
 when :func:`serve_service` is given a rate limiter or in-flight gate:
@@ -87,9 +88,15 @@ REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
 }
 
 
+#: Request fields that are dates.  JSON offers ``true`` and ``8.5`` too,
+#: which Python would take as date 1 and a fractional window end.
+DATE_FIELDS: tuple[str, ...] = ("start", "horizon", "end")
+
+
 def require_params(op: str, params: dict) -> None:
     """Reject an op whose request is missing required fields, naming
-    every missing field in one structured error."""
+    every missing field in one structured error, or whose dates are
+    not integers (booleans excluded), naming the field."""
     required = REQUIRED_PARAMS.get(op)
     if required is None:
         raise ServiceError(f"unknown operation {op!r}")
@@ -98,6 +105,15 @@ def require_params(op: str, params: dict) -> None:
         raise ServiceError(
             f"op {op!r} missing required field(s): {', '.join(missing)}"
         )
+    for field in required:
+        value = params[field]
+        if field in DATE_FIELDS and (
+            not isinstance(value, int) or isinstance(value, bool)
+        ):
+            raise ServiceError(
+                f"op {op!r} field {field!r} must be an integer date, "
+                f"not {type(value).__name__}"
+            )
 
 
 def _query_args(params: dict) -> dict:

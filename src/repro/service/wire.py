@@ -11,12 +11,12 @@ semantics need a round-trippable plain-data form:
 * semantics — the CLI strings ``"wait"``, ``"nowait"``, ``"wait[d]"``;
 * sweep plan — a whole lowered :class:`~repro.core.parallel.SweepPlan`
   (``{"kind": "sweep_plan"}``), the payload the distributed sweep ships
-  to :mod:`repro.service.cluster` workers.  The plan's contact/arrival
-  sequences and CSR adjacency are *packed*, not listed: each ragged
-  family is flattened into one little-endian int64 array plus an offset
-  array, base64-encoded — a plan of ``k`` ints costs ~``8k/0.75`` bytes
-  on the wire instead of a JSON list of ``k`` numbers, and decodes with
-  two ``frombuffer`` calls instead of a million ``int()`` parses;
+  to :mod:`repro.service.cluster` workers.  The plan's flat CSR arrays
+  cross as they are, each *packed* rather than listed: little-endian
+  int64 bytes, base64-encoded under the plan field's name — a plan of
+  ``k`` ints costs ~``8k/0.75`` bytes on the wire instead of a JSON
+  list of ``k`` numbers, and decodes with one ``frombuffer`` per array
+  instead of a million ``int()`` parses;
 * int64 matrix — ``{"kind": "int64_matrix"}``, the sub-matrix a worker
   returns for its source block (same base64 packing, row-major).
 
@@ -175,67 +175,42 @@ def _unpack_int64(text: Any, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=_WIRE_DTYPE)
 
 
-def _flatten(seqs: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """One ragged family as (flat values, offsets); ``offsets[i]:offsets[i+1]``
-    slices out sequence ``i``."""
-    offsets = [0]
-    flat: list[int] = []
-    for seq in seqs:
-        flat.extend(seq)
-        offsets.append(len(flat))
-    return flat, offsets
-
-
-def _split(flat: np.ndarray, offsets: np.ndarray, what: str) -> tuple[tuple[int, ...], ...]:
-    """Rebuild the ragged family (tuples of python ints, bit-exact)."""
-    if len(offsets) == 0 or offsets[0] != 0:
-        raise ServiceError(f"{what} offsets must start at 0")
-    if np.any(np.diff(offsets) < 0):
-        raise ServiceError(f"{what} offsets must be non-decreasing")
-    if offsets[-1] != len(flat):
-        raise ServiceError(f"{what} offsets do not cover the packed values")
-    values = flat.tolist()
-    bounds = offsets.tolist()
-    return tuple(
-        tuple(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
-    )
+def _check_csr(ptr: np.ndarray, rows: int, total: int, what: str) -> None:
+    """Reject a CSR offset array that does not slice ``total`` values
+    into ``rows`` ranges."""
+    if len(ptr) != rows + 1:
+        raise ServiceError(f"{what} has {len(ptr) - 1} ranges, expected {rows}")
+    if ptr[0] != 0:
+        raise ServiceError(f"{what} must start at 0")
+    if np.any(np.diff(ptr) < 0):
+        raise ServiceError(f"{what} must be non-decreasing")
+    if ptr[-1] != total:
+        raise ServiceError(f"{what} does not cover its {total} values")
 
 
 def plan_to_spec(plan: SweepPlan) -> dict[str, Any]:
-    """The JSON-able description of one lowered sweep plan.
-
-    The ragged families (per-node out-edge lists, per-edge contact and
-    arrival dates) are flattened CSR-style and base64-packed; contacts
-    and arrivals share one offset array (they are aligned by
-    construction).
-    """
-    out_flat, out_offsets = _flatten(plan.out_edges)
-    contact_flat, contact_offsets = _flatten(plan.contacts)
-    arrival_flat, arrival_offsets = _flatten(plan.arrivals)
-    if arrival_offsets != contact_offsets:
-        raise ServiceError("plan arrivals are not aligned with its contacts")
-    return {
+    """The JSON-able description of one lowered sweep plan: its ints,
+    plus each array of :attr:`SweepPlan.ARRAYS` base64-packed."""
+    spec: dict[str, Any] = {
         "kind": "sweep_plan",
         "n": plan.n,
         "start": plan.start_time,
         "horizon": plan.horizon,
         "max_wait": plan.max_wait,
-        "targets": _pack_int64(plan.target_idx),
-        "out_edges": _pack_int64(out_flat),
-        "out_offsets": _pack_int64(out_offsets),
-        "contacts": _pack_int64(contact_flat),
-        "arrivals": _pack_int64(arrival_flat),
-        "contact_offsets": _pack_int64(contact_offsets),
     }
+    for name in SweepPlan.ARRAYS:
+        spec[name] = _pack_int64(getattr(plan, name))
+    return spec
 
 
 def plan_from_spec(spec: dict[str, Any]) -> SweepPlan:
     """Rebuild a :class:`~repro.core.parallel.SweepPlan` from its spec.
 
-    Validates shape invariants (offset coverage, index ranges) so a
-    malformed or truncated frame becomes a :class:`ServiceError` — the
-    signal the cluster's fault handling turns into a local re-run —
-    never a worker crash deep inside the sweep.
+    Validates shape invariants (offset coverage, aligned contact
+    arrays, index ranges) so a malformed or truncated frame becomes a
+    :class:`ServiceError` — the signal the cluster's fault handling
+    turns into a local re-run — never a worker crash deep inside the
+    sweep.
     """
     if not isinstance(spec, dict) or spec.get("kind") != "sweep_plan":
         raise ServiceError(f"malformed sweep plan spec {spec!r}")
@@ -251,40 +226,24 @@ def plan_from_spec(spec: dict[str, Any]) -> SweepPlan:
         raise ServiceError("sweep plan node count must be >= 0")
     if max_wait is not None and max_wait < 0:
         raise ServiceError("sweep plan max_wait must be >= 0 or null")
-    targets = _unpack_int64(spec.get("targets"), "targets")
-    out_flat = _unpack_int64(spec.get("out_edges"), "out_edges")
-    out_edges = _split(
-        out_flat, _unpack_int64(spec.get("out_offsets"), "out_offsets"), "out_edges"
-    )
-    contact_offsets = _unpack_int64(spec.get("contact_offsets"), "contact_offsets")
-    contacts = _split(
-        _unpack_int64(spec.get("contacts"), "contacts"), contact_offsets, "contacts"
-    )
-    arrivals = _split(
-        _unpack_int64(spec.get("arrivals"), "arrivals"), contact_offsets, "arrivals"
-    )
-    edge_count = len(targets)
-    if len(out_edges) != n:
+    arrays = {name: _unpack_int64(spec.get(name), name) for name in SweepPlan.ARRAYS}
+    edge_count = len(arrays["target_idx"])
+    _check_csr(arrays["out_ptr"], n, len(arrays["out_edge_idx"]), "out_ptr")
+    _check_csr(arrays["edge_ptr"], edge_count, len(arrays["dep"]), "edge_ptr")
+    if len(arrays["arr"]) != len(arrays["dep"]):
         raise ServiceError(
-            f"sweep plan has {n} nodes but {len(out_edges)} out-edge lists"
+            f"sweep plan has {len(arrays['dep'])} departures but "
+            f"{len(arrays['arr'])} arrivals"
         )
-    if len(contacts) != edge_count:
-        raise ServiceError(
-            f"sweep plan has {edge_count} edges but {len(contacts)} contact lists"
-        )
+    targets, out_edges = arrays["target_idx"], arrays["out_edge_idx"]
     if edge_count and (targets.min() < 0 or targets.max() >= n):
         raise ServiceError("sweep plan edge targets fall outside the node range")
-    if len(out_flat) and (out_flat.min() < 0 or out_flat.max() >= edge_count):
+    if len(out_edges) and (out_edges.min() < 0 or out_edges.max() >= edge_count):
         raise ServiceError("sweep plan adjacency names an unknown edge")
+    if np.any(np.bincount(out_edges, minlength=edge_count) != 1):
+        raise ServiceError("sweep plan adjacency must list every edge once")
     return SweepPlan(
-        n=n,
-        out_edges=out_edges,
-        target_idx=tuple(targets.tolist()),
-        contacts=contacts,
-        arrivals=arrivals,
-        start_time=start,
-        horizon=horizon,
-        max_wait=max_wait,
+        n=n, start_time=start, horizon=horizon, max_wait=max_wait, **arrays
     )
 
 

@@ -10,6 +10,7 @@ structured error frame, never a crash.
 
 import numpy as np
 import pytest
+from plan_helpers import make_plan
 
 from repro.core.engine import TemporalEngine
 from repro.core.generators import periodic_random_tvg
@@ -241,10 +242,7 @@ class TestExecutorWithoutWorkers:
         assert ClusterExecutor(["127.0.0.1:7713"], min_nodes=0).routes(1)
 
     def test_empty_plan_answers_without_any_jobs(self):
-        graph = periodic_random_tvg(2, period=4, density=0.5, seed=1)
-        engine = TemporalEngine(graph)
-        _nodes, plan = build_sweep_plan(engine, 0, WAIT, HORIZON)
-        empty = plan.__class__(
+        empty = make_plan(
             n=0, out_edges=(), target_idx=(), contacts=(), arrivals=(),
             start_time=0, horizon=HORIZON, max_wait=None,
         )

@@ -1,0 +1,80 @@
+"""Test-side builders for :class:`~repro.core.parallel.SweepPlan`.
+
+``make_plan`` is the one way tests hand-build a plan: it takes the
+ragged per-node / per-edge sequences a reader can write down and packs
+them into the plan's flat CSR arrays.  ``reference_sweep_plan`` is the
+per-edge lowering loop ``build_sweep_plan`` replaced, kept as the
+oracle the vectorized build is checked against.
+"""
+
+from __future__ import annotations
+
+from typing import Hashable, Sequence
+
+import numpy as np
+
+from repro.core.parallel import SweepPlan
+from repro.core.semantics import WaitingSemantics
+
+
+def _packed(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    ptr = np.zeros(len(seqs) + 1, dtype=np.int64)
+    np.cumsum([len(seq) for seq in seqs], out=ptr[1:])
+    flat = np.fromiter(
+        (v for seq in seqs for v in seq), dtype=np.int64, count=int(ptr[-1])
+    )
+    return ptr, flat
+
+
+def make_plan(
+    n: int,
+    out_edges: Sequence[Sequence[int]],
+    target_idx: Sequence[int],
+    contacts: Sequence[Sequence[int]],
+    arrivals: Sequence[Sequence[int]],
+    start_time: int,
+    horizon: int,
+    max_wait: int | None,
+) -> SweepPlan:
+    """A plan from per-node out-edge lists and per-edge aligned
+    departure/arrival dates."""
+    out_ptr, out_edge_idx = _packed(out_edges)
+    edge_ptr, dep = _packed(contacts)
+    arr_ptr, arr = _packed(arrivals)
+    assert np.array_equal(edge_ptr, arr_ptr), "arrivals must align with contacts"
+    return SweepPlan(
+        n=n,
+        out_ptr=out_ptr,
+        out_edge_idx=out_edge_idx,
+        target_idx=np.asarray(target_idx, dtype=np.int64).reshape(-1),
+        edge_ptr=edge_ptr,
+        dep=dep,
+        arr=arr,
+        start_time=start_time,
+        horizon=horizon,
+        max_wait=max_wait,
+    )
+
+
+def reference_sweep_plan(
+    engine, start_time: int, semantics: WaitingSemantics, horizon: int
+) -> tuple[list[Hashable], SweepPlan]:
+    """The per-edge lowering: one ``departures`` and one ``arrival``
+    call per edge and contact of the engine's compiled index."""
+    index = engine.index_for(min(start_time, horizon), horizon)
+    contacts, arrivals = [], []
+    for ei in range(len(index.edge_list)):
+        departures = index.departures(ei, start_time, horizon)
+        contacts.append(departures)
+        arrivals.append([index.arrival(ei, dep) for dep in departures])
+    plan = make_plan(
+        n=len(index.nodes),
+        out_edges=[index.out_edge_indices(j) for j in range(len(index.nodes))],
+        target_idx=index.target_idx,
+        contacts=contacts,
+        arrivals=arrivals,
+        start_time=start_time,
+        horizon=horizon,
+        max_wait=semantics.max_wait,
+    )
+    return list(index.nodes), plan

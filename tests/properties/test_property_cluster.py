@@ -34,10 +34,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+from plan_helpers import make_plan
 
 from repro.core.engine import UNREACHED, TemporalEngine
 from repro.core.latency import constant_latency
-from repro.core.parallel import SweepPlan, build_sweep_plan, sweep_block
+from repro.core.parallel import build_sweep_plan, sweep_block
 from repro.core.presence import (
     function_presence,
     interval_presence,
@@ -128,7 +129,7 @@ def sweep_plans(draw):
         arrivals.append(
             tuple(dep + draw(st.integers(1, 3)) for dep in departures)
         )
-    return SweepPlan(
+    return make_plan(
         n=n,
         out_edges=out_edges,
         target_idx=targets,
@@ -195,7 +196,7 @@ class TestPlanSpecRoundTrip:
         """Dates at the int64 ceiling — the UNREACHED sentinel's range —
         must pack without truncation or float drift."""
         big = int(UNREACHED) - 7
-        plan = SweepPlan(
+        plan = make_plan(
             n=2,
             out_edges=((0,), ()),
             target_idx=(1,),
@@ -210,7 +211,7 @@ class TestPlanSpecRoundTrip:
         assert clone.contacts[0][1] == big
 
     def test_empty_plan_round_trips(self):
-        plan = SweepPlan(
+        plan = make_plan(
             n=0, out_edges=(), target_idx=(), contacts=(), arrivals=(),
             start_time=0, horizon=0, max_wait=0,
         )

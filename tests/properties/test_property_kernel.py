@@ -22,6 +22,7 @@ that doesn't pass ``kernel=`` explicitly.
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from plan_helpers import make_plan
 
 from repro.core.engine import TemporalEngine
 from repro.core.latency import constant_latency
@@ -167,11 +168,11 @@ class TestKernelsMatchInterpretiveOracle:
             assert bitset[i].tolist() == expected
 
 
-def _plan_for_dates(base: int) -> SweepPlan:
+def _plan_for_dates(base: int, max_wait: int | None = None) -> SweepPlan:
     """A 4-node line+shortcut plan with every date near ``base`` — built
     directly so the magnitude (e.g. near ``UNREACHED``) exercises only
     the kernels, not the graph layer."""
-    return SweepPlan(
+    return make_plan(
         n=4,
         out_edges=((0, 1), (2,), (3,), ()),
         target_idx=(1, 2, 2, 3),
@@ -189,7 +190,7 @@ def _plan_for_dates(base: int) -> SweepPlan:
         ),
         start_time=base,
         horizon=base + 8,
-        max_wait=None,
+        max_wait=max_wait,
     )
 
 
@@ -199,16 +200,7 @@ class TestHandcraftedRegimes:
         kernels must sort, bucket, and compare without overflowing."""
         base = int(UNREACHED) - 16
         for max_wait in (None, 0, 1, 3):
-            plan = SweepPlan(
-                n=4,
-                out_edges=((0, 1), (2,), (3,), ()),
-                target_idx=(1, 2, 2, 3),
-                contacts=_plan_for_dates(base).contacts,
-                arrivals=_plan_for_dates(base).arrivals,
-                start_time=base,
-                horizon=base + 8,
-                max_wait=max_wait,
-            )
+            plan = _plan_for_dates(base, max_wait)
             sources = (0, 1, 2, 3)
             bitset = sweep_block_bitset(plan, sources)
             bignum = sweep_block_bignum(plan, sources)

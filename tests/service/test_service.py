@@ -5,6 +5,7 @@ import pytest
 from repro.analysis.classes import classify
 from repro.analysis.evolution import reachability_growth
 from repro.core.builders import TVGBuilder
+from repro.core.generators import periodic_random_tvg
 from repro.core.presence import never, periodic_presence
 from repro.core.semantics import NO_WAIT, WAIT
 from repro.core.traversal import earliest_arrivals
@@ -191,6 +192,25 @@ class TestCachingAcrossMutations:
         assert service.incremental_sweeps == 1
         assert service.full_sweeps == 1
 
+    def test_churn_keeps_at_most_two_matrices_per_query(self):
+        """Each mutation + miss cycle leaves the new matrix and one seed
+        (the newest stale one, all ``ancestor`` needs) — not one more
+        retained matrix per cycle — and answers stay exact."""
+        graph = periodic_random_tvg(12, period=4, density=0.3, seed=5)
+        service = TVGService(graph, incremental="force")
+        service.growth(0, 12, WAIT)
+        keys = [edge.key for edge in graph.edges]
+        query = ("arrival_matrix", 0, 12, str(WAIT))
+        for cycle in range(8):
+            service.set_presence(
+                keys[cycle * 5 % len(keys)], periodic_presence([cycle % 4], 4)
+            )
+            curve = service.growth(0, 12, WAIT)
+            cached = [v for v, q in service.cache._entries if q == query]
+            assert len(cached) <= 2
+            assert curve == reachability_growth(graph, 0, 12, WAIT)
+        assert service.incremental_sweeps == 8
+
     def test_stats_shape(self, line_service):
         line_service.growth(0, 10, WAIT)
         line_service.add_edge("c", "a", key="ca")
@@ -257,6 +277,35 @@ class TestDispatcher:
         response = handle_request(line_service, request_dict)
         assert response["ok"] is False
         assert response["error"]
+
+    @pytest.mark.parametrize("submitted", [False, True], ids=["direct", "submit"])
+    @pytest.mark.parametrize(
+        "value", [True, False, 8.5, "9", None, [1], {"t": 1}], ids=repr
+    )
+    @pytest.mark.parametrize(
+        "op, field",
+        [
+            ("reach", "start"), ("reach", "horizon"),
+            ("arrival", "start"), ("arrival", "horizon"),
+            ("growth", "start"), ("growth", "end"),
+            ("classify", "start"), ("classify", "end"),
+        ],
+    )
+    def test_non_integer_dates_rejected(
+        self, line_service, op, field, value, submitted
+    ):
+        request = {
+            "op": op, "source": "a", "target": "c",
+            "start": 0, "horizon": 10, "end": 10, field: value,
+        }
+        if submitted:
+            request = {"op": "submit", "request": request}
+        response = handle_request(line_service, request)
+        assert response["ok"] is False
+        assert response["error"].startswith("ServiceError: ")
+        assert repr(field) in response["error"]
+        assert line_service.queries_served == 0
+        assert line_service.tasks.stats()["submitted"] == 0
 
     def test_one_bad_request_does_not_poison_the_service(self, line_service):
         handle_request(line_service, {"op": "reach", "source": "a"})

@@ -1,8 +1,11 @@
 """Round-trip tests for the wire specs."""
 
+import base64
 import json
 
+import numpy as np
 import pytest
+from plan_helpers import make_plan
 
 from repro.core.latency import constant_latency, function_latency
 from repro.core.parallel import SweepPlan
@@ -110,17 +113,22 @@ class TestSemanticsStrings:
 
 
 def _plan():
-    """A small but fully-populated plan (two nodes, one scheduled edge)."""
-    return SweepPlan(
-        n=2,
-        out_edges=((0,), ()),
-        target_idx=(1,),
-        contacts=((0, 2, 5),),
-        arrivals=((1, 3, 7),),
+    """A small but fully-populated plan (three nodes, two scheduled
+    edges)."""
+    return make_plan(
+        n=3,
+        out_edges=((0,), (1,), ()),
+        target_idx=(1, 2),
+        contacts=((0, 2, 5), (4,)),
+        arrivals=((1, 3, 7), (6,)),
         start_time=0,
         horizon=8,
         max_wait=2,
     )
+
+
+def _packed(values):
+    return base64.b64encode(np.asarray(values, dtype="<i8").tobytes()).decode()
 
 
 class TestSweepPlanSpecs:
@@ -130,23 +138,24 @@ class TestSweepPlanSpecs:
         assert plan_from_spec(json.loads(json.dumps(spec))) == plan
 
     def test_packed_not_listed(self):
-        """Contacts cross as one base64 blob, not per-element JSON."""
+        """Each plan array crosses as one base64 blob, not per-element
+        JSON."""
         spec = plan_to_spec(_plan())
-        assert isinstance(spec["contacts"], str)
-        assert isinstance(spec["out_edges"], str)
+        for name in SweepPlan.ARRAYS:
+            assert isinstance(spec[name], str), name
 
     @pytest.mark.parametrize(
         "corruption",
         [
             {"kind": "presence"},                         # wrong kind
             {"n": -1},                                    # negative node count
-            {"n": 5},                                     # offsets no longer cover n
+            {"n": 5},                                     # out_ptr no longer covers n
             {"max_wait": -2},                             # negative waiting bound
             {"max_wait": "x"},                            # non-numeric waiting bound
-            {"targets": "!!not-base64!!"},                # undecodable payload
-            {"targets": "AAAA"},                          # not whole int64s
-            {"contacts": None},                           # missing payload
-            {"out_offsets": None},                        # missing offsets
+            {"target_idx": "!!not-base64!!"},             # undecodable payload
+            {"target_idx": "AAAA"},                       # not whole int64s
+            {"dep": None},                                # missing payload
+            {"out_ptr": None},                            # missing offsets
         ],
     )
     def test_malformed_specs_rejected(self, corruption):
@@ -154,38 +163,52 @@ class TestSweepPlanSpecs:
         with pytest.raises(ServiceError):
             plan_from_spec(spec)
 
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            pytest.param("edge_ptr", [0, 5, 4], id="edge_ptr-non-monotone"),
+            pytest.param("edge_ptr", [0, 3, 3], id="edge_ptr-short-of-dep"),
+            pytest.param("edge_ptr", [1, 3, 4], id="edge_ptr-not-from-zero"),
+            pytest.param("edge_ptr", [0, 4], id="edge_ptr-too-few-edges"),
+            pytest.param("arr", [1, 3, 7], id="arr-shorter-than-dep"),
+            pytest.param("dep", [0, 2, 5, 4, 6], id="dep-longer-than-arr"),
+            pytest.param("target_idx", [1, 3], id="target-past-n"),
+            pytest.param("target_idx", [-1, 2], id="target-negative"),
+            pytest.param("out_edge_idx", [0, 2], id="out-edge-past-edges"),
+            pytest.param("out_edge_idx", [-1, 1], id="out-edge-negative"),
+            pytest.param("out_edge_idx", [0, 0], id="out-edge-listed-twice"),
+            pytest.param("out_ptr", [0, 2, 1, 2], id="out_ptr-non-monotone"),
+            pytest.param("out_ptr", [0, 1, 2], id="out_ptr-too-few-nodes"),
+        ],
+    )
+    def test_malformed_flat_arrays_rejected(self, name, values):
+        spec = plan_to_spec(_plan())
+        spec[name] = _packed(values)
+        with pytest.raises(ServiceError):
+            plan_from_spec(spec)
+
     def test_truncated_payload_rejected(self):
         spec = plan_to_spec(_plan())
         # Keep valid base64 (a multiple of 4 chars) but drop half the
-        # packed values, so the offsets no longer cover the payload.
-        spec["arrivals"] = spec["arrivals"][: len(spec["arrivals"]) // 8 * 4]
+        # packed values, so the arrivals no longer align with dep.
+        spec["arr"] = spec["arr"][: len(spec["arr"]) // 8 * 4]
         with pytest.raises(ServiceError):
             plan_from_spec(spec)
 
     def test_out_of_range_adjacency_rejected(self):
-        import base64
-
-        import numpy as np
-
         spec = plan_to_spec(_plan())
-        spec["targets"] = base64.b64encode(
-            np.asarray([9], dtype="<i8").tobytes()
-        ).decode()
+        spec["target_idx"] = _packed([9, 9])
         with pytest.raises(ServiceError):
             plan_from_spec(spec)
 
 
 class TestMatrixSpecs:
     def test_round_trip_through_json(self):
-        import numpy as np
-
         matrix = np.arange(12, dtype=np.int64).reshape(3, 4) - 5
         spec = json.loads(json.dumps(matrix_to_spec(matrix)))
         assert np.array_equal(matrix_from_spec(spec), matrix)
 
     def test_empty_matrix_round_trips(self):
-        import numpy as np
-
         matrix = np.zeros((0, 7), dtype=np.int64)
         assert matrix_from_spec(matrix_to_spec(matrix)).shape == (0, 7)
 
@@ -200,8 +223,6 @@ class TestMatrixSpecs:
         ],
     )
     def test_malformed_specs_rejected(self, corruption):
-        import numpy as np
-
         spec = {**matrix_to_spec(np.zeros((2, 2), dtype=np.int64)), **corruption}
         with pytest.raises(ServiceError):
             matrix_from_spec(spec)

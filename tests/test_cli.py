@@ -256,6 +256,30 @@ class TestSemanticsBoundary:
         assert args.semantics.max_wait == 5
 
 
+class TestTraceFileErrors:
+    """A missing or malformed trace file ends in one line on stderr and
+    exit code 2, never a traceback."""
+
+    COMMANDS = {
+        "reach": ["reach", "--trace"],
+        "render": ["render"],
+        "extract": ["extract", "--initial", "a"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("content", [None, "a b zero 3\n"], ids=["missing", "malformed"])
+    def test_one_line_and_exit_2(self, command, content, tmp_path, capsys):
+        path = tmp_path / "input.trace"
+        if content is not None:
+            path.write_text(content)
+        assert main(self.COMMANDS[command] + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {command}: error: ")
+
+
 @pytest.mark.slow
 class TestShardsFlag:
     """--shards runs the process-sharded sweep; results are identical
