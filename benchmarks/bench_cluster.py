@@ -19,7 +19,7 @@ NO_WAIT.  Three claims are checked:
   measured and recorded, but the assertion self-skips (sandboxes often
   pin 1 CPU);
 * **sticky plans** — repeated sweeps of one ``(version, window,
-  semantics, kernel)`` ship the full plan to each worker at most once
+  semantics)`` ship the full plan to each worker at most once
   (fingerprint-only jobs after), cutting bytes-on-wire by at least 5x
   against per-job plan shipping.  Asserted unconditionally — it is a
   protocol property, not a host-speed property.
@@ -105,7 +105,7 @@ def stop_workers(workers) -> None:
 def run_benchmark() -> dict:
     import numpy as np
 
-    from bench_common import gate_info, host_cpus, kernel_variant
+    from bench_common import gate_info, host_cpus
     from repro.core.engine import TemporalEngine
     from repro.core.generators import periodic_random_tvg
     from repro.core.semantics import NO_WAIT, WAIT
@@ -119,6 +119,10 @@ def run_benchmark() -> dict:
     # (the distributed one also lowers its plan from it).
     _, compile_seconds = _timed(lambda: engine.index_for(0, HORIZON))
 
+    def sweep(executor, semantics):
+        engine.executor = executor
+        return engine.arrival_matrix(0, semantics, horizon=HORIZON)
+
     results = {
         "graph": {
             "nodes": graph.node_count,
@@ -131,7 +135,7 @@ def run_benchmark() -> dict:
         "compile_seconds": compile_seconds,
         "workers": WORKERS,
         "cpus": host_cpus(),
-        "kernel": kernel_variant(),
+        "kernel": "bitset",
         "gate": gate_info(REQUIRED_SPEEDUP, REQUIRED_CPUS),
         "cases": {},
     }
@@ -141,12 +145,10 @@ def run_benchmark() -> dict:
         cluster = ClusterExecutor([address for _proc, address in workers])
         for label, semantics in (("wait", WAIT), ("nowait", NO_WAIT)):
             (_nodes, serial), serial_seconds = _timed(
-                lambda s=semantics: engine.arrival_matrix(0, s, horizon=HORIZON)
+                lambda s=semantics: sweep(None, s)
             )
             (_same, distributed), cluster_seconds = _timed(
-                lambda s=semantics: engine.arrival_matrix(
-                    0, s, horizon=HORIZON, cluster=cluster
-                )
+                lambda s=semantics: sweep(cluster, s)
             )
             assert np.array_equal(serial, distributed), (
                 f"distributed sweep diverged from serial under {label}"
@@ -165,9 +167,9 @@ def run_benchmark() -> dict:
         # change by a single element.
         faulty_fleet = ClusterExecutor([workers[0][1], "127.0.0.1:1"], timeout=5.0)
         (_also, recovered), recovered_seconds = _timed(
-            lambda: engine.arrival_matrix(0, WAIT, horizon=HORIZON, cluster=faulty_fleet)
+            lambda: sweep(faulty_fleet, WAIT)
         )
-        _ignored, serial_wait = engine.arrival_matrix(0, WAIT, horizon=HORIZON)
+        _ignored, serial_wait = sweep(None, WAIT)
         assert np.array_equal(recovered, serial_wait), (
             "the dead-worker fallback changed the answer"
         )
@@ -181,7 +183,7 @@ def run_benchmark() -> dict:
         }
 
         # Sticky plans: a fresh executor sweeping the same (version,
-        # window, semantics, kernel) repeatedly ships the plan to each
+        # window, semantics) repeatedly ships the plan to each
         # worker at most once — every later job is fingerprint-only.
         from repro.core.parallel import build_sweep_plan
         from repro.service.wire import plan_to_spec
@@ -191,11 +193,7 @@ def run_benchmark() -> dict:
         sticky = ClusterExecutor([address for _proc, address in workers])
         sticky_seconds = 0.0
         for _ in range(REPEAT_SWEEPS):
-            (_n, repeated), one_sweep = _timed(
-                lambda: engine.arrival_matrix(
-                    0, WAIT, horizon=HORIZON, cluster=sticky
-                )
-            )
+            (_n, repeated), one_sweep = _timed(lambda: sweep(sticky, WAIT))
             sticky_seconds += one_sweep
             assert np.array_equal(repeated, serial_wait), (
                 "a sticky-cached sweep diverged from serial"

@@ -5,8 +5,7 @@ like with like:
 
 * ``cpus`` — what the host offered (gates that need cores self-skip);
 * ``kernel`` — which sweep kernel (:mod:`repro.core.sweep_kernel`) the
-  timed sweeps ran on, after env resolution, so a run under
-  ``REPRO_SWEEP_KERNEL=bignum`` is distinguishable in the artifact;
+  timed sweeps ran on: ``"bitset"``, the only production kernel;
 * ``gate`` — the speedup floor, its CPU prerequisite, whether it
   applied on this host, and the structured skip reason when it did not
   (previously each script encoded this differently, or only in stdout).
@@ -19,13 +18,6 @@ import os
 
 def host_cpus() -> int:
     return os.cpu_count() or 1
-
-
-def kernel_variant(kernel: str | None = None) -> str:
-    """The sweep kernel the benchmark's sweeps actually run on."""
-    from repro.core.sweep_kernel import resolve_kernel
-
-    return resolve_kernel(kernel)
 
 
 def gate_info(required_speedup: float, required_cpus: int) -> dict:

@@ -19,7 +19,7 @@ Two claims are checked:
   single-core algorithmic claim (fewer rows swept, same kernel), so it
   applies on every host, 1-CPU sandboxes included.
 
-Both paths run on the same engine and the same resolved kernel; plans
+Both paths run on the same engine and the same kernel; plans
 compile once and best-of-``REPEATS`` timing amortizes warmup, so the
 timings isolate swept-row volume.  Emits ``BENCH_incremental.json``
 next to this file.
@@ -103,7 +103,7 @@ def churn(graph, rng):
 def run_benchmark() -> dict:
     import numpy as np
 
-    from bench_common import gate_info, host_cpus, kernel_variant
+    from bench_common import gate_info, host_cpus
     from repro.core.engine import TemporalEngine
     from repro.core.semantics import NO_WAIT, WAIT
 
@@ -122,7 +122,7 @@ def run_benchmark() -> dict:
             "seed": SEED,
         },
         "cpus": host_cpus(),
-        "kernel": kernel_variant(),
+        "kernel": "bitset",
         "repeats": REPEATS,
         "gate": gate_info(REQUIRED_SPEEDUP, REQUIRED_CPUS),
         "cases": {},

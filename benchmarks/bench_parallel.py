@@ -1,9 +1,9 @@
 """E11 — the process-sharded all-pairs arrival sweep.
 
 Times ``TemporalEngine.arrival_matrix`` on a ~400-node periodic TVG
-serially and sharded across 4 worker processes
-(:mod:`repro.core.parallel`), under both WAIT and NO_WAIT.  Two claims
-are checked:
+in-process and sharded across 4 worker processes (the engine's executor
+set to :class:`~repro.core.parallel.ProcessShards`), under both WAIT
+and NO_WAIT.  Two claims are checked:
 
 * **exactness** — the sharded matrix equals the serial one element for
   element (asserted unconditionally, every run);
@@ -12,11 +12,9 @@ are checked:
   physically hold: on fewer cores the numbers are still measured and
   recorded, but the assertion is skipped (sandboxes often pin 1 CPU).
 
-Sharding wins twice: blocks run concurrently, and each block's bitmask
-is as wide as the *block*, so mask merges are a few machine words
-instead of an n-bit bignum — which is why the per-block sweeps in total
-cost less than one serial pass even before parallelism.  Emits
-``BENCH_parallel.json`` next to this file so CI can track both effects.
+Blocks run concurrently; under the bitset kernel they save no work
+beyond that, and every sweep forks a fresh process pool.  Emits
+``BENCH_parallel.json`` next to this file.
 
 Run standalone (``python benchmarks/bench_parallel.py``) or through
 pytest (``pytest benchmarks/bench_parallel.py``).
@@ -51,9 +49,10 @@ def _timed(fn):
 def run_benchmark() -> dict:
     import numpy as np
 
-    from bench_common import gate_info, host_cpus, kernel_variant
+    from bench_common import gate_info, host_cpus
     from repro.core.engine import TemporalEngine
     from repro.core.generators import periodic_random_tvg
+    from repro.core.parallel import ProcessShards
     from repro.core.semantics import NO_WAIT, WAIT
 
     graph = periodic_random_tvg(
@@ -63,6 +62,10 @@ def run_benchmark() -> dict:
     # Compile outside the timed sections: both paths share the index
     # (the sharded one also lowers its plan from it).
     _, compile_seconds = _timed(lambda: engine.index_for(0, HORIZON))
+
+    def sweep(executor, semantics):
+        engine.executor = executor
+        return engine.arrival_matrix(0, semantics, horizon=HORIZON)
 
     results = {
         "graph": {
@@ -76,19 +79,17 @@ def run_benchmark() -> dict:
         "compile_seconds": compile_seconds,
         "shards": SHARDS,
         "cpus": host_cpus(),
-        "kernel": kernel_variant(),
+        "kernel": "bitset",
         "gate": gate_info(REQUIRED_SPEEDUP, REQUIRED_CPUS),
         "cases": {},
     }
 
     for label, semantics in (("wait", WAIT), ("nowait", NO_WAIT)):
         (_nodes, serial), serial_seconds = _timed(
-            lambda s=semantics: engine.arrival_matrix(0, s, horizon=HORIZON)
+            lambda s=semantics: sweep(None, s)
         )
         (_same, sharded), sharded_seconds = _timed(
-            lambda s=semantics: engine.arrival_matrix(
-                0, s, horizon=HORIZON, shards=SHARDS
-            )
+            lambda s=semantics: sweep(ProcessShards(SHARDS), s)
         )
         assert np.array_equal(serial, sharded), (
             f"sharded sweep diverged from serial under {label}"

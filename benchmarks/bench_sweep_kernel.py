@@ -1,7 +1,8 @@
 """E13 — the bitset sweep kernel vs the bignum oracle, single core.
 
-Times :func:`repro.core.sweep_kernel.sweep_block` under both kernels on
-the same 400-node periodic TVG ``bench_cluster.py`` uses (so the
+Times :func:`repro.core.sweep_kernel.sweep_block` (the bitset kernel)
+against :func:`repro.core.sweep_kernel.sweep_block_bignum` (the oracle)
+on the same 400-node periodic TVG ``bench_cluster.py`` uses (so the
 numbers compare directly with the wire and sharding benchmarks), under
 WAIT and NO_WAIT, full source set, one process, one core.  Two claims
 are checked:
@@ -9,7 +10,7 @@ are checked:
 * **exactness** — the bitset matrix equals the bignum matrix element
   for element, both semantics (asserted unconditionally, every run);
 * **speedup** — the bitset kernel is at least 5x faster than the bignum
-  kernel on the WAIT case.  Unlike the sharding/cluster gates this one
+  oracle on the WAIT case.  Unlike the sharding/cluster gates this one
   needs no extra cores — it is a single-core algorithmic claim, so it
   applies on every host, 1-CPU sandboxes included.
 
@@ -63,7 +64,7 @@ def run_benchmark() -> dict:
     from repro.core.generators import periodic_random_tvg
     from repro.core.parallel import build_sweep_plan
     from repro.core.semantics import NO_WAIT, WAIT
-    from repro.core.sweep_kernel import sweep_block
+    from repro.core.sweep_kernel import sweep_block, sweep_block_bignum
 
     graph = periodic_random_tvg(
         NODES, period=PERIOD, density=DENSITY, labels="ab", seed=SEED
@@ -90,11 +91,9 @@ def run_benchmark() -> dict:
         _nodes, plan = build_sweep_plan(engine, 0, semantics, HORIZON)
         sources = tuple(range(plan.n))
         bignum, bignum_seconds = _best_of(
-            lambda: sweep_block(plan, sources, kernel="bignum")
+            lambda: sweep_block_bignum(plan, sources)
         )
-        bitset, bitset_seconds = _best_of(
-            lambda: sweep_block(plan, sources, kernel="bitset")
-        )
+        bitset, bitset_seconds = _best_of(lambda: sweep_block(plan, sources))
         assert np.array_equal(bitset, bignum), (
             f"bitset kernel diverged from the bignum oracle under {label}"
         )

@@ -23,7 +23,6 @@ from repro.core.tvg import TimeVaryingGraph
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.core.engine import TemporalEngine
-    from repro.service.cluster import ClusterExecutor
 
 
 def is_temporally_connected(
@@ -32,9 +31,6 @@ def is_temporally_connected(
     semantics: WaitingSemantics = WAIT,
     horizon: int | None = None,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
-    cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> bool:
     """Whether every ordered pair is joined by a feasible journey.
 
@@ -42,10 +38,7 @@ def is_temporally_connected(
     reachability form (see :func:`~repro.analysis.reachability
     .reachability_ratio`), never expanding the boolean matrix.
     """
-    ratio = reachability_ratio(
-        graph, start_time, semantics, horizon, engine, shards, cluster, kernel
-    )
-    return ratio == 1.0
+    return reachability_ratio(graph, start_time, semantics, horizon, engine) == 1.0
 
 
 @dataclass(frozen=True)
@@ -86,27 +79,19 @@ def classify_connectivity(
     start: int,
     end: int,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
-    cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> ConnectivityReport:
     """Classify a TVG's behaviour over ``[start, end)``.
 
     With ``engine=`` the two reachability ratios come from batched
     sweeps (one per semantics) instead of ``2n`` searches, counted off
-    the bit-packed reachability form; ``shards``/``cluster``/``kernel``
-    thread through to those sweeps.
+    the bit-packed reachability form.
     """
     connected = sum(1 for t in range(start, end) if is_connected_at(graph, t))
     return ConnectivityReport(
         snapshots_connected=connected,
         snapshots_total=end - start,
-        wait_ratio=reachability_ratio(
-            graph, start, WAIT, horizon=end, engine=engine,
-            shards=shards, cluster=cluster, kernel=kernel,
-        ),
+        wait_ratio=reachability_ratio(graph, start, WAIT, horizon=end, engine=engine),
         nowait_ratio=reachability_ratio(
-            graph, start, NO_WAIT, horizon=end, engine=engine,
-            shards=shards, cluster=cluster, kernel=kernel,
+            graph, start, NO_WAIT, horizon=end, engine=engine
         ),
     )

@@ -38,7 +38,6 @@ from repro.core.tvg import TimeVaryingGraph
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.core.engine import TemporalEngine
-    from repro.service.cluster import ClusterExecutor
 
 
 def density_curve(graph: TimeVaryingGraph, start: int, end: int) -> list[tuple[int, float]]:
@@ -91,9 +90,6 @@ def reachability_growth(
     end: int,
     semantics: WaitingSemantics = WAIT,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
-    cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> list[tuple[int, float]]:
     """``r(t)``: fraction of ordered pairs joined by a journey arriving
     by date ``t`` (journeys start at ``start``).
@@ -104,9 +100,7 @@ def reachability_growth(
     With ``engine=`` the curve derives from one batched arrival sweep:
     sort the off-diagonal earliest arrivals once, then each prefix is a
     binary search — O(n^2 log n) total instead of a full reachability
-    computation per prefix length.  ``shards`` partitions that sweep
-    across worker processes and ``cluster`` ships it to remote sweep
-    workers; the interpretive path ignores both.
+    computation per prefix length.
     """
     require_window(start, end)
     nodes = list(graph.nodes)
@@ -116,10 +110,7 @@ def reachability_growth(
     total_pairs = n * (n - 1)
     if engine is not None:
         engine.require_graph(graph, "reachability_growth")
-        _nodes, arrival = engine.arrival_matrix(
-            start, semantics, horizon=end, shards=shards, cluster=cluster,
-            kernel=kernel,
-        )
+        _nodes, arrival = engine.arrival_matrix(start, semantics, horizon=end)
         return growth_curve_from_arrivals(arrival, start, end)
     earliest: dict[tuple[Hashable, Hashable], int] = {}
     for source in nodes:
@@ -172,24 +163,14 @@ def value_of_waiting(
     start: int,
     end: int,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
-    cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> WaitingValue:
     """Both growth curves and their integrated gap.
 
     With ``engine=`` the two curves cost exactly two batched arrival
-    sweeps (one per semantics), each shardable across processes via
-    ``shards``, across machines via ``cluster``, and run on the sweep
-    kernel named by ``kernel``.
+    sweeps (one per semantics), run wherever the engine's executor
+    puts them.
     """
     return WaitingValue(
-        wait_curve=reachability_growth(
-            graph, start, end, WAIT, engine=engine, shards=shards,
-            cluster=cluster, kernel=kernel,
-        ),
-        nowait_curve=reachability_growth(
-            graph, start, end, NO_WAIT, engine=engine, shards=shards,
-            cluster=cluster, kernel=kernel,
-        ),
+        wait_curve=reachability_growth(graph, start, end, WAIT, engine=engine),
+        nowait_curve=reachability_growth(graph, start, end, NO_WAIT, engine=engine),
     )

@@ -24,7 +24,6 @@ from repro.core.tvg import TimeVaryingGraph
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.core.engine import TemporalEngine
-    from repro.service.cluster import ClusterExecutor
 
 
 def reachability_matrix(
@@ -33,25 +32,15 @@ def reachability_matrix(
     semantics: WaitingSemantics = NO_WAIT,
     horizon: int | None = None,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
-    cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> tuple[list[Hashable], np.ndarray]:
     """Boolean matrix ``M[i, j]`` = node ``j`` reachable from node ``i``.
 
     Diagonal entries are True (the trivial journey).  Returns the node
-    ordering alongside so callers can label the axes.  ``shards``
-    partitions the engine's sweep across worker processes
-    (:mod:`repro.core.parallel`), ``cluster`` ships it to remote sweep
-    workers (:mod:`repro.service.cluster`), and ``kernel`` picks the
-    sweep kernel (:mod:`repro.core.sweep_kernel`); the interpretive
-    path ignores all three.
+    ordering alongside so callers can label the axes.
     """
     if engine is not None:
         engine.require_graph(graph, "reachability_matrix")
-        return engine.reachability_matrix(
-            start_time, semantics, horizon, shards, cluster, kernel
-        )
+        return engine.reachability_matrix(start_time, semantics, horizon)
     nodes = list(graph.nodes)
     index = {node: i for i, node in enumerate(nodes)}
     matrix = np.zeros((len(nodes), len(nodes)), dtype=bool)
@@ -69,9 +58,6 @@ def reachability_ratio(
     semantics: WaitingSemantics = NO_WAIT,
     horizon: int | None = None,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
-    cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> float:
     """Fraction of ordered pairs ``(u, v), u != v`` connected by a journey.
 
@@ -83,17 +69,13 @@ def reachability_ratio(
     """
     if engine is not None:
         engine.require_graph(graph, "reachability_ratio")
-        nodes, packed = engine.reachability_packed(
-            start_time, semantics, horizon, shards, cluster, kernel
-        )
+        nodes, packed = engine.reachability_packed(start_time, semantics, horizon)
         n = len(nodes)
         if n <= 1:
             return 1.0
         reachable_pairs = int(np.bitwise_count(packed).sum()) - n  # drop the diagonal
         return reachable_pairs / (n * (n - 1))
-    nodes, matrix = reachability_matrix(
-        graph, start_time, semantics, horizon, engine, shards, cluster
-    )
+    nodes, matrix = reachability_matrix(graph, start_time, semantics, horizon)
     n = len(nodes)
     if n <= 1:
         return 1.0
@@ -106,9 +88,6 @@ def semantics_gap_matrix(
     start_time: int,
     horizon: int | None = None,
     engine: "TemporalEngine | None" = None,
-    shards: int | None = None,
-    cluster: "ClusterExecutor | None" = None,
-    kernel: str | None = None,
 ) -> tuple[list[Hashable], np.ndarray]:
     """Pairs reachable with waiting but not without.
 
@@ -116,10 +95,6 @@ def semantics_gap_matrix(
     pair — the paper's gap, node by node.  With an engine this is two
     batched sweeps (one per semantics) instead of ``2n`` searches.
     """
-    nodes, with_wait = reachability_matrix(
-        graph, start_time, WAIT, horizon, engine, shards, cluster, kernel
-    )
-    _same, without = reachability_matrix(
-        graph, start_time, NO_WAIT, horizon, engine, shards, cluster, kernel
-    )
+    nodes, with_wait = reachability_matrix(graph, start_time, WAIT, horizon, engine)
+    _same, without = reachability_matrix(graph, start_time, NO_WAIT, horizon, engine)
     return nodes, with_wait & ~without

@@ -50,6 +50,27 @@ def _semantics(text: str) -> WaitingSemantics:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _number(kind: type, low: float, inclusive: bool = False):
+    """An argparse type for ``kind`` values above ``low`` (or equal to
+    it when ``inclusive``): an out-of-range number is a usage error at
+    launch, not a library traceback or a silently odd run later."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not (value >= low if inclusive else value > low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>=' if inclusive else '>'} {low}, got {text}"
+            )
+        return value
+
+    return parse
+
+
 def _workers(text: str) -> list[str]:
     """A comma-separated ``host:port`` list, validated up front so a
     typo is a usage error at launch, not a per-sweep fallback."""
@@ -67,23 +88,33 @@ def _workers(text: str) -> list[str]:
     return addresses
 
 
-def _cluster(args: argparse.Namespace):
-    """The ClusterExecutor a command's ``--workers`` asks for (or None)."""
-    if not getattr(args, "workers", None):
-        return None
-    from repro.service.cluster import (
-        DEFAULT_OVERSPLIT,
-        DEFAULT_TIMEOUT,
-        ClusterExecutor,
-    )
+def _executor(args: argparse.Namespace):
+    """The sweep executor ``--workers`` or ``--shards`` asks for (or
+    None: sweep in-process)."""
+    if args.workers:
+        from repro.service.cluster import ClusterExecutor
 
-    timeout = getattr(args, "worker_timeout", None)
-    oversplit = getattr(args, "oversplit", None)
-    return ClusterExecutor(
-        args.workers,
-        timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
-        oversplit=DEFAULT_OVERSPLIT if oversplit is None else oversplit,
-    )
+        return ClusterExecutor(
+            args.workers, timeout=args.worker_timeout, oversplit=args.oversplit
+        )
+    if args.shards:
+        from repro.core.parallel import ProcessShards
+
+        return ProcessShards(args.shards)
+    return None
+
+
+def _engine(args: argparse.Namespace, graph):
+    """The engine ``reach``/``growth`` query through: compiled, on the
+    requested executor, or None for ``--engine interpretive``."""
+    from repro.core.engine import TemporalEngine
+
+    executor = _executor(args)
+    if args.engine == "compiled":
+        return TemporalEngine(graph, executor=executor)
+    if executor is not None:
+        raise ReproError("--shards and --workers need --engine compiled")
+    return None
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
@@ -173,22 +204,14 @@ def cmd_reach(args: argparse.Namespace) -> int:
     import time
 
     from repro.analysis.reachability import reachability_matrix
-    from repro.core.engine import TemporalEngine
 
     graph, start, horizon = _load_or_generate(args)
-    engine = None if args.engine == "interpretive" else TemporalEngine(graph)
-    cluster = _cluster(args)
+    engine = _engine(args, graph)
     began = time.perf_counter()
     # The gap needs the WAIT and NO_WAIT matrices anyway; reuse whichever
     # also answers the requested ratio instead of sweeping a third time.
-    _nodes, with_wait = reachability_matrix(
-        graph, start, WAIT, horizon, engine=engine, shards=args.shards,
-        cluster=cluster, kernel=args.kernel,
-    )
-    _same, without = reachability_matrix(
-        graph, start, NO_WAIT, horizon, engine=engine, shards=args.shards,
-        cluster=cluster, kernel=args.kernel,
-    )
+    _nodes, with_wait = reachability_matrix(graph, start, WAIT, horizon, engine)
+    _same, without = reachability_matrix(graph, start, NO_WAIT, horizon, engine)
     gap = with_wait & ~without
     if args.semantics == WAIT:
         matrix = with_wait
@@ -196,8 +219,7 @@ def cmd_reach(args: argparse.Namespace) -> int:
         matrix = without
     else:
         _also, matrix = reachability_matrix(
-            graph, start, args.semantics, horizon, engine=engine,
-            shards=args.shards, cluster=cluster, kernel=args.kernel,
+            graph, start, args.semantics, horizon, engine
         )
     n = graph.node_count
     ratio = 1.0 if n <= 1 else (int(matrix.sum()) - n) / (n * (n - 1))
@@ -236,15 +258,11 @@ def cmd_growth(args: argparse.Namespace) -> int:
     import time
 
     from repro.analysis.evolution import value_of_waiting
-    from repro.core.engine import TemporalEngine
 
     graph, start, horizon = _load_or_generate(args)
-    engine = None if args.engine == "interpretive" else TemporalEngine(graph)
+    engine = _engine(args, graph)
     began = time.perf_counter()
-    value = value_of_waiting(
-        graph, start, horizon, engine=engine, shards=args.shards,
-        cluster=_cluster(args), kernel=args.kernel,
-    )
+    value = value_of_waiting(graph, start, horizon, engine=engine)
     elapsed = time.perf_counter() - began
     saturation = value.wait_saturation_time
     print(graph)
@@ -271,13 +289,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.service import TVGService
     from repro.service.tasks import DEFAULT_MAX_TASKS
 
+    if args.rate_limit is not None and args.rate_margin >= args.rate_limit:
+        raise ReproError(
+            f"--rate-margin ({args.rate_margin}) must be below "
+            f"--rate-limit ({args.rate_limit})"
+        )
     graph, start, horizon = _load_or_generate(args)
     max_tasks = DEFAULT_MAX_TASKS if args.max_tasks is None else args.max_tasks
     service = TVGService(
         graph, window=(start, horizon), cache_size=args.cache_size,
-        shards=args.shards, workers=args.workers,
-        worker_timeout=args.worker_timeout, kernel=args.kernel,
-        oversplit=args.oversplit, max_tasks=max_tasks,
+        executor=_executor(args), max_tasks=max_tasks,
     )
     limiter = None
     if args.rate_limit is not None:
@@ -350,6 +371,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.service.cluster import DEFAULT_OVERSPLIT, DEFAULT_TIMEOUT
+
     parser = argparse.ArgumentParser(
         prog="repro", description="Waiting in Dynamic Networks — reproduction CLI"
     )
@@ -395,34 +418,31 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--density", type=float, default=0.1)
         command.add_argument("--seed", type=int, default=0)
         command.add_argument("--horizon", type=int, default=None)
-        command.add_argument(
-            "--shards", type=int, default=None,
-            help="shard the arrival sweep across N worker processes "
-            "(compiled engine only; tiny graphs stay serial)",
+        route = command.add_mutually_exclusive_group()
+        route.add_argument(
+            "--shards", type=_number(int, 0), default=None, metavar="N",
+            help="shard the arrival sweep across N local worker processes "
+            "(compiled engine only; tiny graphs stay in-process)",
         )
-        command.add_argument(
+        route.add_argument(
             "--workers", type=_workers, default=None, metavar="HOST:PORT,...",
             help="ship arrival-sweep blocks to these remote sweep workers "
             "(`repro worker` processes); any failed block is re-swept "
             "locally, so answers never change",
         )
         command.add_argument(
-            "--worker-timeout", type=float, default=None, metavar="SECONDS",
+            "--worker-timeout", type=_number(float, 0), default=DEFAULT_TIMEOUT,
+            metavar="SECONDS",
             help="seconds to wait per remote sweep job before re-running "
-            "its block locally (default 30; raise it for sweeps whose "
-            "blocks legitimately run long)",
+            "its block locally (default %(default)s; raise it for sweeps "
+            "whose blocks legitimately run long)",
         )
         command.add_argument(
-            "--oversplit", type=int, default=None, metavar="N",
+            "--oversplit", type=_number(int, 0), default=DEFAULT_OVERSPLIT,
+            metavar="N",
             help="sweep blocks per worker on the shared work-stealing "
-            "queue (default 4; higher smooths stragglers, 1 disables "
-            "stealing)",
-        )
-        command.add_argument(
-            "--kernel", choices=["bitset", "bignum"], default=None,
-            help="arrival-sweep kernel: the packed-uint64 bitset kernel "
-            "(default) or the per-state bignum oracle (compiled engine "
-            "only; REPRO_SWEEP_KERNEL overrides the default)",
+            "queue (default %(default)s; higher smooths stragglers, 1 "
+            "disables stealing)",
         )
         if engine_choice:
             command.add_argument(
@@ -456,29 +476,29 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=7712)
     srv.add_argument(
-        "--cache-size", type=int, default=256,
+        "--cache-size", type=_number(int, 0), default=256,
         help="max memoized query results held across mutations",
     )
     srv.add_argument(
-        "--rate-limit", type=int, default=None,
+        "--rate-limit", type=_number(int, 0), default=None,
         help="per-client requests admitted per --rate-window (default: "
         "no rate limiting)",
     )
     srv.add_argument(
-        "--rate-window", type=float, default=1.0,
+        "--rate-window", type=_number(float, 0), default=1.0,
         help="sliding rate-limit window in seconds",
     )
     srv.add_argument(
-        "--rate-margin", type=int, default=0,
+        "--rate-margin", type=_number(int, 0, inclusive=True), default=0,
         help="admit this many requests below the hard --rate-limit",
     )
     srv.add_argument(
-        "--max-inflight", type=int, default=None,
+        "--max-inflight", type=_number(int, 0), default=None,
         help="server-wide cap on concurrently dispatching requests "
         "(default: unbounded)",
     )
     srv.add_argument(
-        "--max-tasks", type=int, default=None,
+        "--max-tasks", type=_number(int, 0), default=None,
         help="bound on live background tasks in the submit/status/result "
         "table (default: 64)",
     )

@@ -22,7 +22,7 @@ from repro.core.latency import (
     function_latency,
     table_latency,
 )
-from repro.core.parallel import SweepPlan, sharded_arrival_matrix
+from repro.core.parallel import ProcessShards, SweepPlan
 from repro.core.presence import (
     PresenceFunction,
     always,
@@ -57,6 +57,7 @@ __all__ = [
     "Lifetime",
     "NO_WAIT",
     "PresenceFunction",
+    "ProcessShards",
     "SweepPlan",
     "TemporalEngine",
     "UNREACHED",
@@ -76,6 +77,5 @@ __all__ = [
     "parse_semantics",
     "periodic_presence",
     "require_window",
-    "sharded_arrival_matrix",
     "table_latency",
 ]

@@ -17,8 +17,12 @@ calls.  On top of the kernel it offers:
   arrives — in ONE pass over the temporal state space.  Each state
   carries a bitmask of the sources that reach it; masks merge as states
   are processed in increasing time order, and the first pop that brings
-  a source's bit to a node *is* that pair's earliest arrival.  The
-  matrix serves every consumer that reduces to earliest arrivals:
+  a source's bit to a node *is* that pair's earliest arrival.  Where
+  the sweep runs is the engine's one setting, its ``executor``
+  (in-process by default; :class:`~repro.core.parallel.ProcessShards`
+  or :class:`~repro.service.cluster.ClusterExecutor` spread the source
+  blocks).  The matrix serves every consumer that reduces to earliest
+  arrivals:
   :func:`repro.analysis.reachability.reachability_matrix` (arrival is
   finite), :func:`repro.analysis.evolution.reachability_growth`
   (cumulative count of arrivals <= t, O(log) per prefix instead of a
@@ -54,8 +58,8 @@ from repro.core.tvg import TimeVaryingGraph
 from repro.errors import TimeDomainError
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
+    from repro.core.parallel import SweepExecutor
     from repro.core.tvg import MutationDelta
-    from repro.service.cluster import ClusterExecutor
 
 # The sentinel now lives with the kernels; re-exported here, its
 # historical home, so ``from repro.core.engine import UNREACHED`` keeps
@@ -68,13 +72,21 @@ class TemporalEngine:
 
     ``window`` optionally pre-declares the time span to compile; by
     default the graph's bounded lifetime is used and the window grows
-    on demand when a query reaches past it.
+    on demand when a query reaches past it.  ``executor`` says where
+    full arrival sweeps run: any object with a ``sweep(plan)`` method
+    returning the plan's ``(n, n)`` int64 matrix
+    (:class:`~repro.core.parallel.SweepExecutor`), or None to sweep
+    in-process.  Answers are identical whichever runs them.
     """
 
     def __init__(
-        self, graph: TimeVaryingGraph, window: Interval | tuple[int, int] | None = None
+        self,
+        graph: TimeVaryingGraph,
+        window: Interval | tuple[int, int] | None = None,
+        executor: "SweepExecutor | None" = None,
     ) -> None:
         self.graph = graph
+        self.executor = executor
         if window is not None and not isinstance(window, Interval):
             window = Interval(*window)
         self._requested_window = window
@@ -311,9 +323,6 @@ class TemporalEngine:
         start_time: int,
         semantics: WaitingSemantics = NO_WAIT,
         horizon: int | None = None,
-        shards: int | None = None,
-        cluster: "ClusterExecutor | None" = None,
-        kernel: str | None = None,
     ) -> tuple[list[Hashable], np.ndarray]:
         """All-pairs earliest arrivals, in one pass.
 
@@ -334,40 +343,19 @@ class TemporalEngine:
         bit to node ``j`` is the pair's earliest arrival.  One pass, no
         fixpoint iteration.
 
-        ``shards`` > 1 partitions the source set into blocks and sweeps
-        each in its own worker process
-        (:mod:`repro.core.parallel`) — element-for-element the same
-        matrix; requests of 1 shard (or tiny graphs, where process
-        overhead dominates) run the serial sweep.  ``cluster`` ships
-        the same blocks to *remote* sweep workers instead
-        (:mod:`repro.service.cluster`) — still the same matrix, with
-        any failed block transparently re-swept locally; it takes
-        precedence over ``shards`` when it routes the graph.
-
-        Every route lowers the sweep to one plain-data
-        :class:`~repro.core.parallel.SweepPlan` and runs a *sweep
-        kernel* over it (:mod:`repro.core.sweep_kernel`): the native
-        uint64 ``"bitset"`` kernel by default, or the per-state
-        ``"bignum"`` oracle via ``kernel=`` (or the
-        :envvar:`REPRO_SWEEP_KERNEL` environment variable).
+        The sweep is lowered to one plain-data
+        :class:`~repro.core.parallel.SweepPlan` and run by the engine's
+        ``executor`` — or, without one, by
+        :func:`~repro.core.sweep_kernel.sweep_block` in this process.
         """
         horizon = self._resolve_horizon(horizon)
-        if cluster is not None and cluster.routes(self.graph.node_count):
-            return cluster.arrival_matrix(
-                self, start_time, semantics, horizon, kernel=kernel
-            )
-        if shards is not None:
-            from repro.core import parallel
-
-            if parallel.effective_shards(self.graph.node_count, shards) > 1:
-                return parallel.sharded_arrival_matrix(
-                    self, start_time, semantics, horizon, shards, kernel=kernel
-                )
         from repro.core.parallel import build_sweep_plan
         from repro.core.sweep_kernel import sweep_block
 
         nodes, plan = build_sweep_plan(self, start_time, semantics, horizon)
-        return nodes, sweep_block(plan, range(plan.n), kernel=kernel)
+        if self.executor is None:
+            return nodes, sweep_block(plan, range(plan.n))
+        return nodes, self.executor.sweep(plan)
 
     def arrival_matrix_incremental(
         self,
@@ -376,7 +364,6 @@ class TemporalEngine:
         deltas: "Sequence[MutationDelta] | None",
         semantics: WaitingSemantics = NO_WAIT,
         horizon: int | None = None,
-        kernel: str | None = None,
         max_rows: int | None = None,
     ) -> tuple[list[Hashable], np.ndarray, int] | None:
         """Patch a cached arrival matrix across a mutation-delta chain.
@@ -399,8 +386,9 @@ class TemporalEngine:
         node additions (the matrix axes change), or a node-order
         mismatch with ``previous``.  ``max_rows`` optionally bounds the
         cone: a larger one also returns None, letting the caller prefer
-        a full (possibly sharded or clustered) sweep when re-sweeping
-        most rows anyway.  The input matrix is never mutated.
+        a full sweep on the engine's executor when re-sweeping most
+        rows anyway.  The cone itself is always swept in-process.  The
+        input matrix is never mutated.
         """
         horizon = self._resolve_horizon(horizon)
         if deltas is None:
@@ -426,7 +414,7 @@ class TemporalEngine:
             return nodes, prev_matrix.copy(), 0
         if max_rows is not None and rows.size > max_rows:
             return None
-        block = sweep_block(plan, rows.tolist(), kernel=kernel)
+        block = sweep_block(plan, rows.tolist())
         return nodes, merge_rows(prev_matrix, rows, block), int(rows.size)
 
     def reachability_packed(
@@ -434,9 +422,6 @@ class TemporalEngine:
         start_time: int,
         semantics: WaitingSemantics = NO_WAIT,
         horizon: int | None = None,
-        shards: int | None = None,
-        cluster: "ClusterExecutor | None" = None,
-        kernel: str | None = None,
     ) -> tuple[list[Hashable], np.ndarray]:
         """Every source's reachable set, bit-packed — the primary form.
 
@@ -450,63 +435,23 @@ class TemporalEngine:
         finite.  Consumers that count or test bits
         (:mod:`repro.analysis.reachability`,
         :mod:`repro.analysis.connectivity`) work on this form directly —
-        popcounts and column compares are byte ops;
-        :meth:`reachability_masks` remains as a compatibility view that
-        rebuilds Python ints per column.
+        popcounts and column compares are byte ops.
         """
-        nodes, arrival = self.arrival_matrix(
-            start_time, semantics, horizon, shards, cluster, kernel
-        )
+        nodes, arrival = self.arrival_matrix(start_time, semantics, horizon)
         return nodes, np.packbits(arrival != UNREACHED, axis=0, bitorder="little")
-
-    def reachability_masks(
-        self,
-        start_time: int,
-        semantics: WaitingSemantics = NO_WAIT,
-        horizon: int | None = None,
-        shards: int | None = None,
-        cluster: "ClusterExecutor | None" = None,
-        kernel: str | None = None,
-    ) -> tuple[list[Hashable], list[int]]:
-        """Every source's reachable set as per-column Python int masks.
-
-        Compatibility view over :meth:`reachability_packed`: bit ``i``
-        of ``masks[j]`` says node ``nodes[j]`` is reachable from source
-        ``nodes[i]``.  The packed bytes are already little-endian with
-        row ``i`` at bit ``i``, so each column converts with one
-        ``int.from_bytes`` — prefer the packed form where the round
-        trip through bignums isn't needed.
-        """
-        nodes, packed = self.reachability_packed(
-            start_time, semantics, horizon, shards, cluster, kernel
-        )
-        if not nodes:
-            return nodes, []
-        column_bytes = packed.T.tobytes()
-        width = packed.shape[0]
-        masks = [
-            int.from_bytes(column_bytes[j * width : (j + 1) * width], "little")
-            for j in range(len(nodes))
-        ]
-        return nodes, masks
 
     def reachability_matrix(
         self,
         start_time: int,
         semantics: WaitingSemantics = NO_WAIT,
         horizon: int | None = None,
-        shards: int | None = None,
-        cluster: "ClusterExecutor | None" = None,
-        kernel: str | None = None,
     ) -> tuple[list[Hashable], np.ndarray]:
         """Boolean reachability matrix via the batched sweep.
 
         Same contract as
         :func:`repro.analysis.reachability.reachability_matrix`.
         """
-        nodes, arrival = self.arrival_matrix(
-            start_time, semantics, horizon, shards, cluster, kernel
-        )
+        nodes, arrival = self.arrival_matrix(start_time, semantics, horizon)
         matrix = arrival != UNREACHED
         np.fill_diagonal(matrix, True)
         return nodes, matrix

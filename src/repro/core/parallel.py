@@ -1,10 +1,10 @@
-"""Sweep plans and the process-sharded all-pairs arrival sweep.
+"""Sweep plans and the process-sharded sweep executor.
 
-Every arrival sweep — serial, sharded, clustered, incremental — runs a
-kernel (:mod:`repro.core.sweep_kernel`) over one :class:`SweepPlan`:
-the sweep lowered to a handful of flat int64 arrays plus its ints.  A
-worker cannot hold the graph: presences and latencies are arbitrary
-Python callables (black-box
+Every arrival sweep — in-process, sharded, clustered, incremental —
+runs :func:`~repro.core.sweep_kernel.sweep_block` over one
+:class:`SweepPlan`: the sweep lowered to a handful of flat int64 arrays
+plus its ints.  A worker cannot hold the graph: presences and latencies
+are arbitrary Python callables (black-box
 :class:`~repro.core.presence.FunctionPresence`, lambda latencies) that
 may not pickle, and re-evaluating a black-box predicate in ``k``
 workers would break the engine's at-most-once-per-(edge, date)
@@ -15,47 +15,49 @@ edges (resolved through the engine's
 :class:`~repro.core.index.LazyContactCache`, so each predicate still
 fires at most once per (edge, date)) and callable latencies are
 visited one edge at a time.  The plan pickles, ships over the wire as
-its arrays (:mod:`repro.service.wire`), and lowers to the bitset
-kernel's sorted form with one ``lexsort``.
+its arrays (:mod:`repro.service.wire`), and lowers to the kernel's
+sorted form with one ``lexsort``.
 
 The sweep is partitionable by *source blocks*: the arrival dates
 recorded for source ``i`` never depend on which other sources share
 the pass (masks are bookkeeping, not state), so sweeping blocks
-independently yields sub-matrices that stack into the exact serial
-matrix — element for element.  :func:`sharded_arrival_matrix` runs the
-blocks in a process pool; ``tests/properties/test_property_parallel``
-proves the equality with the serial sweep under all three waiting
-semantics, black-box edges included.
+independently yields sub-matrices that stack into the exact full
+matrix — element for element.  Where a full sweep runs is the
+engine's *executor* (``TemporalEngine(graph, executor=...)``): any
+object with a ``sweep(plan)`` method returning the ``(n, n)`` int64
+matrix.  :class:`ProcessShards` runs the blocks in a process pool;
+``tests/properties/test_property_parallel`` proves block stacking
+equal to the one-block sweep under all three waiting semantics,
+black-box edges included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Hashable
+from typing import TYPE_CHECKING, ClassVar, Hashable, Protocol
 
 import numpy as np
 
 from repro.core.index import splice_csr, split_csr
 from repro.core.semantics import WaitingSemantics
-from repro.core.sweep_kernel import UNREACHED, resolve_kernel, sweep_block
+from repro.core.sweep_kernel import sweep_block
 
 __all__ = [
     "MIN_PARALLEL_NODES",
+    "ProcessShards",
+    "SweepExecutor",
     "SweepPlan",
     "build_sweep_plan",
     "partition_sources",
     "sweep_block",
-    "effective_shards",
-    "sharded_arrival_matrix",
-    "UNREACHED",
 ]
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.core.engine import TemporalEngine
 
 #: Below this many nodes the per-process overhead (fork + pickling the
-#: plan + stacking) dwarfs the sweep itself, so ``shards`` requests fall
-#: back to the serial sweep.
+#: plan + stacking) dwarfs the sweep itself, so executors sweep
+#: in-process instead.
 MIN_PARALLEL_NODES: int = 8
 
 #: Lowered plans kept per engine (FIFO eviction, current version only);
@@ -219,32 +221,29 @@ def partition_sources(
     return blocks
 
 
-def effective_shards(n: int, shards: int | None) -> int:
-    """The worker count a request actually gets: 1 (serial) for absent
-    or unit requests, empty source sets, and tiny graphs, else
-    ``min(shards, n)``."""
-    if n <= 0 or shards is None or shards <= 1 or n < MIN_PARALLEL_NODES:
-        return 1
-    return min(shards, n)
+class SweepExecutor(Protocol):
+    """Where a full sweep runs: ``sweep(plan)`` returns the plan's
+    ``(n, n)`` int64 arrival matrix, element for element equal to
+    ``sweep_block(plan, range(plan.n))``."""
+
+    def sweep(self, plan: SweepPlan) -> np.ndarray: ...
 
 
-#: The worker's copy of the plan (and the kernel to run it on),
-#: installed once per process by the pool initializer — blocks are then
-#: the only per-task payload, so the plan (the big object: O(|E| x
-#: window) contacts) is never re-pickled per shard.
+#: The worker's copy of the plan, installed once per process by the pool
+#: initializer — blocks are then the only per-task payload, so the plan
+#: (the big object: O(|E| x window) contacts) is never re-pickled per
+#: shard.
 _WORKER_PLAN: SweepPlan | None = None
-_WORKER_KERNEL: str | None = None
 
 
-def _install_worker_plan(plan: SweepPlan, kernel: str | None = None) -> None:
-    global _WORKER_PLAN, _WORKER_KERNEL
+def _install_worker_plan(plan: SweepPlan) -> None:
+    global _WORKER_PLAN
     _WORKER_PLAN = plan
-    _WORKER_KERNEL = kernel
 
 
 def _sweep_task(sources: tuple[int, ...]) -> np.ndarray:
     """Module-level worker entry point (picklable by reference)."""
-    return sweep_block(_WORKER_PLAN, sources, kernel=_WORKER_KERNEL)
+    return sweep_block(_WORKER_PLAN, sources)
 
 
 def _pool_context():
@@ -258,46 +257,40 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-def sharded_arrival_matrix(
-    engine: "TemporalEngine",
-    start_time: int,
-    semantics: WaitingSemantics,
-    horizon: int,
-    shards: int,
-    kernel: str | None = None,
-) -> tuple[list[Hashable], np.ndarray]:
-    """All-pairs earliest arrivals via ``shards`` worker processes.
+class ProcessShards:
+    """A :class:`SweepExecutor` over ``count`` worker processes.
 
-    Lowers the sweep to a :class:`SweepPlan` in the parent, ships it to
-    a process pool (one task per source block), and stacks the per-block
-    sub-matrices into the full ``(n, n)`` matrix — element for element
-    equal to :meth:`TemporalEngine.arrival_matrix` run serially.  Falls
-    back to in-process block sweeps if the platform refuses to spawn
-    workers, so the answer is never lost to sandboxing.  The kernel is
-    resolved in the parent (argument > environment > default) so every
-    worker runs the same one whatever its inherited environment says.
+    Each sweep partitions the source set into ``count`` contiguous
+    blocks, ships the plan to a fresh process pool (one task per
+    block), and stacks the per-block sub-matrices — element for element
+    equal to the in-process sweep.  One shard, empty source sets and
+    graphs under :data:`MIN_PARALLEL_NODES` nodes sweep in-process, and
+    so does every sweep on a platform that refuses to spawn workers (or
+    kills them mid-flight), so the answer is never lost to sandboxing.
     """
-    kernel = resolve_kernel(kernel)
-    nodes, plan = build_sweep_plan(engine, start_time, semantics, horizon)
-    if plan.n == 0:
-        # An empty source set has nothing to shard: answer the (0, n)
-        # matrix directly instead of spinning up a pool over no blocks.
-        return nodes, np.full((0, plan.n), UNREACHED, dtype=np.int64)
-    blocks = partition_sources(plan.n, shards)
-    if len(blocks) == 1:
-        return nodes, sweep_block(plan, blocks[0], kernel=kernel)
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(
-            max_workers=len(blocks),
-            mp_context=_pool_context(),
-            initializer=_install_worker_plan,
-            initargs=(plan, kernel),
-        ) as pool:
-            parts = list(pool.map(_sweep_task, blocks))
-    except (OSError, BrokenProcessPool):  # pragma: no cover — hosts that
-        # forbid subprocesses outright or kill workers mid-flight
-        parts = [sweep_block(plan, block, kernel=kernel) for block in blocks]
-    return nodes, np.vstack(parts)
+    def __init__(self, count: int) -> None:
+        if count < 1:
+            raise ValueError(f"shard count must be >= 1, got {count}")
+        self.count = count
+
+    def sweep(self, plan: SweepPlan) -> np.ndarray:
+        if self.count == 1 or plan.n < MIN_PARALLEL_NODES:
+            return sweep_block(plan, range(plan.n))
+        blocks = partition_sources(plan.n, self.count)
+        try:
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            with ProcessPoolExecutor(
+                max_workers=len(blocks),
+                mp_context=_pool_context(),
+                initializer=_install_worker_plan,
+                initargs=(plan,),
+            ) as pool:
+                parts = list(pool.map(_sweep_task, blocks))
+        except (OSError, BrokenProcessPool):
+            # Hosts that forbid subprocesses outright or kill workers
+            # mid-flight.
+            parts = [sweep_block(plan, block) for block in blocks]
+        return np.vstack(parts)

@@ -1,54 +1,42 @@
-"""The native sweep kernels behind the all-pairs arrival matrix.
+"""The sweep kernel behind the all-pairs arrival matrix, and its oracle.
 
-Every consumer of the batched arrival sweep — the serial
+Every consumer of the batched arrival sweep — the in-process
 :meth:`~repro.core.engine.TemporalEngine.arrival_matrix`, the
-process-sharded sweep (:mod:`repro.core.parallel`), the distributed
+process-sharded executor (:mod:`repro.core.parallel`), the distributed
 cluster workers (:mod:`repro.service.cluster`), and the service's
 shared cached sweep — lowers the sweep to one plain-data
-:class:`~repro.core.parallel.SweepPlan` and then runs a *kernel* over
-it.  This module owns the kernels:
+:class:`~repro.core.parallel.SweepPlan` and then runs
+:func:`sweep_block` over it.
 
-``bitset`` (the default)
-    The frontier is a ``(n, ceil(b/64))`` uint64 numpy matrix (``b`` =
-    source-block width): bit ``i`` of node ``j``'s row says source
-    ``i``'s journeys have mass pending at ``j``.  Pending states are
-    bucketed *by date* — arrivals are strictly later than departures
-    (latencies are positive), so every mask pending at date ``t`` is
-    final before any date-``t`` state is expanded, and a whole date
-    processes as vectorized row ops: ``new = mask & ~node_mask``,
-    ``node_mask |= new``, arrival stamping by ``np.unpackbits`` +
-    ``np.nonzero`` on the newly-set bits, and successor pushes grouped
-    per ``(arrival date, target)`` so frontier merges are one
-    ``np.bitwise_or.reduceat`` and a fancy-indexed ``|=`` instead of a
-    dict probe and a bignum OR per contact.
+In :func:`sweep_block` the frontier is a ``(n, ceil(b/64))`` uint64
+numpy matrix (``b`` = source-block width): bit ``i`` of node ``j``'s
+row says source ``i``'s journeys have mass pending at ``j``.  Pending
+states are bucketed *by date* — arrivals are strictly later than
+departures (latencies are positive), so every mask pending at date
+``t`` is final before any date-``t`` state is expanded, and a whole
+date processes as vectorized row ops: ``new = mask & ~node_mask``,
+``node_mask |= new``, arrival stamping by ``np.unpackbits`` +
+``np.nonzero`` on the newly-set bits, and successor pushes grouped per
+``(arrival date, target)`` so frontier merges are one
+``np.bitwise_or.reduceat`` and a fancy-indexed ``|=`` instead of a
+dict probe and a bignum OR per contact.
 
-``bignum``
-    The original per-state sweep: a heap of ``(date, node)`` states
-    whose masks are Python arbitrary-precision ints.  Kept as the
-    selectable ground-truth oracle — slower, but independent of every
-    numpy vectorization above, so the property suites can prove the
-    kernels bit-exactly equal (``tests/properties/test_property_kernel``
-    does, under all three waiting semantics, black-box presences
-    included).
-
-Kernel choice threads through ``kernel=`` keywords from the engine, the
-shard pool, the cluster executor, the service, and the CLI, and the
-:envvar:`REPRO_SWEEP_KERNEL` environment variable overrides the default
-for whole runs (the test suites re-run against either kernel via
-``pytest --sweep-kernel``).
-
-Both kernels report :class:`SweepStats` on request — pops, pushes, and
-*dead pops* (heap entries whose pending mass was already consumed).
-The date-bucketed queue pushes each date exactly once when its bucket
-is created, so the bitset kernel has none by construction; the bignum
-sweep historically spun dead pops on duplicate seed sources, fixed here
-by seeding one heap entry per distinct ``(node, date)`` key.
+:func:`sweep_block_bignum` is the ground-truth oracle, called by name
+from the tests and ``benchmarks/bench_sweep_kernel.py`` only: a heap of
+``(date, node)`` states whose masks are Python arbitrary-precision
+ints.  Slower, but independent of every numpy vectorization above, so
+the property suites can prove the two bit-exactly equal
+(``tests/properties/test_property_kernel`` does, under all three
+waiting semantics, black-box presences included).  It reports
+:class:`SweepStats` on request — pops, pushes, and *dead pops* (heap
+entries whose pending mass was already consumed); it seeds one heap
+entry per distinct ``(node, date)`` key, so duplicate seed sources
+cost no dead pops.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import weakref
 from bisect import bisect_left
 from collections import deque
@@ -65,72 +53,19 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
 #: (Re-exported by :mod:`repro.core.engine`, its historical home.)
 UNREACHED: int = np.iinfo(np.int64).max
 
-#: The selectable sweep kernels, fastest first.
-KERNELS: tuple[str, ...] = ("bitset", "bignum")
-
-#: Kernel used when neither a ``kernel=`` argument nor the environment
-#: names one.
-DEFAULT_KERNEL: str = "bitset"
-
-#: Environment override for the default kernel — handy for re-running a
-#: whole suite or service against the bignum oracle without touching
-#: call sites.
-KERNEL_ENV: str = "REPRO_SWEEP_KERNEL"
-
-
-def resolve_kernel(kernel: str | None = None) -> str:
-    """The kernel a sweep actually runs: explicit argument first, then
-    :envvar:`REPRO_SWEEP_KERNEL`, then :data:`DEFAULT_KERNEL`.
-
-    Raises :class:`ValueError` for unknown names (including a bad
-    environment value), so a typo fails the first sweep loudly instead
-    of silently picking a default.
-    """
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV) or DEFAULT_KERNEL
-    if kernel not in KERNELS:
-        raise ValueError(
-            f"unknown sweep kernel {kernel!r}; choose from {', '.join(KERNELS)}"
-        )
-    return kernel
-
 
 @dataclass
 class SweepStats:
-    """Counters one kernel run fills in (pass ``stats=`` to collect).
+    """Counters one oracle run fills in (pass ``stats=`` to collect).
 
-    ``pops`` counts queue entries that carried pending mass (dates for
-    the bitset kernel, ``(date, node)`` states for bignum), ``dead_pops``
-    the entries whose mass was already consumed when popped, and
-    ``pushes`` the successor merges performed.
+    ``pops`` counts ``(date, node)`` heap entries that carried pending
+    mass, ``dead_pops`` the entries whose mass was already consumed
+    when popped, and ``pushes`` the successor merges performed.
     """
 
-    kernel: str = ""
     pops: int = 0
     dead_pops: int = 0
     pushes: int = 0
-
-
-def sweep_block(
-    plan: "SweepPlan",
-    sources: Sequence[int],
-    kernel: str | None = None,
-    stats: SweepStats | None = None,
-) -> np.ndarray:
-    """The arrival sweep of one source block, on the chosen kernel.
-
-    Row ``r`` of the returned ``(len(sources), plan.n)`` int64 matrix is
-    the earliest-arrival row of source ``sources[r]`` — identical
-    whichever kernel runs, because a source's arrival dates never depend
-    on which other sources share the pass (proven bit-exact by the
-    kernel property suite).
-    """
-    kernel = resolve_kernel(kernel)
-    if stats is not None:
-        stats.kernel = kernel
-    if kernel == "bignum":
-        return sweep_block_bignum(plan, sources, stats)
-    return sweep_block_bitset(plan, sources, stats)
 
 
 # -- incremental maintenance helpers ------------------------------------------
@@ -178,7 +113,7 @@ def merge_rows(
 
 class _BitsetLowering(NamedTuple):
     """A plan's contacts sorted and grouped — everything in
-    :func:`sweep_block_bitset` that does not depend on the source block,
+    :func:`sweep_block` that does not depend on the source block,
     so repeated sweeps of one plan (sharded blocks, incremental cone
     re-sweeps) pay the O(contacts) lowering once."""
 
@@ -261,13 +196,15 @@ def _bitset_lowering(plan: "SweepPlan") -> _BitsetLowering:
     return lowered
 
 
-def sweep_block_bitset(
-    plan: "SweepPlan",
-    sources: Sequence[int],
-    stats: SweepStats | None = None,
-) -> np.ndarray:
-    """The date-bucketed uint64 contact-scan sweep (see the module
-    docstring).
+def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
+    """The arrival sweep of one source block: the date-bucketed uint64
+    contact scan (see the module docstring).
+
+    Row ``r`` of the returned ``(len(sources), plan.n)`` int64 matrix is
+    the earliest-arrival row of source ``sources[r]`` — a source's
+    arrival dates never depend on which other sources share the pass,
+    so blocks stack into the full matrix (proven bit-exact against
+    :func:`sweep_block_bignum` by the kernel property suite).
 
     All contacts are sorted ONCE by (departure, arrival, target); the
     sweep then walks the merged date axis (contact departures, contact
@@ -329,11 +266,9 @@ def sweep_block_bitset(
     #: ``date in [t - max_wait, t]``, oldest first.
     retained: deque[tuple[int, np.ndarray]] = deque()
 
-    pops = push_count = 0
     for di, t in enumerate(dates.tolist()):
         bucket = buckets.pop(t, None)
         if bucket is not None:
-            pops += 1
             active = np.flatnonzero(bucket.any(axis=1))
             masks = bucket[active]
             known = node_mask[active]
@@ -376,7 +311,6 @@ def sweep_block_bitset(
             eligible = next(it)[1][srcs].copy()
             for _d, held in it:
                 eligible |= held[srcs]
-        push_count += hi - lo
 
         # Merge pushes sharing an (arrival date, target) with ONE
         # or-reduce over the pre-sorted groups, drop the empty ones, and
@@ -400,12 +334,6 @@ def sweep_block_bitset(
                 bucket_d = np.zeros((n, words), dtype=np.uint64)
                 buckets[date] = bucket_d
             bucket_d[group_tgt[a:z]] |= merged[a:z]
-
-    if stats is not None:
-        # The sorted date axis visits each date exactly once, so the
-        # bitset kernel has no dead pops by construction — recorded so
-        # the invariant is observable (and pinned by the unit tests).
-        stats.pops, stats.dead_pops, stats.pushes = pops, 0, push_count
     return arrival
 
 

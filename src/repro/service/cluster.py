@@ -1,16 +1,19 @@
 """The distributed arrival sweep: sweep workers and their executor.
 
-PR 4 sharded the all-pairs arrival sweep across *processes* by lowering
-it to a plain-data :class:`~repro.core.parallel.SweepPlan` and sweeping
-contiguous source blocks independently.  This module ships the same
-plan across *machines*: a **worker** (``python -m repro worker``) is a
-long-lived process speaking the service's JSON-lines protocol whose one
-real operation is ``sweep`` — plan spec plus a source block in, the
-block's sub-matrix out (both base64-packed int64, see
-:mod:`repro.service.wire`) — and the :class:`ClusterExecutor` is the
-parent-side scheduler that splits the source set into blocks, streams
-them to the configured workers over asyncio, and stacks the returned
-sub-matrices into the full matrix.
+:class:`~repro.core.parallel.ProcessShards` sweeps contiguous source
+blocks of one plain-data :class:`~repro.core.parallel.SweepPlan` in
+local *processes*.  This module ships the same plan across *machines*:
+a **worker** (``python -m repro worker``) is a long-lived process
+speaking the service's JSON-lines protocol whose one real operation is
+``sweep`` — plan spec plus a source block in, the block's sub-matrix
+out (both base64-packed int64, see :mod:`repro.service.wire`) — and
+the :class:`ClusterExecutor` is the parent-side scheduler that splits
+the source set into blocks, streams them to the configured workers over
+asyncio, and stacks the returned sub-matrices into the full matrix.
+It is an engine executor
+(``TemporalEngine(graph, executor=ClusterExecutor([...]))``): the
+engine lowers the plan, the executor's :meth:`ClusterExecutor.sweep`
+runs it.
 
 Three scheduler properties (Cluster v2) keep the wire and the stragglers
 honest:
@@ -57,25 +60,19 @@ costs at most a plan re-ship.
 from __future__ import annotations
 
 import asyncio
-import json
-import socket
 import threading
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any, Hashable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.engine import UNREACHED
 from repro.core.parallel import (
     MIN_PARALLEL_NODES,
     SweepPlan,
-    build_sweep_plan,
     partition_sources,
     sweep_block,
 )
-from repro.core.semantics import WaitingSemantics
-from repro.core.sweep_kernel import KERNELS, resolve_kernel
 from repro.errors import PlanMissError, ServiceError
 from repro.service.client import ServiceClient
 from repro.service.server import guarded_response, handle_json_lines
@@ -86,9 +83,6 @@ from repro.service.wire import (
     plan_from_spec,
     plan_to_spec,
 )
-
-if TYPE_CHECKING:  # pragma: no cover — typing only
-    from repro.core.engine import TemporalEngine
 
 #: Per-frame byte budget on worker connections.  Plans and sub-matrices
 #: are single JSON lines, so the limit must hold the *bigger* of a
@@ -218,16 +212,11 @@ def dispatch_worker(op: str, params: dict, plans: PlanCache | None = None) -> An
             raise ServiceError("sweep sources must be a list of integers")
         if any(s < 0 or s >= plan.n for s in sources):
             raise ServiceError("sweep sources fall outside the plan's node range")
-        kernel = params.get("kernel")
-        if kernel is not None and kernel not in KERNELS:
-            raise ServiceError(
-                f"sweep kernel must be one of {', '.join(KERNELS)}"
-            )
-        result = matrix_to_spec(sweep_block(plan, tuple(sources), kernel=kernel))
+        result = matrix_to_spec(sweep_block(plan, tuple(sources)))
         # Echo the fingerprint of the job actually computed — the plan
-        # spec as stored plus the block and kernel — so the executor
-        # can tell this result answers *its* job and not a stale one.
-        result["fingerprint"] = plan_fingerprint(spec, (sources, kernel))
+        # spec as stored plus the block — so the executor can tell this
+        # result answers *its* job and not a stale one.
+        result["fingerprint"] = plan_fingerprint(spec, (sources,))
         return result
     if op == "stats":
         return {"plan_cache": plans.stats() if plans is not None else None}
@@ -347,19 +336,16 @@ def _is_plan_miss(exc: ServiceError) -> bool:
 
 
 class ClusterExecutor:
-    """Run arrival sweeps across remote sweep workers.
+    """Run arrival sweeps across remote sweep workers — an engine
+    executor (:class:`~repro.core.parallel.SweepExecutor`).
 
     ``workers`` is a sequence of ``"host:port"`` strings (or pairs);
     ``timeout`` bounds each block job before its local re-run;
-    ``min_nodes`` keeps tiny graphs on the serial path (mirroring
-    :func:`~repro.core.parallel.effective_shards` — the wire costs more
-    than the sweep there), overridable down to 0 for tests; ``kernel``
-    picks the sweep kernel for the whole fleet (validated eagerly, None
-    defers to the per-sweep argument / environment / default chain);
+    ``min_nodes`` keeps tiny graphs in-process (as
+    :class:`~repro.core.parallel.ProcessShards` does — the wire costs
+    more than the sweep there), overridable down to 0 for tests;
     ``oversplit`` sets the work-stealing ratio (blocks per worker on
-    the shared queue).  Jobs always ship an explicit kernel name, so
-    every worker — and every local re-run after a failure — computes on
-    the same kernel whatever its own environment says.
+    the shared queue).  An empty fleet sweeps in-process.
 
     The fleet is *elastic*: :meth:`set_workers` re-resolves membership
     at any time, including while a sweep is in flight — departed
@@ -383,12 +369,10 @@ class ClusterExecutor:
         workers: Sequence[str | tuple[str, int]] | str,
         timeout: float = DEFAULT_TIMEOUT,
         min_nodes: int = MIN_PARALLEL_NODES,
-        kernel: str | None = None,
         oversplit: int = DEFAULT_OVERSPLIT,
     ) -> None:
         self.timeout = timeout
         self.min_nodes = min_nodes
-        self.kernel = None if kernel is None else resolve_kernel(kernel)
         if oversplit < 1:
             raise ServiceError(f"oversplit must be >= 1, got {oversplit}")
         self.oversplit = oversplit
@@ -400,10 +384,6 @@ class ClusterExecutor:
         self.plan_misses = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        #: The kernel name resolved for the most recent sweep — what
-        #: :meth:`stats` reports, so observability matches what jobs
-        #: actually shipped instead of re-reading the environment.
-        self.last_kernel: str | None = None
         # worker -> bounded LRU of plan fingerprints we believe it holds
         # (mirrors the worker-side cache size, so beliefs age out at
         # roughly the same rate the worker evicts).
@@ -443,52 +423,24 @@ class ClusterExecutor:
         }
         return resolved
 
-    # -- routing ---------------------------------------------------------------
-
-    def routes(self, node_count: int) -> bool:
-        """Whether a sweep of ``node_count`` sources should come here
-        (workers configured and the graph big enough to pay the wire)."""
-        return bool(self.workers) and node_count >= max(1, self.min_nodes)
-
     # -- the distributed sweep -------------------------------------------------
 
-    def arrival_matrix(
-        self,
-        engine: "TemporalEngine",
-        start_time: int,
-        semantics: WaitingSemantics,
-        horizon: int,
-        kernel: str | None = None,
-    ) -> tuple[list[Hashable], np.ndarray]:
-        """All-pairs earliest arrivals via the worker fleet.
+    def sweep(self, plan: SweepPlan) -> np.ndarray:
+        """The full ``(n, n)`` matrix of one lowered plan — element for
+        element equal to the in-process sweep.
 
-        Lowers the sweep in the parent (black-box presences resolved
-        through the engine's LazyContactCache, exactly as the process
-        pool does) and distributes the blocks — element for element
-        equal to :meth:`TemporalEngine.arrival_matrix` run serially.
+        Sweeps in-process, shipping no job, when the fleet is empty or
+        the plan has fewer than ``min_nodes`` sources (empty plans
+        included).
         """
-        nodes, plan = build_sweep_plan(engine, start_time, semantics, horizon)
-        return nodes, self.sweep(plan, kernel=kernel)
-
-    def sweep(self, plan: SweepPlan, kernel: str | None = None) -> np.ndarray:
-        """The full ``(n, n)`` matrix of one lowered plan.
-
-        The kernel resolves in the parent (call argument, then the
-        executor's configured kernel, then environment/default) and is
-        shipped with every job.
-        """
-        kernel = resolve_kernel(kernel if kernel is not None else self.kernel)
-        self.last_kernel = kernel
-        if plan.n == 0:
-            return np.full((0, plan.n), UNREACHED, dtype=np.int64)
-        if not self.workers:
-            return sweep_block(plan, tuple(range(plan.n)), kernel=kernel)
-        blocks = partition_sources(plan.n, len(self.workers), self.oversplit)
-        parts = _run_sync(self._sweep_blocks(plan, blocks, kernel))
-        return np.vstack(parts)
+        workers = self.workers
+        if not workers or plan.n < max(1, self.min_nodes):
+            return sweep_block(plan, range(plan.n))
+        blocks = partition_sources(plan.n, len(workers), self.oversplit)
+        return np.vstack(_run_sync(self._sweep_blocks(plan, blocks)))
 
     async def _sweep_blocks(
-        self, plan: SweepPlan, blocks: list[tuple[int, ...]], kernel: str
+        self, plan: SweepPlan, blocks: list[tuple[int, ...]]
     ) -> list[np.ndarray]:
         """The work-stealing scheduler: one shared block queue, one
         puller per live fleet member, membership re-read every poll.
@@ -510,7 +462,7 @@ class ClusterExecutor:
                 i, block = queue.popleft()
                 try:
                     results[i] = await self._run_block(
-                        spec, plan_key, plan, block, worker, kernel
+                        spec, plan_key, plan, block, worker
                     )
                 except BaseException:
                     # _run_block absorbs worker faults; anything that
@@ -532,7 +484,7 @@ class ClusterExecutor:
                         # reachable to begin pulling): drain locally.
                         i, block = queue.popleft()
                         results[i] = await asyncio.to_thread(
-                            sweep_block, plan, block, kernel
+                            sweep_block, plan, block
                         )
                     continue
                 await asyncio.wait(
@@ -553,13 +505,12 @@ class ClusterExecutor:
         plan: SweepPlan,
         block: tuple[int, ...],
         worker: tuple[str, int],
-        kernel: str,
     ) -> np.ndarray:
         """One block job: remote if the worker cooperates, local if not."""
         self.jobs_shipped += 1
         try:
             return await asyncio.wait_for(
-                self._remote_sweep(spec, plan_key, plan, block, worker, kernel),
+                self._remote_sweep(spec, plan_key, plan, block, worker),
                 self.timeout,
             )
         except asyncio.TimeoutError:
@@ -568,7 +519,7 @@ class ClusterExecutor:
             # which looks nothing like one that refuses connections.
             self.jobs_timed_out += 1
             self.jobs_recovered += 1
-            return await asyncio.to_thread(sweep_block, plan, block, kernel)
+            return await asyncio.to_thread(sweep_block, plan, block)
         except (
             ServiceError,
             OSError,          # refused/reset connections
@@ -582,9 +533,8 @@ class ClusterExecutor:
             # Off the event loop: the local re-sweep is CPU-bound and can
             # outlast the job timeout — run inline it would starve the
             # loop, stall the healthy workers' replies, and cascade their
-            # jobs into spurious timeout recoveries.  Same kernel as the
-            # failed job, so recovery cannot change what was computed.
-            return await asyncio.to_thread(sweep_block, plan, block, kernel)
+            # jobs into spurious timeout recoveries.
+            return await asyncio.to_thread(sweep_block, plan, block)
 
     async def _remote_sweep(
         self,
@@ -593,10 +543,9 @@ class ClusterExecutor:
         plan: SweepPlan,
         block: tuple[int, ...],
         worker: tuple[str, int],
-        kernel: str,
     ) -> np.ndarray:
         host, port = worker
-        expected = plan_fingerprint(spec, (list(block), kernel))
+        expected = plan_fingerprint(spec, (list(block),))
         client = await ServiceClient.connect(host, port, limit=WIRE_LIMIT)
         try:
             result = None
@@ -606,8 +555,7 @@ class ClusterExecutor:
                 # exactly one repair: fall through to the full re-ship.
                 try:
                     result = await client.request(
-                        "sweep", plan_key=plan_key, sources=list(block),
-                        kernel=kernel,
+                        "sweep", plan_key=plan_key, sources=list(block)
                     )
                 except ServiceError as exc:
                     if not _is_plan_miss(exc):
@@ -617,7 +565,7 @@ class ClusterExecutor:
             if result is None:
                 self.plans_shipped += 1
                 result = await client.request(
-                    "sweep", plan=spec, sources=list(block), kernel=kernel
+                    "sweep", plan=spec, sources=list(block)
                 )
             self._remember_plan(worker, plan_key)
         finally:
@@ -665,23 +613,11 @@ class ClusterExecutor:
     # -- observability ---------------------------------------------------------
 
     def stats(self) -> dict:
-        """A JSON-able snapshot of the executor's counters.
-
-        ``kernel`` is the kernel resolved at the *last sweep* (what the
-        jobs actually ran on); before any sweep it falls back to what
-        the next one would resolve to.  Reporting the environment's
-        current value instead would let ``stats()`` contradict reality
-        whenever :envvar:`REPRO_SWEEP_KERNEL` changed after a sweep.
-        """
+        """A JSON-able snapshot of the executor's counters."""
         return {
             "workers": [f"{host}:{port}" for host, port in self.workers],
             "timeout": self.timeout,
             "oversplit": self.oversplit,
-            "kernel": (
-                self.last_kernel
-                if self.last_kernel is not None
-                else resolve_kernel(self.kernel)
-            ),
             "jobs_shipped": self.jobs_shipped,
             "jobs_recovered": self.jobs_recovered,
             "jobs_timed_out": self.jobs_timed_out,
@@ -699,158 +635,6 @@ class ClusterExecutor:
         )
 
 
-class FaultyWorker:
-    """A TCP "sweep worker" that misbehaves on purpose — a chaos double.
-
-    The executor's only correctness obligation is that worker failures
-    never change an answer; this double injects the failure modes the
-    fault-handling path must absorb, for the differential harness
-    (``tests/properties/test_property_cluster.py``), the cluster unit
-    tests, and ad-hoc chaos runs against a live executor.  ``mode`` is
-    mutable mid-run:
-
-    * ``"kill"``     — accept the job, then close without answering;
-    * ``"hang"``     — accept the job and hold the connection silently
-      until :meth:`close` — the executor's *timeout* path must fire,
-      however long its configured timeout is (an earlier build held
-      only 10 s, so default-config chaos always manifested as EOF and
-      the timeout-recovery branch went unexercised);
-    * ``"corrupt"``  — answer with a line that is not JSON;
-    * ``"misshape"`` — answer ``ok: true`` with a well-formed matrix
-      spec of the wrong dimensions;
-    * ``"stale-plan-version"`` — answer ``ok: true`` with a matrix of
-      the *correct* shape but computed "from" a stale plan: the echoed
-      fingerprint hashes a doctored plan spec.  Before fingerprint
-      checking this was the silent-corruption hole — a shape check
-      alone accepts the frame and stacks wrong numbers into the answer;
-    * ``"plan-evicted"`` — answer *every* sweep job with a structured
-      plan-miss frame, even one that just shipped the full plan.  The
-      executor owes exactly one re-ship; a worker that claims eviction
-      forever must become a local re-sweep, never a loop;
-    * ``"steal-crash"`` — accept one job off the shared queue, then
-      die completely: no answer, listener closed, every later connect
-      refused.  The worst work-stealing case — a worker that grabs a
-      block and takes it to the grave mid-sweep.
-
-    Deliberately implemented on plain blocking sockets and threads, not
-    asyncio: it must be able to violate the protocol in ways the real
-    worker's framing never would.
-    """
-
-    def __init__(self, mode: str = "kill") -> None:
-        self.mode = mode
-        self._sock = socket.socket()
-        self._sock.bind(("127.0.0.1", 0))
-        self._sock.listen(8)
-        self.port = self._sock.getsockname()[1]
-        self.address = f"127.0.0.1:{self.port}"
-        self.jobs_seen = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._serve, name="faulty-worker", daemon=True
-        )
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _peer = self._sock.accept()
-            except OSError:  # listener closed
-                return
-            threading.Thread(
-                target=self._handle, args=(conn,), daemon=True
-            ).start()
-
-    def _read_frame(self, conn) -> bytes | None:
-        data = b""
-        while not data.endswith(b"\n"):
-            chunk = conn.recv(1 << 16)
-            if not chunk:
-                return None
-            data += chunk
-        return data
-
-    def _handle(self, conn) -> None:
-        try:
-            conn.settimeout(10)
-            data = self._read_frame(conn)
-            if data is None:
-                return
-            self.jobs_seen += 1
-            mode = self.mode
-            if mode == "hang":
-                # Hold the connection until the double is closed: the
-                # executor must recover via its own timeout, whatever
-                # that timeout is — never via a premature EOF.
-                self._stop.wait()
-            elif mode == "corrupt":
-                conn.sendall(b"{this is not json\n")
-            elif mode == "misshape":
-                request = json.loads(data)
-                response = {
-                    "id": request.get("id"),
-                    "ok": True,
-                    "result": {
-                        "kind": "int64_matrix",
-                        "rows": 1,
-                        "cols": 1,
-                        "data": "AAAAAAAAAAA=",  # one packed int64 zero
-                    },
-                }
-                conn.sendall(json.dumps(response).encode() + b"\n")
-            elif mode == "stale-plan-version":
-                request = json.loads(data)
-                plan_spec = request.get("plan") or {}
-                sources = request.get("sources") or []
-                # Right shape, wrong contents: zeros for the block, and
-                # a fingerprint honestly computed — but from a plan one
-                # version behind the one the executor shipped.
-                stale_spec = dict(plan_spec)
-                stale_spec["start"] = int(plan_spec.get("start", 0) or 0) - 1
-                result = matrix_to_spec(
-                    np.zeros((len(sources), int(plan_spec.get("n", 0) or 0)),
-                             dtype=np.int64)
-                )
-                result["fingerprint"] = plan_fingerprint(
-                    stale_spec, (sources, request.get("kernel"))
-                )
-                response = {"id": request.get("id"), "ok": True, "result": result}
-                conn.sendall(json.dumps(response).encode() + b"\n")
-            elif mode == "plan-evicted":
-                # Claim eviction forever, even for jobs that carry the
-                # full plan — including the executor's one repair
-                # re-ship on this same connection.
-                while data is not None:
-                    request = json.loads(data)
-                    response = {
-                        "id": request.get("id"),
-                        "ok": False,
-                        "error": "PlanMissError: plan evicted (chaos)",
-                    }
-                    conn.sendall(json.dumps(response).encode() + b"\n")
-                    data = self._read_frame(conn)
-            elif mode == "steal-crash":
-                # Die with the accepted block: close this connection
-                # unanswered AND stop accepting new ones.  close() is
-                # idempotent, so a second crash is a no-op.
-                self.close()
-            # "kill": fall through and close without a byte in reply.
-        except OSError:  # pragma: no cover — peer raced the fault
-            pass
-        finally:
-            conn.close()
-
-    def __enter__(self) -> "FaultyWorker":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        self._stop.set()
-        self._sock.close()
-
-
 class LoopbackWorkerPool:
     """``count`` in-process sweep workers on a background event loop.
 
@@ -865,9 +649,8 @@ class LoopbackWorkerPool:
     ::
 
         with LoopbackWorkerPool(2) as pool:
-            cluster = ClusterExecutor(pool.addresses)
-            nodes, matrix = engine.arrival_matrix(0, WAIT, horizon=20,
-                                                  cluster=cluster)
+            engine = TemporalEngine(graph, executor=ClusterExecutor(pool.addresses))
+            nodes, matrix = engine.arrival_matrix(0, WAIT, horizon=20)
     """
 
     def __init__(self, count: int = 2, plan_cache_size: int | None = None) -> None:

@@ -29,7 +29,6 @@ mutation/query schedules against a shadow copy to prove it.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
@@ -48,33 +47,14 @@ from repro.service.cache import MISS, QueryCache
 from repro.service.tasks import DEFAULT_MAX_TASKS, TaskTable
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
-    from repro.service.cluster import ClusterExecutor
+    from repro.core.parallel import SweepExecutor
 
-#: The incremental-maintenance policies a service can run under.
+#: The incremental-maintenance policies a service can run under:
+#: ``"off"`` never patches (every cache miss is a full sweep), ``"on"``
+#: patches when the cone is small enough to beat a full sweep, and
+#: ``"force"`` patches whenever the delta chain allows it at all — the
+#: mode the differential suites pin the path down with.
 INCREMENTAL_MODES: tuple[str, ...] = ("off", "on", "force")
-
-#: Environment override for the incremental mode — the test suites
-#: force the incremental path suite-wide via ``pytest --incremental``.
-INCREMENTAL_ENV: str = "REPRO_INCREMENTAL"
-
-
-def resolve_incremental(mode: str | None = None) -> str:
-    """The incremental mode a service runs under: explicit argument
-    first, then :envvar:`REPRO_INCREMENTAL`, then ``"on"``.
-
-    ``"off"`` never patches (every cache miss is a full sweep), ``"on"``
-    patches when the cone is small enough to beat a full sweep, and
-    ``"force"`` patches whenever the delta chain allows it at all —
-    the mode the differential suites pin the path down with.
-    """
-    if mode is None:
-        mode = os.environ.get(INCREMENTAL_ENV) or "on"
-    if mode not in INCREMENTAL_MODES:
-        raise ValueError(
-            f"unknown incremental mode {mode!r}; "
-            f"choose from {', '.join(INCREMENTAL_MODES)}"
-        )
-    return mode
 
 
 #: Required keyword arguments per background-runnable query op — the
@@ -131,25 +111,18 @@ class TVGService:
     """Answer reachability queries over a graph that mutates under you.
 
     ``cache_size`` bounds the number of memoized results; ``window``
-    optionally pre-declares the engine's compiled window.  ``shards``
-    opts cache-miss arrival sweeps into the process-sharded sweep
-    (:mod:`repro.core.parallel`); ``workers`` — a list of
-    ``"host:port"`` sweep-worker addresses (or a ready
-    :class:`~repro.service.cluster.ClusterExecutor`) — ships them to
-    remote workers instead, with any failed block re-swept locally,
-    each job bounded by ``worker_timeout`` seconds (ignored when a
-    ready executor is passed — it carries its own).  ``kernel`` picks
-    the sweep kernel (``"bitset"``/``"bignum"``,
-    :mod:`repro.core.sweep_kernel`) every cache-miss sweep runs on,
-    local, sharded, or clustered.  Answers are identical on every
-    route and kernel, so cache keys and hit behaviour don't change.
-    ``incremental`` picks the maintenance mode
-    (:func:`resolve_incremental`): with it on, mutations *retain* old
-    arrival matrices instead of purging them, and a later miss patches
-    the nearest ancestor through the graph's recorded delta chain —
-    re-sweeping only the source rows whose answers can have changed —
-    rather than re-sweeping everything; answers stay entry-for-entry
-    identical to a from-scratch sweep.
+    optionally pre-declares the engine's compiled window.
+    ``executor`` goes to the engine and says where cache-miss arrival
+    sweeps run (:class:`~repro.core.parallel.ProcessShards`,
+    :class:`~repro.service.cluster.ClusterExecutor`, or None for
+    in-process).  Answers are identical on every executor, so cache
+    keys and hit behaviour don't change.  ``incremental`` picks the
+    maintenance mode (:data:`INCREMENTAL_MODES`): with it on, mutations
+    *retain* old arrival matrices instead of purging them, and a later
+    miss patches the nearest ancestor through the graph's recorded
+    delta chain — re-sweeping only the source rows whose answers can
+    have changed — rather than re-sweeping everything; answers stay
+    entry-for-entry identical to a from-scratch sweep.
     """
 
     def __init__(
@@ -157,38 +130,19 @@ class TVGService:
         graph: TimeVaryingGraph,
         window: Interval | tuple[int, int] | None = None,
         cache_size: int = 256,
-        shards: int | None = None,
-        workers: "Sequence[str] | ClusterExecutor | None" = None,
-        worker_timeout: float | None = None,
-        kernel: str | None = None,
-        incremental: str | None = None,
-        oversplit: int | None = None,
+        executor: "SweepExecutor | None" = None,
+        incremental: str = "on",
         max_tasks: int = DEFAULT_MAX_TASKS,
     ) -> None:
-        from repro.core.sweep_kernel import resolve_kernel
-        from repro.service.cluster import (
-            DEFAULT_OVERSPLIT,
-            DEFAULT_TIMEOUT,
-            ClusterExecutor,
-        )
-
-        self.graph = graph
-        self.engine = TemporalEngine(graph, window)
-        self.cache = QueryCache(max_entries=cache_size)
-        self.shards = shards
-        self.kernel = None if kernel is None else resolve_kernel(kernel)
-        self._worker_timeout = (
-            DEFAULT_TIMEOUT if worker_timeout is None else worker_timeout
-        )
-        self._oversplit = DEFAULT_OVERSPLIT if oversplit is None else oversplit
-        if workers is None or isinstance(workers, ClusterExecutor):
-            self.cluster = workers
-        else:
-            self.cluster = ClusterExecutor(
-                workers, timeout=self._worker_timeout, kernel=self.kernel,
-                oversplit=self._oversplit,
+        if incremental not in INCREMENTAL_MODES:
+            raise ValueError(
+                f"unknown incremental mode {incremental!r}; "
+                f"choose from {', '.join(INCREMENTAL_MODES)}"
             )
-        self.incremental = resolve_incremental(incremental)
+        self.graph = graph
+        self.engine = TemporalEngine(graph, window, executor)
+        self.cache = QueryCache(max_entries=cache_size)
+        self.incremental = incremental
         self.tasks = TaskTable(max_tasks=max_tasks)
         self.queries_served = 0
         self.mutations_applied = 0
@@ -229,7 +183,7 @@ class TVGService:
         self, query: tuple, start: int, horizon: int, semantics: WaitingSemantics
     ) -> tuple[dict[Hashable, int], np.ndarray]:
         """One cache-miss matrix: incremental patch if possible, else a
-        full sweep on the configured route (shards/cluster/kernel)."""
+        full sweep on the engine's executor."""
         if self.incremental != "off":
             found = self.cache.ancestor(query, self.graph.version)
             if found is not None:
@@ -240,8 +194,7 @@ class TVGService:
                     self.graph.deltas_since(ancestor_version),
                     semantics,
                     horizon,
-                    kernel=self.kernel,
-                    # "on" keeps full (sharded/clustered) sweeps for
+                    # "on" keeps full sweeps (on the executor) for
                     # cones covering most rows; "force" never does.
                     max_rows=(
                         None
@@ -256,10 +209,7 @@ class TVGService:
                     self.rows_reused += len(nodes) - reswept
                     return {node: i for i, node in enumerate(nodes)}, merged
         self.full_sweeps += 1
-        nodes, full = self.engine.arrival_matrix(
-            start, semantics, horizon=horizon, shards=self.shards,
-            cluster=self.cluster, kernel=self.kernel,
-        )
+        nodes, full = self.engine.arrival_matrix(start, semantics, horizon=horizon)
         return {node: i for i, node in enumerate(nodes)}, full
 
     # -- queries ---------------------------------------------------------------
@@ -323,10 +273,7 @@ class TVGService:
         self.queries_served += 1
 
         def compute():
-            report = classify_graph(
-                self.graph, start, end, engine=self.engine, shards=self.shards,
-                cluster=self.cluster, kernel=self.kernel,
-            )
+            report = classify_graph(self.graph, start, end, engine=self.engine)
             return {
                 "classes": sorted(report.classes),
                 "interval_connectivity": report.interval_connectivity,
@@ -438,34 +385,28 @@ class TVGService:
 
         Elastic membership: safe at any time, including while a
         clustered sweep is in flight (departed workers stop pulling
-        blocks, joined workers start stealing from the live queue).  An
-        empty list detaches the cluster — later sweeps run locally (or
-        process-sharded); a non-empty list on a service built without
-        workers attaches a fresh executor with the service's configured
-        timeout, kernel, and oversplit.  Answers never change, only
-        where the blocks run.
+        blocks, joined workers start stealing from the live queue).  The
+        engine's :class:`~repro.service.cluster.ClusterExecutor` keeps
+        its timeout and oversplit; an engine without one gets a fresh
+        executor with default settings.  An empty list empties the
+        fleet, and an empty fleet sweeps in-process.  Answers never
+        change, only where the blocks run.
         """
         from repro.service.cluster import ClusterExecutor
 
-        if not workers:
-            if self.cluster is not None:
-                self.cluster.set_workers([])
-            return []
-        if self.cluster is None:
-            self.cluster = ClusterExecutor(
-                workers, timeout=self._worker_timeout, kernel=self.kernel,
-                oversplit=self._oversplit,
-            )
+        cluster = self.engine.executor
+        if isinstance(cluster, ClusterExecutor):
+            cluster.set_workers(workers)
+        elif workers:
+            cluster = self.engine.executor = ClusterExecutor(workers)
         else:
-            self.cluster.set_workers(workers)
-        return [f"{host}:{port}" for host, port in self.cluster.workers]
+            return []
+        return [f"{host}:{port}" for host, port in cluster.workers]
 
     # -- observability ---------------------------------------------------------
 
     def stats(self) -> dict:
         """A JSON-able snapshot of service and cache state."""
-        from repro.core.sweep_kernel import resolve_kernel
-
         report = {
             "graph": {
                 "name": self.graph.name,
@@ -473,7 +414,9 @@ class TVGService:
                 "edges": self.graph.edge_count,
                 "version": self.graph.version,
             },
-            "kernel": resolve_kernel(self.kernel),
+            # The one production kernel; kept in the report for
+            # readers that compare runs by it.
+            "kernel": "bitset",
             "incremental": self.incremental,
             "queries_served": self.queries_served,
             "mutations_applied": self.mutations_applied,
@@ -486,8 +429,10 @@ class TVGService:
             "cache": self.cache.stats(),
             "tasks": self.tasks.stats(),
         }
-        if self.cluster is not None:
-            report["cluster"] = self.cluster.stats()
+        from repro.service.cluster import ClusterExecutor
+
+        if isinstance(self.engine.executor, ClusterExecutor):
+            report["cluster"] = self.engine.executor.stats()
         return report
 
     def __repr__(self) -> str:

@@ -253,7 +253,7 @@ def plan_fingerprint(spec: dict[str, Any], context: Sequence[Any] = ()) -> str:
     Hashes the canonical JSON of the plan spec — which encodes the
     graph's lowered contacts (hence its version), the window, and the
     waiting semantics — plus any extra ``context`` (the executor adds
-    the source block and kernel).  A worker echoes the fingerprint of
+    the source block).  A worker echoes the fingerprint of
     the job it *actually computed* inside its result frame; the
     executor compares against the job it *shipped*, so a result frame
     produced from a stale plan (or the wrong block) is detected however

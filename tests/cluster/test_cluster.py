@@ -15,6 +15,7 @@ import asyncio
 
 import numpy as np
 import pytest
+from faulty_worker import FaultyWorker
 
 from repro.core.engine import TemporalEngine
 from repro.core.generators import periodic_random_tvg
@@ -24,8 +25,8 @@ from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
 from repro.core.time_domain import Lifetime
 from repro.core.tvg import TimeVaryingGraph
 from repro.service.cluster import (
+    DEFAULT_TIMEOUT,
     ClusterExecutor,
-    FaultyWorker,
     LoopbackWorkerPool,
     _run_sync,
     handle_worker_request,
@@ -117,8 +118,8 @@ class TestDistributedEqualsSerial:
     def test_matrix_identical_across_the_wire(self, pool, semantics):
         g = random_graph()
         cluster = ClusterExecutor(pool.addresses)
-        nodes, distributed = TemporalEngine(g).arrival_matrix(
-            0, semantics, horizon=HORIZON, cluster=cluster
+        nodes, distributed = TemporalEngine(g, executor=cluster).arrival_matrix(
+            0, semantics, horizon=HORIZON
         )
         same, serial = TemporalEngine(g).arrival_matrix(0, semantics, horizon=HORIZON)
         assert nodes == same
@@ -128,32 +129,28 @@ class TestDistributedEqualsSerial:
     def test_blackbox_graph_never_crosses_the_wire(self, pool):
         g = blackbox_ring()
         cluster = ClusterExecutor(pool.addresses)
-        nodes, distributed = TemporalEngine(g).arrival_matrix(
-            0, WAIT, cluster=cluster
-        )
+        nodes, distributed = TemporalEngine(g, executor=cluster).arrival_matrix(0, WAIT)
         _same, serial = TemporalEngine(g).arrival_matrix(0, WAIT)
         assert np.array_equal(distributed, serial)
 
     def test_derived_views_accept_cluster(self, pool):
         g = random_graph(n=12, seed=5)
         cluster = ClusterExecutor(pool.addresses)
-        engine = TemporalEngine(g)
-        nodes, boolean = engine.reachability_matrix(
-            0, WAIT, HORIZON, cluster=cluster
-        )
-        _same, masks = engine.reachability_masks(0, WAIT, HORIZON, cluster=cluster)
+        engine = TemporalEngine(g, executor=cluster)
+        nodes, boolean = engine.reachability_matrix(0, WAIT, HORIZON)
+        _same, packed = engine.reachability_packed(0, WAIT, HORIZON)
         _also, serial = TemporalEngine(g).reachability_matrix(0, WAIT, HORIZON)
         assert np.array_equal(boolean, serial)
-        for j in range(len(nodes)):
-            assert masks[j] == sum(1 << i for i in range(len(nodes)) if boolean[i, j])
+        unpacked = np.unpackbits(packed, axis=0, count=len(nodes), bitorder="little")
+        assert np.array_equal(unpacked.astype(bool), boolean)
 
     def test_tiny_graphs_stay_serial(self, pool):
         g = random_graph(n=4, seed=2)
         cluster = ClusterExecutor(pool.addresses)
-        _nodes, matrix = TemporalEngine(g).arrival_matrix(
-            0, WAIT, horizon=HORIZON, cluster=cluster
+        _nodes, matrix = TemporalEngine(g, executor=cluster).arrival_matrix(
+            0, WAIT, horizon=HORIZON
         )
-        assert cluster.jobs_shipped == 0  # routed to the serial path
+        assert cluster.jobs_shipped == 0  # swept in-process
         assert matrix.shape == (4, 4)
 
 
@@ -167,8 +164,8 @@ class TestFaultRecovery:
             cluster = ClusterExecutor(
                 [pool.addresses[0], faulty.address, pool.addresses[1]]
             )
-            _nodes, distributed = TemporalEngine(g).arrival_matrix(
-                0, WAIT, horizon=HORIZON, cluster=cluster
+            _nodes, distributed = TemporalEngine(g, executor=cluster).arrival_matrix(
+                0, WAIT, horizon=HORIZON
             )
             assert faulty.jobs_seen >= 1  # it really got a block
         _same, serial = TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON)
@@ -185,8 +182,8 @@ class TestFaultRecovery:
             cluster = ClusterExecutor(
                 [pool.addresses[0], faulty.address, pool.addresses[1]]
             )
-            _nodes, distributed = TemporalEngine(g).arrival_matrix(
-                0, WAIT, horizon=HORIZON, cluster=cluster
+            _nodes, distributed = TemporalEngine(g, executor=cluster).arrival_matrix(
+                0, WAIT, horizon=HORIZON
             )
             assert faulty.jobs_seen >= 1
         _same, serial = TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON)
@@ -198,7 +195,7 @@ class TestFaultRecovery:
     def test_honest_workers_pass_the_fingerprint_check(self, pool):
         g = random_graph()
         cluster = ClusterExecutor(pool.addresses)
-        TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON, cluster=cluster)
+        TemporalEngine(g, executor=cluster).arrival_matrix(0, WAIT, horizon=HORIZON)
         assert cluster.jobs_shipped >= 2
         assert cluster.stale_results_rejected == 0
         assert cluster.jobs_recovered == 0
@@ -209,8 +206,8 @@ class TestFaultRecovery:
             cluster = ClusterExecutor(
                 [faulty.address, pool.addresses[0]], timeout=0.3
             )
-            _nodes, distributed = TemporalEngine(g).arrival_matrix(
-                0, WAIT, horizon=HORIZON, cluster=cluster
+            _nodes, distributed = TemporalEngine(g, executor=cluster).arrival_matrix(
+                0, WAIT, horizon=HORIZON
             )
         _same, serial = TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON)
         assert np.array_equal(distributed, serial)
@@ -219,8 +216,8 @@ class TestFaultRecovery:
     def test_whole_fleet_dead_still_answers(self):
         g = random_graph()
         cluster = ClusterExecutor(["127.0.0.1:1", "127.0.0.1:1"], timeout=1.0)
-        _nodes, distributed = TemporalEngine(g).arrival_matrix(
-            0, WAIT, horizon=HORIZON, cluster=cluster
+        _nodes, distributed = TemporalEngine(g, executor=cluster).arrival_matrix(
+            0, WAIT, horizon=HORIZON
         )
         _same, serial = TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON)
         assert np.array_equal(distributed, serial)
@@ -312,17 +309,13 @@ class TestStickyPlans:
     def test_repeat_sweeps_ship_the_plan_once_per_worker(self):
         with LoopbackWorkerPool(2) as pool:
             g = random_graph()
-            engine = TemporalEngine(g)
             cluster = ClusterExecutor(pool.addresses)
-            _nodes, first = engine.arrival_matrix(
-                0, WAIT, horizon=HORIZON, cluster=cluster
-            )
+            engine = TemporalEngine(g, executor=cluster)
+            _nodes, first = engine.arrival_matrix(0, WAIT, horizon=HORIZON)
             shipped = cluster.plans_shipped
             assert 1 <= shipped <= len(pool.addresses)
             first_bytes = cluster.bytes_sent
-            _same, second = engine.arrival_matrix(
-                0, WAIT, horizon=HORIZON, cluster=cluster
-            )
+            _same, second = engine.arrival_matrix(0, WAIT, horizon=HORIZON)
             assert np.array_equal(first, second)
             # Same (version, window, semantics) → same fingerprint: the
             # second sweep rides the worker caches, no plan crosses.
@@ -333,10 +326,10 @@ class TestStickyPlans:
     def test_distinct_queries_ship_distinct_plans(self):
         with LoopbackWorkerPool(1) as pool:
             g = random_graph()
-            engine = TemporalEngine(g)
             cluster = ClusterExecutor(pool.addresses)
-            engine.arrival_matrix(0, WAIT, horizon=HORIZON, cluster=cluster)
-            engine.arrival_matrix(0, NO_WAIT, horizon=HORIZON, cluster=cluster)
+            engine = TemporalEngine(g, executor=cluster)
+            engine.arrival_matrix(0, WAIT, horizon=HORIZON)
+            engine.arrival_matrix(0, NO_WAIT, horizon=HORIZON)
             assert cluster.plans_shipped == 2
             assert pool.plan_caches[0].stats()["plans"] == 2
 
@@ -347,7 +340,7 @@ class TestStickyPlans:
         with LoopbackWorkerPool(1, plan_cache_size=1) as pool:
             cluster = ClusterExecutor(pool.addresses, min_nodes=0)
             engines = {
-                seed: TemporalEngine(random_graph(n=12, seed=seed))
+                seed: TemporalEngine(random_graph(n=12, seed=seed), executor=cluster)
                 for seed in (1, 2)
             }
             serials = {
@@ -360,9 +353,7 @@ class TestStickyPlans:
                 # Alternating two plans through a one-slot cache evicts
                 # the other plan on every sweep.
                 for seed, engine in engines.items():
-                    _nodes, matrix = engine.arrival_matrix(
-                        0, WAIT, horizon=HORIZON, cluster=cluster
-                    )
+                    _nodes, matrix = engine.arrival_matrix(0, WAIT, horizon=HORIZON)
                     assert np.array_equal(matrix, serials[seed])
             assert cluster.plan_misses >= 1
             assert cluster.jobs_recovered == 0
@@ -371,16 +362,16 @@ class TestStickyPlans:
     def test_set_workers_forgets_beliefs_about_departed_members(self):
         with LoopbackWorkerPool(1) as pool:
             g = random_graph()
-            engine = TemporalEngine(g)
             cluster = ClusterExecutor(pool.addresses)
-            engine.arrival_matrix(0, WAIT, horizon=HORIZON, cluster=cluster)
+            engine = TemporalEngine(g, executor=cluster)
+            engine.arrival_matrix(0, WAIT, horizon=HORIZON)
             shipped = cluster.plans_shipped
             # Leave and re-join: the executor must not assume the worker
             # still holds the plan (it happens to, but a fresh belief
             # costs one correct re-ship, not a wrong answer).
             cluster.set_workers([])
             cluster.set_workers(pool.addresses)
-            engine.arrival_matrix(0, WAIT, horizon=HORIZON, cluster=cluster)
+            engine.arrival_matrix(0, WAIT, horizon=HORIZON)
             assert cluster.plans_shipped == shipped + 1
 
 
@@ -391,8 +382,8 @@ class TestChaosModes:
         g = random_graph()
         with FaultyWorker("plan-evicted") as faulty:
             cluster = ClusterExecutor([pool.addresses[0], faulty.address])
-            _nodes, distributed = TemporalEngine(g).arrival_matrix(
-                0, WAIT, horizon=HORIZON, cluster=cluster
+            _nodes, distributed = TemporalEngine(g, executor=cluster).arrival_matrix(
+                0, WAIT, horizon=HORIZON
             )
             assert faulty.jobs_seen >= 1
         _same, serial = TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON)
@@ -409,8 +400,8 @@ class TestChaosModes:
                 [pool.addresses[0], faulty.address, pool.addresses[1]],
                 timeout=2.0,
             )
-            _nodes, distributed = TemporalEngine(g).arrival_matrix(
-                0, WAIT, horizon=HORIZON, cluster=cluster
+            _nodes, distributed = TemporalEngine(g, executor=cluster).arrival_matrix(
+                0, WAIT, horizon=HORIZON
             )
             assert faulty.jobs_seen >= 1
         _same, serial = TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON)
@@ -429,8 +420,8 @@ class TestChaosModes:
             cluster = ClusterExecutor(
                 [faulty.address, pool.addresses[0]], timeout=0.3
             )
-            _nodes, distributed = TemporalEngine(g).arrival_matrix(
-                0, WAIT, horizon=HORIZON, cluster=cluster
+            _nodes, distributed = TemporalEngine(g, executor=cluster).arrival_matrix(
+                0, WAIT, horizon=HORIZON
             )
         _same, serial = TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON)
         assert np.array_equal(distributed, serial)
@@ -458,8 +449,8 @@ class TestElasticFleet:
             timer.start()
             began = time.perf_counter()
             try:
-                _nodes, distributed = TemporalEngine(g).arrival_matrix(
-                    0, WAIT, horizon=HORIZON, cluster=cluster
+                _nodes, distributed = TemporalEngine(g, executor=cluster).arrival_matrix(
+                    0, WAIT, horizon=HORIZON
                 )
             finally:
                 timer.cancel()
@@ -475,14 +466,11 @@ class TestElasticFleet:
     def test_fleet_shrinking_to_empty_goes_local(self, pool):
         g = random_graph()
         cluster = ClusterExecutor(pool.addresses)
-        engine = TemporalEngine(g)
-        engine.arrival_matrix(0, WAIT, horizon=HORIZON, cluster=cluster)
+        engine = TemporalEngine(g, executor=cluster)
+        engine.arrival_matrix(0, WAIT, horizon=HORIZON)
         shipped = cluster.jobs_shipped
         cluster.set_workers([])
-        assert not cluster.routes(100)
-        _nodes, matrix = engine.arrival_matrix(
-            0, WAIT, horizon=HORIZON, cluster=cluster
-        )
+        _nodes, matrix = engine.arrival_matrix(0, WAIT, horizon=HORIZON)
         _same, serial = TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON)
         assert np.array_equal(matrix, serial)
         assert cluster.jobs_shipped == shipped  # nothing left to ship to
@@ -499,7 +487,7 @@ class TestElasticFleet:
     def test_oversplit_produces_more_blocks_than_workers(self, pool):
         g = random_graph()
         cluster = ClusterExecutor(pool.addresses, oversplit=4)
-        TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON, cluster=cluster)
+        TemporalEngine(g, executor=cluster).arrival_matrix(0, WAIT, horizon=HORIZON)
         assert cluster.jobs_shipped >= 2 * len(pool.addresses)
         assert cluster.stats()["oversplit"] == 4
 
@@ -510,29 +498,10 @@ class TestElasticFleet:
             ClusterExecutor([], oversplit=0)
 
 
-class TestStatsKernel:
-    def test_stats_report_the_last_swept_kernel(self, pool, monkeypatch):
-        """Regression: stats() used to re-resolve REPRO_SWEEP_KERNEL at
-        stats time, so flipping the environment after a sweep made the
-        report contradict what the jobs actually ran on."""
-        g = random_graph()
-        cluster = ClusterExecutor(pool.addresses)
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "bitset")
-        TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON, cluster=cluster)
-        assert cluster.stats()["kernel"] == "bitset"
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL", "bignum")
-        assert cluster.stats()["kernel"] == "bitset"  # what actually ran
-        TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON, cluster=cluster)
-        assert cluster.stats()["kernel"] == "bignum"
-
-    def test_stats_before_any_sweep_report_the_resolved_default(self):
-        assert ClusterExecutor([], kernel="bignum").stats()["kernel"] == "bignum"
-
-
 class TestServiceIntegration:
     def test_service_with_workers_matches_local_service(self, pool):
         g = random_graph()
-        clustered = TVGService(g, workers=pool.addresses)
+        clustered = TVGService(g, executor=ClusterExecutor(pool.addresses))
         local = TVGService(random_graph())
         assert clustered.growth(0, HORIZON) == local.growth(0, HORIZON)
         assert clustered.arrival(0, 7, 0, HORIZON) == local.arrival(0, 7, 0, HORIZON)
@@ -543,31 +512,39 @@ class TestServiceIntegration:
 
     def test_service_accepts_a_ready_executor(self, pool):
         cluster = ClusterExecutor(pool.addresses, timeout=5.0)
-        service = TVGService(random_graph(), workers=cluster)
-        assert service.cluster is cluster
+        service = TVGService(random_graph(), executor=cluster)
+        assert service.engine.executor is cluster
         assert service.reach(0, 1, 0, HORIZON) == TVGService(random_graph()).reach(
             0, 1, 0, HORIZON
         )
 
     def test_service_set_workers_attaches_and_detaches_the_fleet(self, pool):
-        service = TVGService(
-            random_graph(), worker_timeout=2.5, kernel="bitset", oversplit=3
-        )
-        assert service.cluster is None
+        cluster = ClusterExecutor([], timeout=2.5, oversplit=3)
+        service = TVGService(random_graph(), executor=cluster)
         resolved = service.set_workers(pool.addresses)
         assert resolved == list(pool.addresses)
-        # The late-attached executor inherits the service's configuration.
-        assert service.cluster.timeout == 2.5
-        assert service.cluster.oversplit == 3
+        # The engine keeps its executor, and with it its configuration.
+        assert service.engine.executor is cluster
+        assert cluster.timeout == 2.5
+        assert cluster.oversplit == 3
         local = TVGService(random_graph())
         assert service.growth(0, HORIZON) == local.growth(0, HORIZON)
-        assert service.cluster.jobs_shipped >= 1
+        assert cluster.jobs_shipped >= 1
         assert service.set_workers([]) == []
-        shipped = service.cluster.jobs_shipped
+        shipped = cluster.jobs_shipped
         service.graph.add_edge(0, 1, presence=periodic_presence([0], 2))
         service._mutated()
         service.arrival(0, 1, 0, HORIZON)
-        assert service.cluster.jobs_shipped == shipped  # swept locally
+        assert cluster.jobs_shipped == shipped  # swept locally
+
+    def test_service_set_workers_attaches_a_default_executor(self, pool):
+        service = TVGService(random_graph())
+        assert service.set_workers([]) == []
+        assert service.engine.executor is None
+        assert service.set_workers(pool.addresses) == list(pool.addresses)
+        cluster = service.engine.executor
+        assert isinstance(cluster, ClusterExecutor)
+        assert cluster.timeout == DEFAULT_TIMEOUT
 
     def test_set_workers_over_the_wire(self, pool):
         """The elastic-membership op end to end: dispatch-level frames
@@ -579,7 +556,7 @@ class TestServiceIntegration:
             service, {"op": "set_workers", "id": 1, "workers": list(pool.addresses)}
         )
         assert response == {"id": 1, "ok": True, "result": list(pool.addresses)}
-        assert service.cluster is not None
+        assert isinstance(service.engine.executor, ClusterExecutor)
         for bad in (None, "127.0.0.1:1", [1, 2], [["127.0.0.1", 1]]):
             frame = handle_request(
                 service, {"op": "set_workers", "id": 2, "workers": bad}
@@ -591,6 +568,6 @@ class TestServiceIntegration:
             service, {"op": "set_workers", "id": 3, "workers": ["nope"]}
         )
         assert not frame["ok"] and frame["error"].startswith("ServiceError")
-        assert [f"{h}:{p}" for h, p in service.cluster.workers] == list(
+        assert [f"{h}:{p}" for h, p in service.engine.executor.workers] == list(
             pool.addresses
         )

@@ -14,7 +14,12 @@ from plan_helpers import make_plan
 
 from repro.core.engine import TemporalEngine
 from repro.core.generators import periodic_random_tvg
-from repro.core.parallel import build_sweep_plan, partition_sources, sweep_block
+from repro.core.parallel import (
+    MIN_PARALLEL_NODES,
+    build_sweep_plan,
+    partition_sources,
+    sweep_block,
+)
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
 from repro.errors import PlanMissError, ServiceError
 from repro.service.cluster import (
@@ -99,7 +104,7 @@ class TestPlanCacheProtocol:
         )
         assert np.array_equal(matrix_from_spec(result), serial[1:3])
         # Both routes echo the fingerprint of the job actually computed.
-        assert result["fingerprint"] == plan_fingerprint(spec, ([1, 2], None))
+        assert result["fingerprint"] == plan_fingerprint(spec, ([1, 2],))
 
     def test_unknown_fingerprint_is_a_plan_miss(self):
         plans = PlanCache()
@@ -212,18 +217,20 @@ class TestWorkerAddresses:
     def test_service_accepts_a_bare_worker_string(self):
         from repro.service.service import TVGService
 
-        service = TVGService(
-            periodic_random_tvg(6, period=4, density=0.3, seed=1),
-            workers="127.0.0.1:7713",
-        )
-        assert service.cluster.workers == [("127.0.0.1", 7713)]
+        service = TVGService(periodic_random_tvg(6, period=4, density=0.3, seed=1))
+        assert service.set_workers("127.0.0.1:7713") == ["127.0.0.1:7713"]
+        assert service.engine.executor.workers == [("127.0.0.1", 7713)]
 
     def test_service_threads_the_worker_timeout(self):
+        from repro.cli import _executor, build_parser
         from repro.service.service import TVGService
 
+        args = build_parser().parse_args(
+            ["serve", "--workers", "127.0.0.1:7713", "--worker-timeout", "2.5"]
+        )
         graph = periodic_random_tvg(6, period=4, density=0.3, seed=1)
-        service = TVGService(graph, workers=["127.0.0.1:7713"], worker_timeout=2.5)
-        assert service.cluster.timeout == 2.5
+        service = TVGService(graph, executor=_executor(args))
+        assert service.engine.executor.timeout == 2.5
 
 
 class TestExecutorWithoutWorkers:
@@ -233,13 +240,25 @@ class TestExecutorWithoutWorkers:
         assert np.array_equal(cluster.sweep(plan), serial)
         assert cluster.jobs_shipped == 0
 
-    def test_routing_policy(self):
-        cluster = ClusterExecutor(["127.0.0.1:7713"])
-        assert cluster.routes(100)
-        assert not cluster.routes(0)
-        assert not cluster.routes(3)  # below MIN_PARALLEL_NODES
-        assert not ClusterExecutor([]).routes(100)
-        assert ClusterExecutor(["127.0.0.1:7713"], min_nodes=0).routes(1)
+    def test_routing_policy(self, monkeypatch):
+        """Plans under ``min_nodes`` sources sweep in-process and ship no
+        job; from it on, jobs ship (here every connection is refused,
+        so each job is re-swept locally)."""
+
+        async def refused(*_args):
+            raise OSError("connection refused")
+
+        monkeypatch.setattr(ClusterExecutor, "_remote_sweep", refused)
+        for n, min_nodes, ships in (
+            (12, MIN_PARALLEL_NODES, True),
+            (3, MIN_PARALLEL_NODES, False),  # below MIN_PARALLEL_NODES
+            (1, 0, True),
+        ):
+            plan, serial = plan_and_serial(n=n)
+            cluster = ClusterExecutor(["127.0.0.1:7713"], min_nodes=min_nodes)
+            assert np.array_equal(cluster.sweep(plan), serial)
+            assert (cluster.jobs_shipped > 0) == ships
+            assert cluster.jobs_recovered == cluster.jobs_shipped
 
     def test_empty_plan_answers_without_any_jobs(self):
         empty = make_plan(

@@ -2,41 +2,10 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import TVGBuilder, figure1_automaton
 from repro.core.generators import periodic_random_tvg
-
-
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--sweep-kernel",
-        choices=["bitset", "bignum"],
-        default=None,
-        help="run every arrival sweep that doesn't pin its own kernel on "
-        "this one (sets REPRO_SWEEP_KERNEL), so the whole suite re-runs "
-        "against either kernel",
-    )
-    parser.addoption(
-        "--incremental",
-        choices=["off", "on", "force"],
-        default=None,
-        help="run every TVGService that doesn't pin its own mode under "
-        "this incremental-maintenance policy (sets REPRO_INCREMENTAL); "
-        "'force' makes every applicable cache miss take the incremental "
-        "patch path, so the whole suite re-proves it",
-    )
-
-
-def pytest_configure(config: pytest.Config) -> None:
-    kernel = config.getoption("--sweep-kernel")
-    if kernel is not None:
-        os.environ["REPRO_SWEEP_KERNEL"] = kernel
-    incremental = config.getoption("--incremental")
-    if incremental is not None:
-        os.environ["REPRO_INCREMENTAL"] = incremental
 
 
 @pytest.fixture(scope="session")

@@ -2,17 +2,19 @@
 
 The sharding contract: partitioning the source set into blocks, sweeping
 each block (in a worker process or not), and stacking the sub-matrices
-must reproduce the serial sweep element for element — with black-box
+must reproduce the in-process sweep element for element — with black-box
 presences lowered in the *parent* through the engine's LazyContactCache,
 so arbitrary predicates never pickle and each fires at most once per
 (edge, date).  Tests that actually spawn worker processes carry the
 ``slow`` marker so the fast gate stays sandbox-friendly.
 """
 
+import concurrent.futures
 import pickle
 
 import numpy as np
 import pytest
+from plan_helpers import make_plan
 
 from repro.core import parallel
 from repro.core.engine import UNREACHED, TemporalEngine
@@ -20,10 +22,9 @@ from repro.core.generators import periodic_random_tvg
 from repro.core.latency import function_latency
 from repro.core.parallel import (
     MIN_PARALLEL_NODES,
+    ProcessShards,
     build_sweep_plan,
-    effective_shards,
     partition_sources,
-    sharded_arrival_matrix,
     sweep_block,
 )
 from repro.core.presence import function_presence, periodic_presence
@@ -74,6 +75,37 @@ def blackbox_ring(n=10, horizon=HORIZON):
     return g, predicates
 
 
+def edgeless_plan(n):
+    return make_plan(
+        n=n, out_edges=[()] * n, target_idx=(), contacts=(), arrivals=(),
+        start_time=0, horizon=HORIZON, max_wait=None,
+    )
+
+
+class InlinePool:
+    """Stands in for ``ProcessPoolExecutor``: records the worker count
+    asked for and runs the tasks in this process."""
+
+    opened: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs, **_kwargs):
+        self.opened.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, blocks):
+        return map(fn, blocks)
+
+
+def no_pool(*args, **kwargs):  # pragma: no cover — fails the test
+    raise AssertionError("a process pool was opened")
+
+
 class TestPartition:
     def test_blocks_cover_all_sources_in_order(self):
         for n in (1, 2, 7, 8, 20):
@@ -87,12 +119,27 @@ class TestPartition:
         sizes = [len(b) for b in partition_sources(10, 4)]
         assert sorted(sizes) == [2, 2, 3, 3]
 
-    def test_effective_shards_policy(self):
-        assert effective_shards(100, None) == 1
-        assert effective_shards(100, 1) == 1
-        assert effective_shards(MIN_PARALLEL_NODES - 1, 4) == 1  # tiny graph
-        assert effective_shards(MIN_PARALLEL_NODES, 4) == 4
-        assert effective_shards(10, 64) == 10  # clamped to the node count
+    def test_process_shards_policy(self, monkeypatch):
+        """A pool opens only for 2+ shards over a graph of at least
+        MIN_PARALLEL_NODES nodes, one worker per block, never more
+        blocks than sources."""
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(InlinePool, "opened", [])
+        monkeypatch.setattr(parallel, "_WORKER_PLAN", None)
+        for n, count in (
+            (100, 1),
+            (MIN_PARALLEL_NODES - 1, 4),  # tiny graph
+            (MIN_PARALLEL_NODES, 4),
+            (10, 64),  # clamped to the node count
+        ):
+            plan = edgeless_plan(n)
+            matrix = ProcessShards(count).sweep(plan)
+            assert np.array_equal(matrix, sweep_block(plan, range(n)))
+        assert InlinePool.opened == [4, 10]
+
+    def test_shard_count_must_be_positive(self):
+        with pytest.raises(ValueError):
+            ProcessShards(0)
 
     def test_more_shards_than_sources_never_yields_empty_blocks(self):
         for n in (1, 2, 5):
@@ -120,9 +167,11 @@ class TestPartition:
                     seen |= set(block)
                 assert seen == set(range(n))
 
-    def test_empty_source_set_never_reaches_effective_shards(self):
-        assert effective_shards(0, 8) == 1
-        assert effective_shards(0, None) == 1
+    def test_empty_source_set_never_opens_a_pool(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        for count in (1, 8):
+            matrix = ProcessShards(count).sweep(edgeless_plan(0))
+            assert matrix.shape == (0, 0) and matrix.dtype == np.int64
 
 
 class TestSweepPlan:
@@ -196,47 +245,45 @@ class TestBlockSweepEquality:
 
 class TestEngineFallbacks:
     def test_one_shard_stays_serial(self, monkeypatch):
-        def boom(*args, **kwargs):  # pragma: no cover — fails the test
-            raise AssertionError("sharded path taken for shards=1")
-
-        monkeypatch.setattr(parallel, "sharded_arrival_matrix", boom)
-        g = random_graph()
-        engine = TemporalEngine(g)
-        nodes, matrix = engine.arrival_matrix(0, WAIT, horizon=HORIZON, shards=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        engine = TemporalEngine(random_graph(), executor=ProcessShards(1))
+        nodes, matrix = engine.arrival_matrix(0, WAIT, horizon=HORIZON)
         assert matrix.shape == (len(nodes), len(nodes))
 
     def test_tiny_graph_stays_serial(self, monkeypatch):
-        def boom(*args, **kwargs):  # pragma: no cover — fails the test
-            raise AssertionError("sharded path taken for a tiny graph")
-
-        monkeypatch.setattr(parallel, "sharded_arrival_matrix", boom)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         g = random_graph(n=MIN_PARALLEL_NODES - 1)
-        engine = TemporalEngine(g)
-        nodes, matrix = engine.arrival_matrix(0, WAIT, horizon=HORIZON, shards=8)
+        engine = TemporalEngine(g, executor=ProcessShards(8))
+        nodes, matrix = engine.arrival_matrix(0, WAIT, horizon=HORIZON)
         assert matrix.shape == (len(nodes), len(nodes))
 
     def test_empty_graph_stays_serial_and_answers_0xn(self, monkeypatch):
-        def boom(*args, **kwargs):  # pragma: no cover — fails the test
-            raise AssertionError("sharded path taken for an empty source set")
-
-        monkeypatch.setattr(parallel, "sharded_arrival_matrix", boom)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         g = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="empty")
-        nodes, matrix = TemporalEngine(g).arrival_matrix(
-            0, WAIT, horizon=HORIZON, shards=8
+        nodes, matrix = TemporalEngine(g, executor=ProcessShards(8)).arrival_matrix(
+            0, WAIT, horizon=HORIZON
         )
         assert nodes == [] and matrix.shape == (0, 0)
 
     def test_sharded_call_on_empty_sources_never_opens_a_pool(self, monkeypatch):
-        import concurrent.futures
-
-        def boom(*args, **kwargs):  # pragma: no cover — fails the test
-            raise AssertionError("a pool was spun up for an empty source set")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         g = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="empty")
-        nodes, matrix = sharded_arrival_matrix(TemporalEngine(g), 0, WAIT, HORIZON, 4)
-        assert nodes == []
+        _nodes, plan = build_sweep_plan(TemporalEngine(g), 0, WAIT, HORIZON)
+        matrix = ProcessShards(4).sweep(plan)
         assert matrix.shape == (0, 0) and matrix.dtype == np.int64
+
+    def test_refused_pool_sweeps_in_process(self, monkeypatch):
+        """A host that forbids subprocesses still gets the answer."""
+
+        def refuse(*args, **kwargs):
+            raise OSError("no subprocesses here")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        g = random_graph()
+        engine = TemporalEngine(g, executor=ProcessShards(3))
+        _nodes, sharded = engine.arrival_matrix(0, WAIT, horizon=HORIZON)
+        _same, serial = TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON)
+        assert np.array_equal(sharded, serial)
 
 
 @pytest.mark.slow
@@ -246,18 +293,17 @@ class TestMultiprocessSharding:
     @pytest.mark.parametrize("semantics", SEMANTICS)
     def test_engine_shards_equal_serial(self, semantics):
         g = random_graph(n=16, seed=11)
-        serial_engine, sharded_engine = TemporalEngine(g), TemporalEngine(g)
+        serial_engine = TemporalEngine(g)
+        sharded_engine = TemporalEngine(g, executor=ProcessShards(4))
         nodes, serial = serial_engine.arrival_matrix(0, semantics, horizon=HORIZON)
-        same, sharded = sharded_engine.arrival_matrix(
-            0, semantics, horizon=HORIZON, shards=4
-        )
+        same, sharded = sharded_engine.arrival_matrix(0, semantics, horizon=HORIZON)
         assert nodes == same
         assert np.array_equal(serial, sharded)
 
     def test_blackbox_graph_through_processes(self):
         g, predicates = blackbox_ring(n=12)
-        engine = TemporalEngine(g)
-        nodes, sharded = engine.arrival_matrix(0, WAIT, shards=3)
+        engine = TemporalEngine(g, executor=ProcessShards(3))
+        nodes, sharded = engine.arrival_matrix(0, WAIT)
         # The workers never touched the predicates: the parent's call
         # log is complete (every date lowered once) and duplicate-free.
         # (Checked before the serial oracle runs — its own fresh engine
@@ -270,22 +316,19 @@ class TestMultiprocessSharding:
 
     def test_derived_views_accept_shards(self):
         g = random_graph(n=12, seed=5)
-        engine = TemporalEngine(g)
-        nodes, boolean = engine.reachability_matrix(0, WAIT, HORIZON, shards=2)
-        _same, masks = engine.reachability_masks(0, WAIT, HORIZON, shards=2)
+        engine = TemporalEngine(g, executor=ProcessShards(2))
+        nodes, boolean = engine.reachability_matrix(0, WAIT, HORIZON)
+        _same, packed = engine.reachability_packed(0, WAIT, HORIZON)
         _also, serial = TemporalEngine(g).reachability_matrix(0, WAIT, HORIZON)
         assert np.array_equal(boolean, serial)
-        for j in range(len(nodes)):
-            assert masks[j] == sum(
-                1 << i for i in range(len(nodes)) if boolean[i, j]
-            )
+        unpacked = np.unpackbits(packed, axis=0, count=len(nodes), bitorder="little")
+        assert np.array_equal(unpacked.astype(bool), boolean)
 
     def test_direct_sharded_call(self):
         g = random_graph(n=10, seed=9)
         engine = TemporalEngine(g)
-        nodes, sharded = sharded_arrival_matrix(
-            engine, 0, bounded_wait(1), HORIZON, 4
-        )
+        _nodes, plan = build_sweep_plan(engine, 0, bounded_wait(1), HORIZON)
+        sharded = ProcessShards(4).sweep(plan)
         _same, serial = TemporalEngine(g).arrival_matrix(
             0, bounded_wait(1), horizon=HORIZON
         )

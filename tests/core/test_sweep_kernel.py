@@ -1,15 +1,14 @@
-"""Unit tests for the sweep-kernel module itself.
+"""Unit tests for the sweep kernel module itself.
 
 The property suite (``tests/properties/test_property_kernel.py``) proves
-the kernels agree; this file pins the *mechanics*: kernel-name
-resolution (argument > environment > default), :class:`SweepStats`
-accounting, and the bignum kernel's heap hygiene — dedup seeding and
-dead-pop skipping on a merge-heavy graph, the churn the old in-engine
-sweep paid for on every duplicated frontier entry.
+the kernel equal to the bignum oracle; this file pins the *mechanics*:
+:class:`SweepStats` accounting, the kernel's one-bucket-per-date axis,
+and the oracle's heap hygiene — dedup seeding and dead-pop skipping on
+a merge-heavy graph, the churn the old in-engine sweep paid for on
+every duplicated frontier entry.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.engine import TemporalEngine
 from repro.core.latency import constant_latency
@@ -17,12 +16,10 @@ from repro.core.parallel import build_sweep_plan
 from repro.core.presence import interval_presence
 from repro.core.semantics import WAIT, bounded_wait
 from repro.core.sweep_kernel import (
-    DEFAULT_KERNEL,
-    KERNEL_ENV,
-    KERNELS,
     SweepStats,
-    resolve_kernel,
+    _bitset_lowering,
     sweep_block,
+    sweep_block_bignum,
 )
 from repro.core.time_domain import Lifetime
 from repro.core.tvg import TimeVaryingGraph
@@ -47,43 +44,10 @@ def merge_heavy_graph(n: int = 8) -> TimeVaryingGraph:
     return graph
 
 
-class TestResolveKernel:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert resolve_kernel() == DEFAULT_KERNEL
-
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "bitset")
-        assert resolve_kernel("bignum") == "bignum"
-
-    def test_environment_beats_default(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "bignum")
-        assert resolve_kernel() == "bignum"
-
-    def test_unknown_name_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown sweep kernel"):
-            resolve_kernel("simd")
-        monkeypatch.setenv(KERNEL_ENV, "gpu")
-        with pytest.raises(ValueError, match="unknown sweep kernel"):
-            resolve_kernel()
-
-    def test_kernels_tuple_is_the_contract(self):
-        for name in KERNELS:
-            assert resolve_kernel(name) == name
-
-
 class TestSweepStats:
     def _plan(self, semantics=WAIT):
         engine = TemporalEngine(merge_heavy_graph())
         return build_sweep_plan(engine, 0, semantics, HORIZON)[1]
-
-    def test_stats_record_the_kernel(self):
-        plan = self._plan()
-        for kernel in KERNELS:
-            stats = SweepStats()
-            sweep_block(plan, range(plan.n), kernel=kernel, stats=stats)
-            assert stats.kernel == kernel
-            assert stats.pops > 0
 
     def test_bignum_dedups_duplicate_seed_sources(self):
         """Duplicated sources in a block seed ONE heap entry per
@@ -91,11 +55,11 @@ class TestSweepStats:
         plan = self._plan()
         sources = tuple(range(plan.n)) * 3
         stats = SweepStats()
-        deduped = sweep_block(plan, sources, kernel="bignum", stats=stats)
-        plain = sweep_block(plan, tuple(range(plan.n)), kernel="bignum")
+        deduped = sweep_block_bignum(plan, sources, stats)
+        plain = sweep_block_bignum(plan, tuple(range(plan.n)))
         assert np.array_equal(deduped, np.vstack([plain] * 3))
         baseline = SweepStats()
-        sweep_block(plan, range(plan.n), kernel="bignum", stats=baseline)
+        sweep_block_bignum(plan, range(plan.n), baseline)
         assert stats.pops == baseline.pops  # no extra heap entries seeded
 
     def test_bignum_absorbs_merge_churn_without_dead_pops(self):
@@ -106,48 +70,36 @@ class TestSweepStats:
         finds its state already consumed."""
         stats = SweepStats()
         plan = self._plan(bounded_wait(2))
-        sweep_block(plan, range(plan.n), kernel="bignum", stats=stats)
+        sweep_block_bignum(plan, range(plan.n), stats)
         assert stats.dead_pops == 0
         assert stats.pushes > 3 * stats.pops  # the churn the merges ate
 
     def test_bitset_has_no_dead_pops_by_construction(self):
-        """The contact-scan kernel visits each date bucket exactly once,
-        so there is nothing stale to pop."""
-        stats = SweepStats()
+        """The contact-scan kernel walks its date axis once, popping one
+        bucket per date, so there is nothing stale to pop: the axis is
+        strictly increasing and holds exactly every departure, every
+        arrival and the seed date."""
         plan = self._plan()
-        sweep_block(plan, range(plan.n), kernel="bitset", stats=stats)
-        assert stats.dead_pops == 0
-        assert stats.pushes > 0
+        dates = _bitset_lowering(plan).dates
+        assert len(plan.dep) > 0
+        assert np.all(np.diff(dates) > 0)
+        assert set(dates.tolist()) == (
+            set(plan.dep.tolist()) | set(plan.arr.tolist()) | {plan.start_time}
+        )
 
     def test_stats_are_optional(self):
         plan = self._plan()
-        result = sweep_block(plan, range(plan.n))
-        assert result.shape == (plan.n, plan.n)
+        for sweep in (sweep_block, sweep_block_bignum):
+            assert sweep(plan, range(plan.n)).shape == (plan.n, plan.n)
 
 
 class TestEngineKernelThreading:
-    def test_engine_env_override(self, monkeypatch):
-        """With no explicit kernel the engine obeys REPRO_SWEEP_KERNEL;
-        both settings give the same matrix."""
-        graph = merge_heavy_graph(5)
-        engine = TemporalEngine(graph)
-        matrices = {}
-        for kernel in KERNELS:
-            monkeypatch.setenv(KERNEL_ENV, kernel)
-            _nodes, matrices[kernel] = engine.arrival_matrix(0, WAIT, horizon=HORIZON)
-        assert np.array_equal(matrices["bitset"], matrices["bignum"])
-
-    def test_engine_rejects_unknown_kernel(self):
-        engine = TemporalEngine(merge_heavy_graph(5))
-        with pytest.raises(ValueError, match="unknown sweep kernel"):
-            engine.arrival_matrix(0, WAIT, horizon=HORIZON, kernel="simd")
-
     def test_reachability_packed_matches_masks(self):
-        """The packed uint8 matrix is the primary form; the bignum mask
-        list is a byte-reinterpretation of its columns."""
+        """The packed uint8 matrix is the primary form: column ``j``'s
+        bytes, read little-endian, are the bit mask of the sources that
+        reach node ``j``."""
         engine = TemporalEngine(merge_heavy_graph(6))
         nodes, packed = engine.reachability_packed(0, WAIT, horizon=HORIZON)
-        _same, masks = engine.reachability_masks(0, WAIT, horizon=HORIZON)
         _also, matrix = engine.reachability_matrix(0, WAIT, horizon=HORIZON)
         n = len(nodes)
         assert packed.shape == ((n + 7) // 8, n)
@@ -155,4 +107,5 @@ class TestEngineKernelThreading:
         unpacked = np.unpackbits(packed, axis=0, count=n, bitorder="little")
         assert np.array_equal(unpacked.astype(bool), matrix)
         for j in range(n):
-            assert masks[j] == int.from_bytes(packed[:, j].tobytes(), "little")
+            mask = sum(1 << i for i in range(n) if matrix[i, j])
+            assert int.from_bytes(packed[:, j].tobytes(), "little") == mask

@@ -13,8 +13,8 @@ Two layers of proof on top of PR 4's in-process sharding equivalence:
 
 * **fault-injected equivalence** — a Hypothesis *stateful* harness
   drives a real :class:`~repro.service.cluster.ClusterExecutor` over
-  real loopback workers, one of which is a
-  :class:`~repro.service.cluster.FaultyWorker` whose failure mode
+  real loopback workers, one of which is a ``FaultyWorker``
+  (``tests/faulty_worker.py``) whose failure mode
   (kill/hang/corrupt/misshape/stale-plan-version/plan-evicted/
   steal-crash) the schedule rotates mid-run, while mutations (edge
   add/remove, presence swaps, black-box schedules) interleave with
@@ -32,6 +32,7 @@ import threading
 
 import numpy as np
 import pytest
+from faulty_worker import FaultyWorker
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 from plan_helpers import make_plan
@@ -48,7 +49,7 @@ from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
 from repro.core.time_domain import Lifetime
 from repro.core.traversal import earliest_arrivals
 from repro.core.tvg import TimeVaryingGraph
-from repro.service.cluster import ClusterExecutor, FaultyWorker, LoopbackWorkerPool
+from repro.service.cluster import ClusterExecutor, LoopbackWorkerPool
 from repro.service.wire import plan_from_spec, plan_to_spec
 
 HORIZON = 10
@@ -251,7 +252,7 @@ class ClusterDifferentialMachine(RuleBasedStateMachine):
         )
         self.graph = self._fresh_graph("clustered")
         self.shadow = self._fresh_graph("shadow")
-        self.engine = TemporalEngine(self.graph)
+        self.engine = TemporalEngine(self.graph, executor=self.cluster)
         self.keys: list[str] = []
         self.counter = 0
         self.queries_run = 0
@@ -326,9 +327,7 @@ class ClusterDifferentialMachine(RuleBasedStateMachine):
     # -- the differential query ------------------------------------------------
 
     def _check_matrix(self, start, semantics):
-        nodes, matrix = self.engine.arrival_matrix(
-            start, semantics, horizon=HORIZON, cluster=self.cluster
-        )
+        nodes, matrix = self.engine.arrival_matrix(start, semantics, horizon=HORIZON)
         index = {node: i for i, node in enumerate(nodes)}
         for source in NODES:
             expected = earliest_arrivals(

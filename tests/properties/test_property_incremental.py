@@ -3,8 +3,11 @@
 The incremental path — dirty-edge deltas out of the graph, cone of
 affected source rows out of the old matrix, re-sweep of just that cone
 merged over the cached result — must be *entry-for-entry equal* to a
-from-scratch sweep on every schedule, under all three waiting semantics
-and on both sweep kernels.  Two layers attack it:
+from-scratch sweep on every schedule, under all three waiting semantics.
+The from-scratch reference is the bignum oracle
+(:func:`~repro.core.sweep_kernel.sweep_block_bignum`) over a fresh
+engine's plan, so the patch path is checked against an independent
+kernel.  Two layers attack it:
 
 * a **stateful machine** drives a :class:`TVGService` pinned to
   ``incremental="force"`` (every applicable cache miss takes the patch
@@ -12,7 +15,7 @@ and on both sweep kernels.  Two layers attack it:
   over structured *and* black-box schedules, and the nasty
   remove-then-re-add of the same key — and checks every matrix entry
   against a from-scratch sweep on an independently-mirrored shadow
-  graph; one machine per kernel;
+  graph;
 
 * a **direct engine-level property** applies an arbitrary mutation
   batch to a random graph and checks
@@ -32,15 +35,17 @@ from hypothesis.stateful import (
 
 from repro.core.engine import TemporalEngine
 from repro.core.latency import constant_latency
+from repro.core.parallel import build_sweep_plan
 from repro.core.presence import (
     function_presence,
     interval_presence,
     periodic_presence,
 )
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
+from repro.core.sweep_kernel import sweep_block_bignum
 from repro.core.time_domain import Lifetime
 from repro.core.tvg import TimeVaryingGraph
-from repro.service.service import TVGService
+from repro.service.service import INCREMENTAL_MODES, TVGService
 
 NODES = ("a", "b", "c", "d", "e")
 HORIZON = 10
@@ -91,22 +96,25 @@ def presences(draw):
     return function_presence(_ResiduePredicate(period, residue), "blackbox")
 
 
+def scratch_matrix(graph, start, semantics):
+    """The oracle's from-scratch matrix, through a fresh engine."""
+    nodes, plan = build_sweep_plan(TemporalEngine(graph), start, semantics, HORIZON)
+    return nodes, sweep_block_bignum(plan, range(plan.n))
+
+
 class IncrementalDifferentialMachine(RuleBasedStateMachine):
     """Mutate/query schedules against a force-incremental service.
 
-    Every query's full matrix must equal a from-scratch sweep on the
-    shadow graph — through a *fresh* engine each time, so nothing of
-    the service's caches can leak into the oracle.
+    Every query's full matrix must equal a from-scratch oracle sweep on
+    the shadow graph — through a *fresh* engine each time, so nothing
+    of the service's caches can leak into the oracle.
     """
-
-    kernel = "bitset"
 
     def __init__(self) -> None:
         super().__init__()
         self.service = TVGService(
             self._fresh_graph("served"),
             cache_size=64,
-            kernel=self.kernel,
             incremental="force",
         )
         self.shadow = self._fresh_graph("shadow")
@@ -174,13 +182,11 @@ class IncrementalDifferentialMachine(RuleBasedStateMachine):
     @rule(start=st.integers(0, HORIZON - 1), semantics=semantics_strategy)
     def query_matrix(self, start, semantics):
         index, matrix = self.service._arrival_matrix(start, HORIZON, semantics)
-        nodes, scratch = TemporalEngine(self.shadow).arrival_matrix(
-            start, semantics, horizon=HORIZON, kernel=self.kernel
-        )
+        nodes, scratch = scratch_matrix(self.shadow, start, semantics)
         assert list(index) == nodes
         assert np.array_equal(matrix, scratch), (
             f"incremental matrix diverged from scratch at start={start} "
-            f"under {semantics} on {self.kernel}"
+            f"under {semantics}"
         )
 
     def teardown(self):
@@ -193,25 +199,16 @@ class IncrementalDifferentialMachine(RuleBasedStateMachine):
         assert stats["sweeps"]["full"] + stats["sweeps"]["incremental"] >= 0
 
 
-class IncrementalDifferentialBitset(IncrementalDifferentialMachine):
-    kernel = "bitset"
+IncrementalDifferentialMachine.TestCase.settings = settings(
+    max_examples=10,
+    stateful_step_count=25,
+    deadline=None,
+    derandomize=True,
+    print_blob=True,
+)
 
-
-class IncrementalDifferentialBignum(IncrementalDifferentialMachine):
-    kernel = "bignum"
-
-
-for machine in (IncrementalDifferentialBitset, IncrementalDifferentialBignum):
-    machine.TestCase.settings = settings(
-        max_examples=10,
-        stateful_step_count=25,
-        deadline=None,
-        derandomize=True,
-        print_blob=True,
-    )
-
-TestIncrementalDifferentialBitset = IncrementalDifferentialBitset.TestCase
-TestIncrementalDifferentialBignum = IncrementalDifferentialBignum.TestCase
+# The served sweeps run the bitset kernel; the reference is the oracle.
+TestIncrementalDifferentialBitset = IncrementalDifferentialMachine.TestCase
 
 
 # -- direct engine-level properties --------------------------------------------
@@ -268,25 +265,20 @@ def _apply(graph, batch):
 
 
 class TestEngineIncrementalEqualsScratch:
-    @pytest.mark.parametrize("kernel", ["bitset", "bignum"])
     @given(graph=graphs(), batch=mutation_batches(), semantics=semantics_strategy,
            start=st.integers(0, 3))
     @settings(DETERMINISTIC, max_examples=30)
-    def test_patched_equals_scratch(self, graph, batch, semantics, start, kernel):
+    def test_patched_equals_scratch(self, graph, batch, semantics, start):
         graph = graph.copy()  # hypothesis reuses drawn graphs across examples
         engine = TemporalEngine(graph)
         v0 = graph.version
-        nodes0, m0 = engine.arrival_matrix(
-            start, semantics, horizon=HORIZON, kernel=kernel
-        )
+        nodes0, m0 = engine.arrival_matrix(start, semantics, horizon=HORIZON)
         _apply(graph, batch)
         deltas = graph.deltas_since(v0)
         result = engine.arrival_matrix_incremental(
-            start, (nodes0, m0), deltas, semantics, HORIZON, kernel=kernel
+            start, (nodes0, m0), deltas, semantics, HORIZON
         )
-        nodes_f, scratch = TemporalEngine(graph).arrival_matrix(
-            start, semantics, horizon=HORIZON, kernel=kernel
-        )
+        nodes_f, scratch = scratch_matrix(graph, start, semantics)
         assert result is not None  # no node was added, chain is complete
         nodes_i, merged, reswept = result
         assert nodes_i == nodes_f
@@ -358,13 +350,10 @@ class TestServiceIncrementalPlumbing:
         assert stats["sweeps"]["incremental"] == 0
         assert stats["cache"]["retained"] == 0
 
-    def test_mode_resolution_env_and_validation(self, monkeypatch):
-        from repro.service.service import resolve_incremental
-
-        monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
-        assert resolve_incremental() == "on"
-        monkeypatch.setenv("REPRO_INCREMENTAL", "force")
-        assert resolve_incremental() == "force"
-        assert resolve_incremental("off") == "off"  # argument wins
-        with pytest.raises(ValueError):
-            resolve_incremental("sometimes")
+    def test_mode_validation(self):
+        graph = IncrementalDifferentialMachine._fresh_graph("modes")
+        assert TVGService(graph).incremental == "on"
+        for mode in INCREMENTAL_MODES:
+            assert TVGService(graph, incremental=mode).incremental == mode
+        with pytest.raises(ValueError, match="unknown incremental mode"):
+            TVGService(graph, incremental="sometimes")

@@ -1,9 +1,9 @@
-"""Property suite for the sweep kernels (N-version checking).
+"""Property suite for the sweep kernel (N-version checking).
 
-The bignum kernel is the ground-truth oracle: the per-state heap sweep
-is a direct transcription of the semantics.  The bitset kernel is the
-fast path: one contact scan over packed uint64 frontiers.  They must
-agree *bit for bit* — on arbitrary graphs (every structured presence
+The bignum sweep is the ground-truth oracle: the per-state heap sweep
+is a direct transcription of the semantics.  The bitset kernel
+(``sweep_block``) is the production path: one contact scan over packed
+uint64 frontiers.  They must agree *bit for bit* — on arbitrary graphs (every structured presence
 form plus black-box predicates), all three waiting semantics, any start
 date, any source block (including duplicated and out-of-order sources)
 — and both must agree with the interpretive journey search in
@@ -14,10 +14,6 @@ UNREACHED-magnitude dates (the kernels must not overflow int64 when
 sorting or bucketing near ``2**63``), empty and single-node graphs, and
 the bounded-wait collapse (a bound no departure can exhaust must equal
 unbounded waiting exactly).
-
-Run any suite under the other kernel with ``--sweep-kernel`` (see
-``tests/conftest.py``) — it pins ``REPRO_SWEEP_KERNEL`` for every sweep
-that doesn't pass ``kernel=`` explicitly.
 """
 
 import numpy as np
@@ -33,12 +29,7 @@ from repro.core.presence import (
     periodic_presence,
 )
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
-from repro.core.sweep_kernel import (
-    UNREACHED,
-    sweep_block,
-    sweep_block_bignum,
-    sweep_block_bitset,
-)
+from repro.core.sweep_kernel import UNREACHED, sweep_block, sweep_block_bignum
 from repro.core.time_domain import Lifetime
 from repro.core.traversal import earliest_arrivals
 from repro.core.tvg import TimeVaryingGraph
@@ -111,7 +102,7 @@ class TestBitsetEqualsBignum:
         )
         sources = tuple(range(plan.n))
         assert np.array_equal(
-            sweep_block_bitset(plan, sources), sweep_block_bignum(plan, sources)
+            sweep_block(plan, sources), sweep_block_bignum(plan, sources)
         )
 
     @given(tvgs(), semantics_strategy, st.integers(2, 4))
@@ -123,7 +114,7 @@ class TestBitsetEqualsBignum:
         serial = sweep_block_bignum(plan, tuple(range(plan.n)))
         stacked = np.vstack(
             [
-                sweep_block_bitset(plan, block)
+                sweep_block(plan, block)
                 for block in partition_sources(plan.n, shards)
             ]
         )
@@ -143,7 +134,7 @@ class TestBitsetEqualsBignum:
             )
         )
         assert np.array_equal(
-            sweep_block_bitset(plan, sources), sweep_block_bignum(plan, sources)
+            sweep_block(plan, sources), sweep_block_bignum(plan, sources)
         )
 
 
@@ -151,17 +142,13 @@ class TestKernelsMatchInterpretiveOracle:
     @given(tvgs(), semantics_strategy, st.integers(0, 3))
     @settings(DETERMINISTIC, max_examples=40)
     def test_both_kernels_match_journey_search(self, graph, semantics, start):
-        """Three-version agreement: each kernel's matrix row equals the
-        interpretive temporal-state search, which shares no code with
-        either kernel."""
+        """Three-version agreement: the engine's matrix equals the
+        oracle's, and each row equals the interpretive temporal-state
+        search, which shares no code with either kernel."""
         engine = TemporalEngine(graph)
-        nodes, bitset = engine.arrival_matrix(
-            start, semantics, horizon=HORIZON, kernel="bitset"
-        )
-        _same, bignum = engine.arrival_matrix(
-            start, semantics, horizon=HORIZON, kernel="bignum"
-        )
-        assert np.array_equal(bitset, bignum)
+        nodes, bitset = engine.arrival_matrix(start, semantics, horizon=HORIZON)
+        _same, plan = build_sweep_plan(engine, start, semantics, HORIZON)
+        assert np.array_equal(bitset, sweep_block_bignum(plan, range(plan.n)))
         for i, source in enumerate(nodes):
             oracle = earliest_arrivals(graph, source, start, semantics, HORIZON)
             expected = [oracle.get(node, UNREACHED) for node in nodes]
@@ -202,7 +189,7 @@ class TestHandcraftedRegimes:
         for max_wait in (None, 0, 1, 3):
             plan = _plan_for_dates(base, max_wait)
             sources = (0, 1, 2, 3)
-            bitset = sweep_block_bitset(plan, sources)
+            bitset = sweep_block(plan, sources)
             bignum = sweep_block_bignum(plan, sources)
             assert np.array_equal(bitset, bignum), f"max_wait={max_wait}"
             assert bitset[0, 0] == base  # the trivial journey survives
@@ -210,24 +197,24 @@ class TestHandcraftedRegimes:
 
     def test_empty_graph(self):
         graph = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="empty")
-        for kernel in ("bitset", "bignum"):
-            nodes, matrix = TemporalEngine(graph).arrival_matrix(
-                0, WAIT, horizon=HORIZON, kernel=kernel
-            )
-            assert nodes == [] and matrix.shape == (0, 0)
+        engine = TemporalEngine(graph)
+        nodes, matrix = engine.arrival_matrix(0, WAIT, horizon=HORIZON)
+        assert nodes == [] and matrix.shape == (0, 0)
+        _same, plan = build_sweep_plan(engine, 0, WAIT, HORIZON)
+        assert sweep_block_bignum(plan, range(plan.n)).shape == (0, 0)
 
     def test_single_node_graph(self):
         graph = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="one")
         graph.add_nodes(["a"])
-        for kernel in ("bitset", "bignum"):
-            _nodes, matrix = TemporalEngine(graph).arrival_matrix(
-                3, WAIT, horizon=HORIZON, kernel=kernel
-            )
-            assert matrix.tolist() == [[3]]
+        engine = TemporalEngine(graph)
+        _nodes, matrix = engine.arrival_matrix(3, WAIT, horizon=HORIZON)
+        assert matrix.tolist() == [[3]]
+        _same, plan = build_sweep_plan(engine, 3, WAIT, HORIZON)
+        assert sweep_block_bignum(plan, range(plan.n)).tolist() == [[3]]
 
     def test_empty_source_block(self):
         plan = _plan_for_dates(0)
-        for fn in (sweep_block_bitset, sweep_block_bignum):
+        for fn in (sweep_block, sweep_block_bignum):
             assert fn(plan, ()).shape == (0, 4)
 
     @given(tvgs(), st.integers(0, 3))
@@ -237,25 +224,7 @@ class TestHandcraftedRegimes:
         unbounded waiting exactly (the kernel's ``wait_like`` collapse)."""
         engine = TemporalEngine(graph)
         _n1, bounded = engine.arrival_matrix(
-            start, bounded_wait(HORIZON), horizon=HORIZON, kernel="bitset"
+            start, bounded_wait(HORIZON), horizon=HORIZON
         )
-        _n2, unbounded = engine.arrival_matrix(
-            start, WAIT, horizon=HORIZON, kernel="bitset"
-        )
+        _n2, unbounded = engine.arrival_matrix(start, WAIT, horizon=HORIZON)
         assert np.array_equal(bounded, unbounded)
-
-
-class TestDispatch:
-    @given(tvgs(), semantics_strategy)
-    @settings(DETERMINISTIC, max_examples=20)
-    def test_dispatcher_routes_by_name(self, graph, semantics):
-        _nodes, plan = build_sweep_plan(TemporalEngine(graph), 0, semantics, HORIZON)
-        sources = tuple(range(plan.n))
-        assert np.array_equal(
-            sweep_block(plan, sources, kernel="bitset"),
-            sweep_block_bitset(plan, sources),
-        )
-        assert np.array_equal(
-            sweep_block(plan, sources, kernel="bignum"),
-            sweep_block_bignum(plan, sources),
-        )

@@ -118,11 +118,11 @@ class TestShardedEqualsSerial:
     @settings(DETERMINISTIC, max_examples=30)
     def test_masks_match_the_matrix(self, graph, semantics):
         """The vectorized mask packing agrees with the boolean matrix
-        (bit i of masks[j] == matrix[i, j]) on arbitrary graphs."""
+        (bit i of packed column j == matrix[i, j]) on arbitrary graphs."""
         engine = TemporalEngine(graph)
         nodes, matrix = engine.reachability_matrix(0, semantics, horizon=HORIZON)
-        _same, masks = engine.reachability_masks(0, semantics, horizon=HORIZON)
+        _same, packed = engine.reachability_packed(0, semantics, horizon=HORIZON)
         for j in range(len(nodes)):
-            assert masks[j] == sum(
+            assert int.from_bytes(packed[:, j].tobytes(), "little") == sum(
                 1 << i for i in range(len(nodes)) if matrix[i, j]
             )

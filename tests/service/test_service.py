@@ -6,6 +6,7 @@ from repro.analysis.classes import classify
 from repro.analysis.evolution import reachability_growth
 from repro.core.builders import TVGBuilder
 from repro.core.generators import periodic_random_tvg
+from repro.core.parallel import ProcessShards
 from repro.core.presence import never, periodic_presence
 from repro.core.semantics import NO_WAIT, WAIT
 from repro.core.traversal import earliest_arrivals
@@ -323,8 +324,9 @@ class TestDispatcher:
 
 @pytest.mark.slow
 class TestShardsKnob:
-    """TVGService(shards=) opts cache-miss sweeps into the sharded
-    path; every answer stays identical (slow: spawns workers)."""
+    """TVGService(executor=ProcessShards(k)) runs cache-miss sweeps on
+    the sharded path; every answer stays identical (slow: spawns
+    workers)."""
 
     def _graph(self):
         from repro.core.generators import periodic_random_tvg
@@ -333,7 +335,9 @@ class TestShardsKnob:
 
     def test_sharded_service_answers_match_serial(self):
         serial = TVGService(self._graph(), window=(0, 12))
-        sharded = TVGService(self._graph(), window=(0, 12), shards=2)
+        sharded = TVGService(
+            self._graph(), window=(0, 12), executor=ProcessShards(2)
+        )
         nodes = list(serial.graph.nodes)
         for semantics in (NO_WAIT, WAIT):
             for target in nodes[1:4]:
@@ -344,7 +348,7 @@ class TestShardsKnob:
         assert sharded.classify(0, 12) == serial.classify(0, 12)
 
     def test_mutation_invalidates_sharded_cache_too(self):
-        service = TVGService(self._graph(), window=(0, 12), shards=2)
+        service = TVGService(self._graph(), window=(0, 12), executor=ProcessShards(2))
         nodes = list(service.graph.nodes)
         service.growth(0, 12, WAIT)  # populate the cache
         version_before = service.graph.version

@@ -280,6 +280,63 @@ class TestTraceFileErrors:
         assert lines[0].startswith(f"repro {command}: error: ")
 
 
+class TestNumberBoundaries:
+    """Out-of-range numbers and contradictory route flags end in exit
+    code 2 without a traceback: argparse usage errors for single
+    values, one ``repro <cmd>: error: ...`` line for combinations."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--cache-size", "0"],
+            ["serve", "--cache-size", "-3"],
+            ["serve", "--max-inflight", "0"],
+            ["serve", "--rate-limit", "0"],
+            ["serve", "--max-tasks", "0"],
+            ["serve", "--rate-window", "0"],
+            ["serve", "--rate-window", "nan"],
+            ["serve", "--rate-margin", "-1"],
+            ["reach", "--shards", "0"],
+            ["reach", "--shards", "-3"],
+            ["growth", "--shards", "0"],
+            ["serve", "--shards", "-3"],
+            ["reach", "--worker-timeout", "-1"],
+            ["growth", "--worker-timeout", "-1"],
+            ["serve", "--worker-timeout", "-1"],
+            ["reach", "--oversplit", "0"],
+            ["reach", "--shards", "2", "--workers", "127.0.0.1:7713"],
+            ["serve", "--shards", "2", "--workers", "127.0.0.1:7713"],
+            ["reach", "--kernel", "bitset"],
+        ],
+        ids=" ".join,
+    )
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--rate-limit", "5", "--rate-margin", "5"],
+            ["serve", "--rate-limit", "5", "--rate-margin", "9"],
+            ["reach", "--engine", "interpretive", "--shards", "2"],
+            ["reach", "--engine", "interpretive", "--workers", "127.0.0.1:1"],
+            ["growth", "--engine", "interpretive", "--shards", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_one_line_and_exit_2(self, argv, capsys):
+        assert main(argv + ["--nodes", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: error: ")
+
+
 @pytest.mark.slow
 class TestShardsFlag:
     """--shards runs the process-sharded sweep; results are identical
