@@ -34,6 +34,7 @@ DENSITY = 0.03
 SEED = 13
 HORIZON = 24
 REQUIRED_SPEEDUP = 50.0
+REQUIRED_CPUS = 1  # cache hits against cold sweeps, both single-threaded
 
 CHURN_OPERATIONS = 300
 CHURN_MUTATION_EVERY = 3  # 100 mutations in 300 operations
@@ -47,6 +48,7 @@ def _timed(fn):
 
 
 def run_throughput() -> dict:
+    from bench_common import gate_info, host_cpus
     from repro.core.generators import periodic_random_tvg
     from repro.core.semantics import WAIT
     from repro.service.service import TVGService
@@ -107,7 +109,9 @@ def run_throughput() -> dict:
             "horizon": HORIZON,
             "seed": SEED,
         },
-        "required_speedup": REQUIRED_SPEEDUP,
+        "cpus": host_cpus(),
+        "kernel": "bitset",
+        "gate": gate_info(REQUIRED_SPEEDUP, REQUIRED_CPUS),
         "cases": cases,
         "cache": service.cache.stats(),
     }

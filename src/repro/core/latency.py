@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
+from repro.core.time_domain import MAX_DATE
 from repro.errors import TimeDomainError
 
 
@@ -61,8 +62,10 @@ class ConstantLatency(LatencyFunction):
     """The same traversal time at every date."""
 
     def __init__(self, value: int) -> None:
-        if not isinstance(value, int) or value <= 0:
-            raise TimeDomainError(f"constant latency must be a positive int, got {value!r}")
+        if type(value) is not int or not 0 < value < MAX_DATE:
+            raise TimeDomainError(
+                f"constant latency must be an int in [1, 2**62), got {value!r}"
+            )
         self.value = value
 
     def raw(self, time: int) -> int:

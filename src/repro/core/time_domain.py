@@ -20,6 +20,11 @@ from repro.errors import TimeDomainError
 #: Right-open upper bound for unbounded lifetimes.
 INFINITY: float = math.inf
 
+#: Wire dates and constant latencies lie strictly inside ``±MAX_DATE``,
+#: so ``departure + latency`` always fits the engine's int64 arrays,
+#: below their ``UNREACHED`` sentinel (``2**63 - 1``).
+MAX_DATE: int = 2**62
+
 
 def require_window(start: int, end: int) -> None:
     """Validate the half-open study window ``[start, end)``.

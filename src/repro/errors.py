@@ -121,3 +121,8 @@ class PlanMissError(ServiceError):
     second miss on the very connection that just received the plan —
     fails the job into the local re-sweep like any other fault.
     """
+
+
+#: What a failed request may raise and still be answered ``ok: false``:
+#: ``MemoryError`` is a window too large to allocate.
+REQUEST_ERRORS = (ReproError, KeyError, TypeError, ValueError, MemoryError)

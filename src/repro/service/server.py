@@ -10,34 +10,18 @@ needs (no query ever observes a half-applied mutation) — so it is also
 what the workload driver replays traces through and what the unit tests
 exercise without opening sockets.
 
-Operations
-----------
-
-======  =====================================================
-op      parameters
-======  =====================================================
-reach         source, target, start, horizon, semantics?
-arrival       source, target, start, horizon, semantics?
-growth        start, end, semantics?
-classify      start, end
-add_edge      source, target, key?, label?, presence?, latency?
-remove_edge   key
-set_presence  key, presence
-set_workers   workers (list of "host:port" strings)
-submit        request (a query-op object: reach/arrival/growth/classify)
-status        task
-result        task
-cancel        task
-stats         —
-ping          —
-======  =====================================================
-
-``semantics`` is a wire string (default ``"wait"``); ``presence`` and
-``latency`` are the specs of :mod:`repro.service.wire`.  Every op's
-required fields are validated up front (:data:`REQUIRED_PARAMS`): a
-missing field, or a ``start``/``horizon``/``end`` that is not an
-integer, is a structured ``ServiceError`` naming it, never a raw
-``KeyError`` or ``TypeError``.
+Each operation is declared once, in :data:`OPS`: its ordered fields,
+its handler, and whether ``submit`` may run it in the background.
+:func:`parse_request` checks direct and submitted requests alike.  The
+field kinds: a *date* is a non-bool int strictly inside ±2**62
+(:data:`~repro.core.time_domain.MAX_DATE`); a *scalar* (node id, edge
+key, label) is any JSON value but a list or object; ``semantics`` is
+``"wait"`` (the default), ``"nowait"`` or ``"wait[d]"``; ``presence``
+and ``latency`` are the specs of :mod:`repro.service.wire`;
+``workers`` is a list of ``"host:port"`` strings; ``task`` is a task id
+string; ``request`` is a nested request ``submit`` may run.  Missing
+fields are named together in one ``ServiceError``, and a bad value gets
+one naming its op and field.
 
 Admission control (:mod:`repro.service.limits`) wraps the dispatcher
 when :func:`serve_service` is given a rate limiter or in-flight gate:
@@ -51,173 +35,162 @@ service's own counters.
 from __future__ import annotations
 
 import asyncio
+import functools
 import inspect
 import json
 import re
 import time
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
-from repro.errors import ReproError, ServiceError
+from repro.core.time_domain import MAX_DATE
+from repro.errors import REQUEST_ERRORS, ServiceError
 from repro.service.limits import (
     GATE_RETRY_AFTER,
     AdmissionGate,
     LatencyRecorder,
     RateLimiter,
 )
-from repro.service.service import BACKGROUND_OPS, TVGService
+from repro.service.service import TVGService
 from repro.service.wire import latency_from_spec, parse_semantics, presence_from_spec
 
-#: Required request fields per operation — the complete op table.  An
-#: op absent here is unknown; a field absent from a request is a
-#: structured error naming it (never a bare ``KeyError``).
-REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
-    "reach": ("source", "target", "start", "horizon"),
-    "arrival": ("source", "target", "start", "horizon"),
-    "growth": ("start", "end"),
-    "classify": ("start", "end"),
-    "add_edge": ("source", "target"),
-    "remove_edge": ("key",),
-    "set_presence": ("key", "presence"),
-    "set_workers": ("workers",),
-    "submit": ("request",),
-    "status": ("task",),
-    "result": ("task",),
-    "cancel": ("task",),
-    "stats": (),
-    "ping": (),
+#: The default of a field every request of its op must carry.
+REQUIRED: Any = object()
+
+
+def _date(value: Any) -> int:
+    if type(value) is not int:  # bool is an int subclass
+        raise ServiceError(f"must be an integer date, not {type(value).__name__}")
+    if not -MAX_DATE < value < MAX_DATE:
+        raise ServiceError("must be a date strictly between -2**62 and 2**62")
+    return value
+
+
+def _scalar(value: Any) -> Any:
+    if isinstance(value, (list, dict)):
+        raise ServiceError(f"must be a JSON scalar, not {type(value).__name__}")
+    return value
+
+
+def _workers(value: Any) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(w, str) for w in value):
+        raise ServiceError("must be a list of 'host:port' strings")
+    return value
+
+
+def _task(value: Any) -> str:
+    if not isinstance(value, str):
+        raise ServiceError(f"must be a task id string, not {type(value).__name__}")
+    return value
+
+
+def _background(value: Any) -> tuple[str, Callable[[TVGService], Any]]:
+    """A nested request ``submit`` may run: its op and bound handler."""
+    if not isinstance(value, dict) or "op" not in value:
+        raise ServiceError("must be a 'request' object with its own 'op' field")
+    op = value["op"]
+    spec = OPS.get(op) if isinstance(op, str) else None
+    if spec is None or not spec.background:
+        runnable = ", ".join(name for name, entry in OPS.items() if entry.background)
+        raise ServiceError(
+            f"op {op!r} cannot run in the background; submit takes one of: {runnable}"
+        )
+    spec, fields = parse_request(op, value)
+    return op, functools.partial(spec.run, **fields)
+
+
+class Op(NamedTuple):
+    """One protocol operation: its ordered ``(name, kind, default)``
+    fields, its handler ``run(service, **fields)``, and whether
+    ``submit`` may run it in the background."""
+
+    fields: tuple[tuple[str, Callable[[Any], Any], Any], ...]
+    run: Callable[..., Any]
+    background: bool = False
+
+
+_PAIR = (("source", _scalar, REQUIRED), ("target", _scalar, REQUIRED))
+_WINDOW = (("start", _date, REQUIRED), ("end", _date, REQUIRED))
+_SEMANTICS = ("semantics", parse_semantics, "wait")
+_POINT = (*_PAIR, ("start", _date, REQUIRED), ("horizon", _date, REQUIRED), _SEMANTICS)
+_TASK = (("task", _task, REQUIRED),)
+
+#: The protocol: every op the server answers, and the only place that
+#: says what each op takes, what runs it, and whether it may run in
+#: the background.
+OPS: dict[str, Op] = {
+    "reach": Op(_POINT, TVGService.reach, background=True),
+    "arrival": Op(_POINT, TVGService.arrival, background=True),
+    "growth": Op(
+        (*_WINDOW, _SEMANTICS),
+        lambda service, **query: [[t, r] for t, r in service.growth(**query)],
+        background=True,
+    ),
+    "classify": Op(_WINDOW, TVGService.classify, background=True),
+    "add_edge": Op(
+        (*_PAIR, ("key", _scalar, None), ("label", _scalar, None),
+         ("presence", presence_from_spec, None), ("latency", latency_from_spec, None)),
+        TVGService.add_edge,
+    ),
+    "remove_edge": Op((("key", _scalar, REQUIRED),), TVGService.remove_edge),
+    "set_presence": Op(
+        (("key", _scalar, REQUIRED), ("presence", presence_from_spec, REQUIRED)),
+        TVGService.set_presence,
+    ),
+    "set_workers": Op((("workers", _workers, REQUIRED),), TVGService.set_workers),
+    "submit": Op(
+        (("request", _background, REQUIRED),),
+        lambda service, request: service.submit(*request),
+    ),
+    "status": Op(_TASK, lambda service, task: service.task_status(task)),
+    "result": Op(_TASK, lambda service, task: service.task_result(task)),
+    "cancel": Op(_TASK, lambda service, task: service.task_cancel(task)),
+    "stats": Op((), TVGService.stats),
+    "ping": Op((), lambda service: "pong"),
 }
 
 
-#: Request fields that are dates.  JSON offers ``true`` and ``8.5`` too,
-#: which Python would take as date 1 and a fractional window end.
-DATE_FIELDS: tuple[str, ...] = ("start", "horizon", "end")
+def parse_request(op: Any, params: dict) -> tuple[Op, dict[str, Any]]:
+    """The op's :data:`OPS` entry and its parsed fields.
 
-
-def require_params(op: str, params: dict) -> None:
-    """Reject an op whose request is missing required fields, naming
-    every missing field in one structured error, or whose dates are
-    not integers (booleans excluded), naming the field."""
-    required = REQUIRED_PARAMS.get(op)
-    if required is None:
+    Raises :class:`ServiceError` for an unknown op, naming every
+    missing required field at once, or naming the first field whose
+    value its kind refuses.
+    """
+    spec = OPS.get(op) if isinstance(op, str) else None
+    if spec is None:
         raise ServiceError(f"unknown operation {op!r}")
-    missing = [field for field in required if field not in params]
+    fields: dict[str, Any] = {}
+    missing = []
+    for name, kind, default in spec.fields:
+        value = params.get(name, default)
+        if value is REQUIRED:
+            missing.append(name)
+            continue
+        try:
+            fields[name] = kind(value)
+        except ServiceError as exc:
+            raise ServiceError(f"op {op!r} field {name!r}: {exc}") from None
     if missing:
         raise ServiceError(
             f"op {op!r} missing required field(s): {', '.join(missing)}"
         )
-    for field in required:
-        value = params[field]
-        if field in DATE_FIELDS and (
-            not isinstance(value, int) or isinstance(value, bool)
-        ):
-            raise ServiceError(
-                f"op {op!r} field {field!r} must be an integer date, "
-                f"not {type(value).__name__}"
-            )
+    return spec, fields
 
 
-def _query_args(params: dict) -> dict:
-    semantics = parse_semantics(params.get("semantics", "wait"))
-    return {
-        "start": params["start"],
-        "horizon": params["horizon"],
-        "semantics": semantics,
-    }
-
-
-def _submit(service: TVGService, params: dict) -> dict:
-    """The ``submit`` op: validate the nested query request, then hand
-    it to the service's task table."""
-    inner = params["request"]
-    if not isinstance(inner, dict) or "op" not in inner:
-        raise ServiceError(
-            "submit takes a 'request' object with its own 'op' field"
-        )
-    inner_op = inner["op"]
-    if inner_op not in BACKGROUND_OPS:
-        raise ServiceError(
-            f"op {inner_op!r} cannot run in the background; submit takes "
-            f"one of: {', '.join(sorted(BACKGROUND_OPS))}"
-        )
-    require_params(inner_op, inner)
-    kwargs: dict[str, Any]
-    if inner_op in ("reach", "arrival"):
-        kwargs = {
-            "source": inner["source"],
-            "target": inner["target"],
-            **_query_args(inner),
-        }
-    elif inner_op == "growth":
-        kwargs = {
-            "start": inner["start"],
-            "end": inner["end"],
-            "semantics": parse_semantics(inner.get("semantics", "wait")),
-        }
-    else:  # classify
-        kwargs = {"start": inner["start"], "end": inner["end"]}
-    return service.submit(inner_op, **kwargs)
-
-
-def dispatch(service: TVGService, op: str, params: dict) -> Any:
-    """Apply one operation to the service; returns the raw result."""
-    require_params(op, params)
-    if op == "reach":
-        return service.reach(params["source"], params["target"], **_query_args(params))
-    if op == "arrival":
-        return service.arrival(
-            params["source"], params["target"], **_query_args(params)
-        )
-    if op == "growth":
-        semantics = parse_semantics(params.get("semantics", "wait"))
-        curve = service.growth(params["start"], params["end"], semantics)
-        return [[t, r] for t, r in curve]
-    if op == "classify":
-        return service.classify(params["start"], params["end"])
-    if op == "add_edge":
-        return service.add_edge(
-            params["source"],
-            params["target"],
-            label=params.get("label"),
-            presence=presence_from_spec(params.get("presence")),
-            latency=latency_from_spec(params.get("latency")),
-            key=params.get("key"),
-        )
-    if op == "remove_edge":
-        return service.remove_edge(params["key"])
-    if op == "set_presence":
-        return service.set_presence(
-            params["key"], presence_from_spec(params["presence"])
-        )
-    if op == "set_workers":
-        workers = params["workers"]
-        if not isinstance(workers, list) or not all(
-            isinstance(w, str) for w in workers
-        ):
-            raise ServiceError(
-                "set_workers takes a list of 'host:port' strings"
-            )
-        return service.set_workers(workers)
-    if op == "submit":
-        return _submit(service, params)
-    if op == "status":
-        return service.task_status(params["task"])
-    if op == "result":
-        return service.task_result(params["task"])
-    if op == "cancel":
-        return service.task_cancel(params["task"])
-    if op == "stats":
-        return service.stats()
-    if op == "ping":
-        return "pong"
-    raise ServiceError(f"unknown operation {op!r}")
+def dispatch(service: TVGService, op: Any, params: dict) -> Any:
+    """Apply one operation to the service: parse it, then run it."""
+    spec, fields = parse_request(op, params)
+    return spec.run(service, **fields)
 
 
 def guarded_response(request: Any, dispatcher) -> dict:
     """One request dict in, one response dict out; never raises.
 
     ``dispatcher(op, params)`` produces the result.  Library errors
-    (unknown node/edge, bad window, bad spec) come back as ``ok: false``
-    with the message, so one bad request cannot take down the connection
+    (unknown node/edge, bad window, bad spec) and a window too large to
+    allocate (:data:`~repro.errors.REQUEST_ERRORS`) come back as
+    ``ok: false`` with the message, so one bad request cannot take down
+    the connection
     — or the replay — that carries it.  Shared by the query service and
     the cluster's sweep workers (:mod:`repro.service.cluster`), so both
     produce identical structured error frames.
@@ -230,7 +203,7 @@ def guarded_response(request: Any, dispatcher) -> dict:
             raise ServiceError("request must be an object with an 'op' field")
         result = dispatcher(request["op"], request)
         response.update(ok=True, result=result)
-    except (ReproError, KeyError, TypeError, ValueError) as exc:
+    except REQUEST_ERRORS as exc:
         detail = repr(exc.args[0]) if isinstance(exc, KeyError) and exc.args else str(exc)
         response.update(ok=False, error=f"{type(exc).__name__}: {detail}")
     return response
@@ -430,7 +403,7 @@ class ServiceFrontend:
                 response = handle_request(self.service, request)
                 if isinstance(request, dict):
                     op = request.get("op")
-                    if isinstance(op, str):
+                    if isinstance(op, str) and op in OPS:
                         self.latency.record(
                             op, time.perf_counter() - began
                         )

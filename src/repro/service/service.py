@@ -29,7 +29,7 @@ mutation/query schedules against a shadow copy to prove it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -55,49 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
 #: ``"force"`` patches whenever the delta chain allows it at all — the
 #: mode the differential suites pin the path down with.
 INCREMENTAL_MODES: tuple[str, ...] = ("off", "on", "force")
-
-
-#: Required keyword arguments per background-runnable query op — the
-#: only ops ``submit`` accepts, validated eagerly so a malformed submit
-#: fails at the boundary, not minutes later on the worker thread.
-BACKGROUND_OPS: dict[str, tuple[str, ...]] = {
-    "reach": ("source", "target", "start", "horizon"),
-    "arrival": ("source", "target", "start", "horizon"),
-    "growth": ("start", "end"),
-    "classify": ("start", "end"),
-}
-
-
-def _snapshot_query(
-    graph: TimeVaryingGraph, op: str, params: dict
-) -> bool | int | None | list | dict:
-    """Answer one query op over a *private* graph snapshot.
-
-    Runs on the task table's worker thread: everything it touches — the
-    snapshot graph, a throwaway service with its own engine and cache —
-    is built here and dies here, so a background sweep shares no
-    mutable state with the live service.  Results come back wire-shaped
-    (the growth curve as ``[[t, r], ...]``), matching what the socket
-    protocol returns for the synchronous op.
-    """
-    service = TVGService(graph, cache_size=4, incremental="off")
-    semantics = params.get("semantics", WAIT)
-    if op == "reach":
-        return service.reach(
-            params["source"], params["target"], params["start"],
-            params["horizon"], semantics,
-        )
-    if op == "arrival":
-        return service.arrival(
-            params["source"], params["target"], params["start"],
-            params["horizon"], semantics,
-        )
-    if op == "growth":
-        curve = service.growth(params["start"], params["end"], semantics)
-        return [[t, r] for t, r in curve]
-    if op == "classify":
-        return service.classify(params["start"], params["end"])
-    raise ServiceError(f"unknown background op {op!r}")
 
 
 def _is_matrix_query(query: Hashable) -> bool:
@@ -318,34 +275,25 @@ class TVGService:
 
     # -- background tasks ------------------------------------------------------
 
-    def submit(self, op: str, **params) -> dict:
-        """Run a query op in the background; returns ``{"task", "version"}``
-        immediately.
+    def submit(self, op: str, run: Callable[[TVGService], Any]) -> dict:
+        """Run ``run(service)`` in the background; returns ``{"task",
+        "version"}`` immediately.
 
-        Only the query family (:data:`BACKGROUND_OPS`) may run in the
-        background, and required fields are validated *now* — a
-        malformed submit is a structured error at the boundary, never a
-        failure discovered on a later poll.  The computation runs over
-        a snapshot of the graph taken at this instant: later mutations
-        neither corrupt nor change the answer, which is exactly the
-        answer the synchronous op would have given at submit time (the
-        returned ``version`` stamps which graph the answer is about).
+        ``op`` labels the task.  ``run`` gets a private service over a
+        snapshot of the graph taken at this instant, built and dropped
+        on the task thread with its own engine and cache, so the
+        background sweep shares no mutable state with the live service:
+        later mutations neither corrupt nor change the answer, which is
+        exactly the answer ``run(self)`` would have given at submit time
+        (the returned ``version`` stamps which graph the answer is
+        about).  The caller validates the request before submitting it.
         """
-        required = BACKGROUND_OPS.get(op)
-        if required is None:
-            raise ServiceError(
-                f"op {op!r} cannot run in the background; submit takes "
-                f"one of: {', '.join(sorted(BACKGROUND_OPS))}"
-            )
-        missing = [field for field in required if field not in params]
-        if missing:
-            raise ServiceError(
-                f"op {op!r} missing required field(s): {', '.join(missing)}"
-            )
         snapshot = self.graph.copy()
         version = self.graph.version
         task = self.tasks.submit(
-            op, version, lambda: _snapshot_query(snapshot, op, params)
+            op,
+            version,
+            lambda: run(TVGService(snapshot, cache_size=4, incremental="off")),
         )
         return {"task": task.task_id, "version": version}
 

@@ -32,7 +32,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable
 
-from repro.errors import ReproError, ServiceError
+from repro.errors import REQUEST_ERRORS, ServiceError
 
 #: Terminal task states — the only ones eviction may reclaim.
 FINISHED_STATES = frozenset({"done", "error", "cancelled"})
@@ -146,7 +146,7 @@ class TaskTable:
             task.state = "running"
         try:
             value = compute()
-        except (ReproError, KeyError, TypeError, ValueError) as exc:
+        except REQUEST_ERRORS as exc:
             with self._lock:
                 if task.state == "running":
                     task.state = "error"

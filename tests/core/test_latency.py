@@ -8,6 +8,7 @@ from repro.core.latency import (
     function_latency,
     table_latency,
 )
+from repro.core.time_domain import MAX_DATE
 from repro.errors import TimeDomainError
 
 
@@ -29,6 +30,16 @@ class TestConstantLatency:
     def test_rejects_non_integer(self):
         with pytest.raises(TimeDomainError):
             constant_latency(1.5)
+
+    @pytest.mark.parametrize("value", [True, MAX_DATE, 10**30], ids=repr)
+    def test_rejects_bools_and_values_from_max_date(self, value):
+        """A bool is not a duration, and a latency of 2**62 or more
+        could overflow the engine's int64 arrival arrays."""
+        with pytest.raises(TimeDomainError):
+            constant_latency(value)
+
+    def test_largest_value_below_max_date(self):
+        assert constant_latency(MAX_DATE - 1)(0) == MAX_DATE - 1
 
 
 class TestAffineLatency:

@@ -275,7 +275,7 @@ class TestRealServiceFilesStayClean:
         """Pin the guarantee: if the task runner ever replaced its
         narrow except tuple with a swallowed broad one, RL004 fires."""
         source = Path("src/repro/service/tasks.py").read_text()
-        narrow = "except (ReproError, KeyError, TypeError, ValueError) as exc:"
+        narrow = "except REQUEST_ERRORS as exc:"
         assert narrow in source
         broken = source.replace(narrow, "except Exception as exc:")
         fired = [

@@ -209,7 +209,10 @@ class ServiceDifferentialMachine(RuleBasedStateMachine):
             )
         ]
         submitted = self.service.submit(
-            "growth", start=start, end=end, semantics=semantics
+            "growth",
+            lambda snapshot: [
+                [t, r] for t, r in snapshot.growth(start, end, semantics)
+            ],
         )
         assert submitted["version"] == self.service.graph.version
         self.pending_tasks[submitted["task"]] = (

@@ -5,6 +5,7 @@ sandboxes forbid — deselect with ``-m "not service"`` there.
 """
 
 import asyncio
+import inspect
 import json
 
 import pytest
@@ -17,7 +18,8 @@ from repro.service.client import ServiceClient
 from repro.service.limits import GATE_RETRY_AFTER, AdmissionGate, RateLimiter
 from repro.service.replay import replay_service_trace
 from repro.service.server import (
-    REQUIRED_PARAMS,
+    OPS,
+    REQUIRED,
     ServiceFrontend,
     handle_request,
     recover_request_id,
@@ -138,6 +140,56 @@ class TestProtocol:
                 await writer.wait_closed()
                 server.close()
                 await server.wait_closed()
+
+        run(body())
+
+    @pytest.mark.parametrize(
+        "frame, error",
+        [
+            ({"op": "reach", "source": "a", "target": "c", "start": -10**30,
+              "horizon": 10}, "ServiceError: op 'reach' field 'start'"),
+            ({"op": "growth", "start": 0, "end": 2**63},
+             "ServiceError: op 'growth' field 'end'"),
+            ({"op": "add_edge", "source": "a", "target": "c",
+              "latency": {"kind": "constant", "value": 10**30}},
+             "ServiceError: op 'add_edge' field 'latency'"),
+            ({"op": "growth", "start": 0, "end": 10**12}, "MemoryError: "),
+            ({"op": "reach", "source": ["a"], "target": "c", "start": 0,
+              "horizon": 10}, "ServiceError: op 'reach' field 'source'"),
+        ],
+        ids=["reach-start", "growth-end-2**63", "add_edge-latency",
+             "growth-end-10**12", "reach-list-source"],
+    )
+    def test_boundary_input_gets_one_error_frame(self, frame, error):
+        """Each of these once dropped its connection with no frame, or
+        (growth to 2**63) answered ``[]``: now one structured error
+        frame, and the same connection keeps answering."""
+
+        async def body():
+            service = TVGService(line_graph())
+            server = await serve_service(service, port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def send(request):
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                return json.loads(await reader.readline())
+
+            try:
+                response = await send({"id": 1, **frame})
+                assert response["id"] == 1 and response["ok"] is False
+                assert response["error"].startswith(error)
+                growth = await send({"op": "growth", "id": 2, "start": 0, "end": 10})
+                assert growth["ok"] is True and len(growth["result"]) == 10
+                pong = await send({"op": "ping", "id": 3})
+                assert pong == {"id": 3, "ok": True, "result": "pong"}
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+                service.close()
 
         run(body())
 
@@ -278,6 +330,10 @@ _VALID_PARAMS = {
 }
 
 
+def _required(op):
+    return [name for name, _kind, default in OPS[op].fields if default is REQUIRED]
+
+
 class TestParamValidation:
     """Malformed requests must come back as structured errors naming the
     missing field — never a raw ``KeyError`` leaking a dispatch detail.
@@ -285,15 +341,28 @@ class TestParamValidation:
     socket is involved."""
 
     def test_the_fixture_table_covers_every_op(self):
-        assert sorted(_VALID_PARAMS) == sorted(REQUIRED_PARAMS)
+        assert sorted(_VALID_PARAMS) == sorted(OPS)
+        for op, params in _VALID_PARAMS.items():
+            assert set(params) <= {name for name, _kind, _default in OPS[op].fields}
+
+    def test_client_methods_take_the_op_fields_in_table_order(self):
+        """Every ServiceClient method named after an op takes exactly
+        that op's fields, in table order, with the table's defaults."""
+        checked = set()
+        for op, spec in OPS.items():
+            method = getattr(ServiceClient, op, None)
+            if method is None:
+                continue
+            params = list(inspect.signature(method).parameters.values())[1:]
+            assert [
+                (p.name, REQUIRED if p.default is p.empty else p.default)
+                for p in params
+            ] == [(name, default) for name, _kind, default in spec.fields], op
+            checked.add(op)
+        assert checked >= {"reach", "arrival", "growth", "classify", "add_edge"}
 
     @pytest.mark.parametrize(
-        "op,missing",
-        [
-            (op, field)
-            for op, fields in REQUIRED_PARAMS.items()
-            for field in fields
-        ],
+        "op,missing", [(op, field) for op in OPS for field in _required(op)]
     )
     def test_each_missing_field_is_named(self, op, missing):
         service = TVGService(line_graph())
@@ -306,7 +375,7 @@ class TestParamValidation:
         assert "KeyError" not in response["error"]
         service.close()
 
-    @pytest.mark.parametrize("op", sorted(REQUIRED_PARAMS))
+    @pytest.mark.parametrize("op", sorted(OPS))
     def test_complete_params_pass_validation(self, op):
         service = TVGService(line_graph())
         response = handle_request(service, {"op": op, "id": 1, **_VALID_PARAMS[op]})

@@ -1,5 +1,7 @@
 """Unit tests for TVGService and the synchronous request dispatcher."""
 
+import asyncio
+
 import pytest
 
 from repro.analysis.classes import classify
@@ -11,7 +13,7 @@ from repro.core.presence import never, periodic_presence
 from repro.core.semantics import NO_WAIT, WAIT
 from repro.core.traversal import earliest_arrivals
 from repro.errors import ServiceError
-from repro.service.server import handle_request
+from repro.service.server import OPS, ServiceFrontend, handle_request, parse_request
 from repro.service.service import TVGService
 
 
@@ -272,16 +274,30 @@ class TestDispatcher:
             {"op": "add_edge", "source": "a", "target": "c",
              "presence": {"kind": "quantum"}},
             {"op": "growth", "start": 9, "end": 2},  # bad window
+            {"op": "reach", "source": ["a"], "target": "c", "start": 0,
+             "horizon": 10},
+            {"op": "arrival", "source": "a", "target": {"id": "c"}, "start": 0,
+             "horizon": 10},
+            {"op": "remove_edge", "key": ["ab"]},
         ],
     )
     def test_bad_requests_become_error_responses(self, line_service, request_dict):
         response = handle_request(line_service, request_dict)
         assert response["ok"] is False
         assert response["error"]
+        for field in ("source", "target", "key"):
+            if isinstance(request_dict.get(field), (list, dict)):
+                # A list or object where an id belongs is named, not
+                # hashed into a TypeError.
+                assert response["error"].startswith("ServiceError: ")
+                assert repr(field) in response["error"]
 
     @pytest.mark.parametrize("submitted", [False, True], ids=["direct", "submit"])
     @pytest.mark.parametrize(
-        "value", [True, False, 8.5, "9", None, [1], {"t": 1}], ids=repr
+        "value",
+        [True, False, 8.5, "9", None, [1], {"t": 1},
+         2**62, -2**62, 10**30, -10**30],
+        ids=repr,
     )
     @pytest.mark.parametrize(
         "op, field",
@@ -295,6 +311,8 @@ class TestDispatcher:
     def test_non_integer_dates_rejected(
         self, line_service, op, field, value, submitted
     ):
+        """A date that is not a non-bool int, or lies at or beyond
+        ±2**62, is refused at the boundary, direct or submitted."""
         request = {
             "op": op, "source": "a", "target": "c",
             "start": 0, "horizon": 10, "end": 10, field: value,
@@ -307,6 +325,65 @@ class TestDispatcher:
         assert repr(field) in response["error"]
         assert line_service.queries_served == 0
         assert line_service.tasks.stats()["submitted"] == 0
+
+    @pytest.mark.parametrize("submitted", [False, True], ids=["direct", "submit"])
+    @pytest.mark.parametrize("date", [2**62 - 1, -(2**62 - 1)], ids=["max", "min"])
+    @pytest.mark.parametrize("op", ["reach", "arrival", "growth", "classify"])
+    def test_dates_just_inside_2_62_parse(self, op, date, submitted):
+        """The parse alone: running such a query may cost unbounded
+        work, which no budget bounds yet."""
+        dates = {"start": date, "horizon": date, "end": date}
+        request = {"op": op, "source": "a", "target": "c", **dates}
+        if submitted:
+            _spec, fields = parse_request("submit", {"request": request})
+            fields = fields["request"][1].keywords
+        else:
+            _spec, fields = parse_request(op, request)
+        expected = {name: date for name, *_ in OPS[op].fields if name in dates}
+        assert {name: fields[name] for name in expected} == expected
+
+    def test_oversized_latency_is_refused_and_the_graph_keeps_answering(
+        self, line_service
+    ):
+        edges = line_service.graph.edge_count
+        for value in (10**30, True):
+            response = handle_request(
+                line_service,
+                {"op": "add_edge", "source": "a", "target": "c",
+                 "latency": {"kind": "constant", "value": value}},
+            )
+            assert response["ok"] is False
+            assert "field 'latency'" in response["error"]
+        assert line_service.graph.edge_count == edges
+        growth = handle_request(line_service, {"op": "growth", "start": 0, "end": 10})
+        assert growth["ok"] is True and len(growth["result"]) == 10
+
+    def test_background_window_too_big_to_allocate_fails_the_task(
+        self, line_service
+    ):
+        submitted = handle_request(
+            line_service,
+            {"op": "submit", "request": {"op": "growth", "start": 0, "end": 10**12}},
+        )
+        task = submitted["result"]["task"]
+        assert line_service.task_wait(task, timeout=10)
+        status = handle_request(line_service, {"op": "status", "task": task})
+        assert status["result"]["state"] == "error"
+        assert status["result"]["error"].startswith("MemoryError")
+        line_service.close()
+
+    def test_frontend_latency_table_keeps_only_known_ops(self, line_service):
+        frontend = ServiceFrontend(line_service)
+        respond = frontend.respond_for("client")
+
+        async def body():
+            for i in range(1000):
+                assert (await respond({"op": f"junk-{i}", "id": i}))["ok"] is False
+            return await respond({"op": "stats"})
+
+        stats = asyncio.run(body())["result"]
+        assert set(stats["frontend"]["latency"]) <= set(OPS)
+        assert "stats" in stats["frontend"]["latency"]
 
     def test_one_bad_request_does_not_poison_the_service(self, line_service):
         handle_request(line_service, {"op": "reach", "source": "a"})
