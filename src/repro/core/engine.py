@@ -7,11 +7,12 @@ temporal state ``(node, ready)``" — answered by binary search and array
 slicing on the compiled contact sequences instead of per-date presence
 calls.  On top of the kernel it offers:
 
-* drop-in accelerated :meth:`reachable_states` /
-  :meth:`earliest_arrivals` / :meth:`foremost_journey` (these delegate
-  to :mod:`repro.core.traversal` with ``engine=self``, so compiled and
+* accelerated single-source searches: pass ``engine=`` to
+  :func:`repro.core.traversal.reachable_states`,
+  :func:`~repro.core.traversal.earliest_arrivals` or
+  :func:`~repro.core.traversal.foremost_journey`, so compiled and
   interpretive runs execute the *same algorithm* and differ only in how
-  successors are produced);
+  successors are produced;
 * a **batched all-pairs arrival sweep** (:meth:`arrival_matrix`) that
   records, for every (source, target) pair, the first date a journey
   arrives — in ONE pass over the temporal state space.  Each state
@@ -46,7 +47,7 @@ ground-truth oracle, checked by the equivalence property suites.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
@@ -153,11 +154,6 @@ class TemporalEngine:
         """The current index (None until the first query compiles one)."""
         return self._index
 
-    @property
-    def contact_cache(self) -> LazyContactCache:
-        """The engine's lazy black-box lowering cache."""
-        return self._contact_cache
-
     def require_graph(self, graph: TimeVaryingGraph, caller: str) -> None:
         """Raise unless this engine was built for ``graph``.
 
@@ -224,48 +220,6 @@ class TemporalEngine:
         return moves
 
     # -- accelerated single-source searches ------------------------------------
-
-    def reachable_states(
-        self,
-        sources: Iterable[tuple[Hashable, int]],
-        semantics: WaitingSemantics = NO_WAIT,
-        horizon: int | None = None,
-        max_hops: int | None = None,
-    ) -> set[tuple[Hashable, int]]:
-        from repro.core.traversal import reachable_states
-
-        return reachable_states(
-            self.graph, sources, semantics, horizon, max_hops, engine=self
-        )
-
-    def earliest_arrivals(
-        self,
-        source: Hashable,
-        start_time: int,
-        semantics: WaitingSemantics = NO_WAIT,
-        horizon: int | None = None,
-    ) -> dict[Hashable, int]:
-        from repro.core.traversal import earliest_arrivals
-
-        return earliest_arrivals(
-            self.graph, source, start_time, semantics, horizon, engine=self
-        )
-
-    def foremost_journey(
-        self,
-        source: Hashable,
-        target: Hashable,
-        start_time: int,
-        semantics: WaitingSemantics = NO_WAIT,
-        horizon: int | None = None,
-        max_hops: int = 64,
-    ):
-        from repro.core.traversal import foremost_journey
-
-        return foremost_journey(
-            self.graph, source, target, start_time, semantics, horizon,
-            max_hops, engine=self,
-        )
 
     def earliest_arrivals_unbounded(
         self, source: Hashable, start_time: int, horizon: int

@@ -103,10 +103,6 @@ class IntervalSet:
         """Build from individual integer dates."""
         return cls(Interval(t, t + 1) for t in times)
 
-    @classmethod
-    def empty_set(cls) -> "IntervalSet":
-        return cls()
-
     # -- basic queries ---------------------------------------------------------
 
     def __bool__(self) -> bool:

@@ -11,7 +11,7 @@ studies are sets of journey words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator
 
 from repro.core.edges import Edge
 from repro.core.semantics import NO_WAIT, WaitingSemantics
@@ -196,8 +196,3 @@ class Journey:
             f"{self.destination!r}@{self.arrival}, word={word!r}, "
             f"hops={len(self)}, max_pause={self.max_pause})"
         )
-
-
-def journey_word(hops: Sequence[Hop]) -> str:
-    """The word spelled by a hop sequence without building a Journey."""
-    return "".join(h.edge.label for h in hops if h.edge.label is not None)

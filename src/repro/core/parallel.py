@@ -33,6 +33,7 @@ black-box edges included.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Hashable, Protocol
 
@@ -80,6 +81,12 @@ class SweepPlan:
     index's CSR.  ``max_wait`` is the waiting bound (None for
     unbounded, 0 for no-wait).  The arrays are never written, so plans
     may share them; plans compare by content.
+
+    State derived from the content — :attr:`fingerprint` and the
+    kernel's lowering (:func:`~repro.core.sweep_kernel._bitset_lowering`)
+    — is computed at most once per plan object and cached on it, so it
+    lives exactly as long as the plan; it is never part of equality or
+    of the wire spec.
     """
 
     n: int
@@ -107,6 +114,26 @@ class SweepPlan:
     def arrivals(self) -> list[np.ndarray]:
         """Per edge: its arrival dates (views of :attr:`arr`)."""
         return split_csr(self.edge_ptr, self.arr)
+
+    @property
+    def fingerprint(self) -> str:
+        """The plan's content identity: the first 16 hex characters of a
+        sha256 over the four header ints (``max_wait=None`` distinct
+        from 0) and, per array in :attr:`ARRAYS` order, its length and
+        little-endian int64 bytes — the lengths keep plans whose arrays
+        concatenate alike but split differently apart."""
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            digest = hashlib.sha256(
+                f"{self.n} {self.start_time} {self.horizon} {self.max_wait}".encode()
+            )
+            for name in self.ARRAYS:
+                array = np.ascontiguousarray(getattr(self, name), dtype="<i8")
+                digest.update(len(array).to_bytes(8, "little"))
+                digest.update(array)
+            cached = digest.hexdigest()[:16]
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SweepPlan):

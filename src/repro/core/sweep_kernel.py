@@ -37,7 +37,6 @@ cost no dead pops.
 from __future__ import annotations
 
 import heapq
-import weakref
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -129,13 +128,14 @@ class _BitsetLowering(NamedTuple):
     group_hi: np.ndarray
 
 
-#: Cached lowerings keyed by plan identity (a weakref callback evicts
-#: the slot when the plan is collected; the liveness check guards
-#: against id reuse).  Plans are immutable, so identity is sound.
-_BITSET_LOWERINGS: dict[int, tuple["weakref.ref", _BitsetLowering]] = {}
-
-
-def _lower_plan_bitset(plan: "SweepPlan") -> _BitsetLowering:
+def _bitset_lowering(plan: "SweepPlan") -> _BitsetLowering:
+    """The plan's :class:`_BitsetLowering`, computed on first use and
+    stored on the plan itself, so it lives exactly as long as the plan
+    (plans are immutable, so it never goes stale).  Two threads lowering
+    one plan at once both compute the same value; either may be kept."""
+    lowered = plan.__dict__.get("_lowering")
+    if lowered is not None:
+        return lowered
     n = plan.n
     edge_count = len(plan.target_idx)
     src_of_edge = np.empty(edge_count, dtype=np.int64)
@@ -176,23 +176,11 @@ def _lower_plan_bitset(plan: "SweepPlan") -> _BitsetLowering:
     date_hi = np.searchsorted(dep_s, dates, side="right")
     group_lo = np.searchsorted(group_starts_all, date_lo, side="left")
     group_hi = np.searchsorted(group_starts_all, date_hi, side="left")
-    return _BitsetLowering(
+    lowered = _BitsetLowering(
         dep_s, arr_s, tgt_s, src_s, group_starts_all,
         dates, date_lo, date_hi, group_lo, group_hi,
     )
-
-
-def _bitset_lowering(plan: "SweepPlan") -> _BitsetLowering:
-    key = id(plan)
-    hit = _BITSET_LOWERINGS.get(key)
-    if hit is not None and hit[0]() is plan:
-        return hit[1]
-    lowered = _lower_plan_bitset(plan)
-    try:
-        ref = weakref.ref(plan, lambda _r, _k=key: _BITSET_LOWERINGS.pop(_k, None))
-    except TypeError:  # a plan stand-in that refuses weakrefs: skip caching
-        return lowered
-    _BITSET_LOWERINGS[key] = (ref, lowered)
+    object.__setattr__(plan, "_lowering", lowered)
     return lowered
 
 
@@ -243,7 +231,7 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
     wait_like = max_wait is None or start + max_wait + 1 >= horizon
 
     # The source-independent lowering — flattened, sorted, grouped
-    # contacts plus the date axis — cached per plan object.
+    # contacts plus the date axis — cached on the plan object.
     (
         _dep_s, arr_s, tgt_s, src_s, group_starts_all,
         dates, date_lo, date_hi, group_lo, group_hi,

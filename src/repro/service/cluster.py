@@ -19,13 +19,14 @@ Three scheduler properties (Cluster v2) keep the wire and the stragglers
 honest:
 
 * **sticky plans** — a worker memoizes decoded plans in a bounded LRU
-  (:class:`PlanCache`) keyed by the plan spec's fingerprint; the
-  executor ships the full base64 plan to each worker at most once per
-  ``(version, window, semantics)`` and sends fingerprint-only block
-  jobs after.  A worker that no longer holds the plan (restarted, or
-  LRU-evicted) answers a structured *plan-miss*, which the executor
-  repairs with exactly one re-ship — a second miss on the very
-  connection that received the plan fails the job into the local
+  (:class:`PlanCache`) keyed by the plan's content fingerprint
+  (:attr:`~repro.core.parallel.SweepPlan.fingerprint`, computed once
+  per plan from its arrays); the executor ships the full base64 plan
+  to each worker at most once per plan and sends fingerprint-only
+  block jobs after.  A worker that no longer holds the plan
+  (restarted, or LRU-evicted) answers a structured *plan-miss*, which
+  the executor repairs with exactly one re-ship — a second miss on the
+  very connection that received the plan fails the job into the local
   re-sweep.  Stale state can cost a round-trip; it can never change an
   answer.
 * **work stealing** — sources are oversplit into more blocks than
@@ -60,6 +61,7 @@ costs at most a plan re-ship.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import threading
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
@@ -79,7 +81,6 @@ from repro.service.server import guarded_response, handle_json_lines
 from repro.service.wire import (
     matrix_from_spec,
     matrix_to_spec,
-    plan_fingerprint,
     plan_from_spec,
     plan_to_spec,
 )
@@ -104,8 +105,9 @@ DEFAULT_TIMEOUT: float = 30.0
 DEFAULT_OVERSPLIT: int = 4
 
 #: Decoded plans a worker memoizes (LRU).  Plans are O(edges x horizon)
-#: tuples, so a handful bounds worker memory while covering the live
-#: query mix of several executors; an eviction costs one plan re-ship.
+#: int64 arrays, so a handful bounds worker memory while covering the
+#: live query mix of several executors; an eviction costs one plan
+#: re-ship.
 WORKER_PLAN_CACHE_SIZE: int = 8
 
 #: Seconds between the scheduler's membership polls while a sweep is in
@@ -119,46 +121,46 @@ MEMBERSHIP_POLL_SECONDS: float = 0.05
 class PlanCache:
     """A worker's bounded LRU of decoded sweep plans, by fingerprint.
 
-    Maps ``plan_fingerprint(spec)`` to the ``(spec, plan)`` pair so a
-    fingerprint-only job can both sweep (the decoded plan) and echo an
-    honest job fingerprint (the stored spec).  Thread-safe: the worker
-    dispatches jobs on :func:`asyncio.to_thread`, so concurrent clients
-    hit the cache from different threads.
+    Maps each plan's :attr:`~repro.core.parallel.SweepPlan.fingerprint`
+    — computed by the worker from the arrays it decoded, never taken
+    from the sender — to the plan.  Thread-safe: the worker dispatches
+    jobs on :func:`asyncio.to_thread`, so concurrent clients hit the
+    cache from different threads.
 
-    Keeping the *decoded* plan (not just the spec) also keeps the
-    kernel's per-plan lowering memo hot: repeated block jobs against
-    one cached plan see the same plan object, so the bitset kernel's
-    source-independent setup is paid once per plan, not once per job.
+    Repeated block jobs against one cached plan see the same plan
+    object, so the lowering the kernel caches on it is paid once per
+    plan, not once per job.
     """
 
     def __init__(self, max_plans: int = WORKER_PLAN_CACHE_SIZE) -> None:
         if max_plans <= 0:
             raise ServiceError(f"max_plans must be positive, got {max_plans}")
         self.max_plans = max_plans
-        self._plans: OrderedDict[str, tuple[dict, SweepPlan]] = OrderedDict()
+        self._plans: OrderedDict[str, SweepPlan] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def put(self, key: str, spec: dict, plan: SweepPlan) -> None:
+    def put(self, plan: SweepPlan) -> None:
+        key = plan.fingerprint
         with self._lock:
             if key in self._plans:
                 self._plans.move_to_end(key)
             elif len(self._plans) >= self.max_plans:
                 self._plans.popitem(last=False)
                 self.evictions += 1
-            self._plans[key] = (spec, plan)
+            self._plans[key] = plan
 
-    def get(self, key: str) -> tuple[dict, SweepPlan] | None:
+    def get(self, key: str) -> SweepPlan | None:
         with self._lock:
-            entry = self._plans.get(key)
-            if entry is None:
+            plan = self._plans.get(key)
+            if plan is None:
                 self.misses += 1
                 return None
             self.hits += 1
             self._plans.move_to_end(key)
-            return entry
+            return plan
 
     def __len__(self) -> int:
         with self._lock:
@@ -173,6 +175,20 @@ class PlanCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
             }
+
+
+def job_fingerprint(plan: SweepPlan, sources: Sequence[int]) -> str:
+    """A short content hash identifying one sweep job: the plan's
+    fingerprint plus the source block as little-endian int64 bytes.
+
+    A worker echoes the fingerprint of the job it *actually computed*
+    inside its result frame; the executor compares it against the job
+    it *shipped*, so a result produced from a stale plan (or the wrong
+    block) is detected however well-formed its matrix looks.
+    """
+    digest = hashlib.sha256(plan.fingerprint.encode("ascii"))
+    digest.update(np.asarray(sources, dtype="<i8").tobytes())
+    return digest.hexdigest()[:16]
 
 
 def dispatch_worker(op: str, params: dict, plans: PlanCache | None = None) -> Any:
@@ -193,16 +209,14 @@ def dispatch_worker(op: str, params: dict, plans: PlanCache | None = None) -> An
             raise ServiceError("sweep plan_key must be a string")
         if spec is not None:
             plan = plan_from_spec(spec)
-            key = plan_fingerprint(spec)
             if plans is not None:
-                plans.put(key, spec, plan)
+                plans.put(plan)
         elif key is not None:
-            entry = plans.get(key) if plans is not None else None
-            if entry is None:
+            plan = plans.get(key) if plans is not None else None
+            if plan is None:
                 raise PlanMissError(
                     f"plan {key!r} is not cached on this worker; re-ship it"
                 )
-            spec, plan = entry
         else:
             raise ServiceError("sweep needs a plan spec or a plan_key")
         sources = params.get("sources")
@@ -213,10 +227,9 @@ def dispatch_worker(op: str, params: dict, plans: PlanCache | None = None) -> An
         if any(s < 0 or s >= plan.n for s in sources):
             raise ServiceError("sweep sources fall outside the plan's node range")
         result = matrix_to_spec(sweep_block(plan, tuple(sources)))
-        # Echo the fingerprint of the job actually computed — the plan
-        # spec as stored plus the block — so the executor can tell this
-        # result answers *its* job and not a stale one.
-        result["fingerprint"] = plan_fingerprint(spec, (sources,))
+        # Echo the fingerprint of the job actually computed, so the
+        # executor can tell this result answers *its* job.
+        result["fingerprint"] = job_fingerprint(plan, sources)
         return result
     if op == "stats":
         return {"plan_cache": plans.stats() if plans is not None else None}
@@ -388,6 +401,8 @@ class ClusterExecutor:
         # (mirrors the worker-side cache size, so beliefs age out at
         # roughly the same rate the worker evicts).
         self._known_plans: dict[tuple[str, int], OrderedDict[str, None]] = {}
+        # plan fingerprint -> wire spec, for sweeps in flight only.
+        self._specs: dict[str, dict] = {}
         self.workers: list[tuple[str, int]] = []
         self.set_workers(workers)
 
@@ -451,8 +466,6 @@ class ClusterExecutor:
         remaining blocks are swept locally, so the sweep always
         completes with the exact matrix.
         """
-        spec = plan_to_spec(plan)
-        plan_key = plan_fingerprint(spec)
         queue: deque[tuple[int, tuple[int, ...]]] = deque(enumerate(blocks))
         results: dict[int, np.ndarray] = {}
         pullers: dict[tuple[str, int], asyncio.Task] = {}
@@ -461,9 +474,7 @@ class ClusterExecutor:
             while worker in self.workers and queue:
                 i, block = queue.popleft()
                 try:
-                    results[i] = await self._run_block(
-                        spec, plan_key, plan, block, worker
-                    )
+                    results[i] = await self._run_block(plan, block, worker)
                 except BaseException:
                     # _run_block absorbs worker faults; anything that
                     # still escapes (cancellation at teardown) must not
@@ -496,21 +507,17 @@ class ClusterExecutor:
             for task in pullers.values():
                 task.cancel()
             await asyncio.gather(*pullers.values(), return_exceptions=True)
+            self._specs.pop(plan.fingerprint, None)
         return [results[i] for i in range(len(blocks))]
 
     async def _run_block(
-        self,
-        spec: dict,
-        plan_key: str,
-        plan: SweepPlan,
-        block: tuple[int, ...],
-        worker: tuple[str, int],
+        self, plan: SweepPlan, block: tuple[int, ...], worker: tuple[str, int]
     ) -> np.ndarray:
         """One block job: remote if the worker cooperates, local if not."""
         self.jobs_shipped += 1
         try:
             return await asyncio.wait_for(
-                self._remote_sweep(spec, plan_key, plan, block, worker),
+                self._remote_sweep(plan, block, worker),
                 self.timeout,
             )
         except asyncio.TimeoutError:
@@ -537,15 +544,11 @@ class ClusterExecutor:
             return await asyncio.to_thread(sweep_block, plan, block)
 
     async def _remote_sweep(
-        self,
-        spec: dict,
-        plan_key: str,
-        plan: SweepPlan,
-        block: tuple[int, ...],
-        worker: tuple[str, int],
+        self, plan: SweepPlan, block: tuple[int, ...], worker: tuple[str, int]
     ) -> np.ndarray:
         host, port = worker
-        expected = plan_fingerprint(spec, (list(block),))
+        plan_key = plan.fingerprint
+        expected = job_fingerprint(plan, block)
         client = await ServiceClient.connect(host, port, limit=WIRE_LIMIT)
         try:
             result = None
@@ -565,7 +568,7 @@ class ClusterExecutor:
             if result is None:
                 self.plans_shipped += 1
                 result = await client.request(
-                    "sweep", plan=spec, sources=list(block)
+                    "sweep", plan=self._plan_spec(plan), sources=list(block)
                 )
             self._remember_plan(worker, plan_key)
         finally:
@@ -590,6 +593,14 @@ class ClusterExecutor:
                 f"expected {(len(block), plan.n)}"
             )
         return matrix
+
+    def _plan_spec(self, plan: SweepPlan) -> dict:
+        """The plan's wire spec, encoded only when a job ships the full
+        plan and at most once per sweep (dropped when the sweep ends)."""
+        spec = self._specs.get(plan.fingerprint)
+        if spec is None:
+            spec = self._specs[plan.fingerprint] = plan_to_spec(plan)
+        return spec
 
     # -- plan beliefs ----------------------------------------------------------
 

@@ -5,8 +5,8 @@ loop serializes everyone else behind the sweep.  Instead the service
 *submits* them here: :meth:`TaskTable.submit` takes a zero-argument
 compute callable (the service builds it over a private **snapshot** of
 the graph, so the running sweep never shares mutable state with the
-live graph, engine, or cache), runs it on a small worker-thread pool,
-and hands back a task id immediately.  Clients poll ``status`` and
+live graph, engine, or cache), runs it on one worker thread, and
+hands back a task id immediately.  Clients poll ``status`` and
 fetch ``result``; ``cancel`` flips a task to its terminal ``cancelled``
 state — a queued task never starts, a running one keeps computing but
 its result is discarded on arrival (the kernel sweep is not
@@ -18,7 +18,7 @@ first evicts finished tasks oldest-first; if every entry is still
 queued or running the submit is refused with a structured
 :class:`~repro.errors.ServiceError` (backpressure, not unbounded
 memory).  All state transitions happen under one lock — the worker
-threads and the event-loop thread race on nothing else.
+thread and the event-loop thread race on nothing else.
 
 Task states: ``queued -> running -> done | error``, with ``cancelled``
 reachable from ``queued`` and ``running``.  ``done``, ``error``, and
@@ -78,24 +78,19 @@ class BackgroundTask:
 
 
 class TaskTable:
-    """A bounded table of background tasks over a worker-thread pool.
+    """A bounded table of background tasks over one worker thread.
 
     ``max_tasks`` bounds live entries (see the module docstring for the
-    eviction/backpressure policy); ``workers`` sizes the thread pool —
-    one worker by default, so background sweeps never oversubscribe the
-    host against the foreground event loop.  The pool is created lazily
-    on the first submit and torn down by :meth:`shutdown`.
+    eviction/backpressure policy).  One thread, so background sweeps
+    never oversubscribe the host against the foreground event loop; it
+    is started lazily on the first submit and torn down by
+    :meth:`shutdown`.
     """
 
-    def __init__(
-        self, max_tasks: int = DEFAULT_MAX_TASKS, workers: int = 1
-    ) -> None:
+    def __init__(self, max_tasks: int = DEFAULT_MAX_TASKS) -> None:
         if max_tasks <= 0:
             raise ValueError(f"max_tasks must be positive, got {max_tasks}")
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
         self.max_tasks = max_tasks
-        self.workers = workers
         self._tasks: OrderedDict[str, BackgroundTask] = OrderedDict()
         self._lock = threading.Lock()
         self._executor: ThreadPoolExecutor | None = None
@@ -130,8 +125,7 @@ class TaskTable:
             self.submitted += 1
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-task",
+                    max_workers=1, thread_name_prefix="repro-task"
                 )
             executor = self._executor
         executor.submit(self._run, task, compute)

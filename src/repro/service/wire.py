@@ -31,8 +31,6 @@ arbitrary presence objects directly.
 from __future__ import annotations
 
 import base64
-import hashlib
-import json
 from typing import Any, Sequence
 
 import numpy as np
@@ -206,26 +204,28 @@ def plan_to_spec(plan: SweepPlan) -> dict[str, Any]:
 def plan_from_spec(spec: dict[str, Any]) -> SweepPlan:
     """Rebuild a :class:`~repro.core.parallel.SweepPlan` from its spec.
 
-    Validates shape invariants (offset coverage, aligned contact
-    arrays, index ranges) so a malformed or truncated frame becomes a
+    Validates the header (non-bool ints: ``n >= 0``, ``start`` and
+    ``horizon`` inside int64, ``max_wait`` null or in ``[0, 2**63)``)
+    and shape invariants (offset coverage, aligned contact arrays,
+    index ranges) so a malformed or truncated frame becomes a
     :class:`ServiceError` — the signal the cluster's fault handling
     turns into a local re-run — never a worker crash deep inside the
     sweep.
     """
     if not isinstance(spec, dict) or spec.get("kind") != "sweep_plan":
         raise ServiceError(f"malformed sweep plan spec {spec!r}")
-    try:
-        n = int(spec["n"])
-        start = int(spec["start"])
-        horizon = int(spec["horizon"])
-        raw_wait = spec["max_wait"]
-        max_wait = None if raw_wait is None else int(raw_wait)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ServiceError(f"malformed sweep plan header: {exc}") from None
-    if n < 0:
-        raise ServiceError("sweep plan node count must be >= 0")
-    if max_wait is not None and max_wait < 0:
-        raise ServiceError("sweep plan max_wait must be >= 0 or null")
+    # Each header field's lowest value; every one ends below 2**63.
+    header = {"n": 0, "start": -(2**63), "horizon": -(2**63), "max_wait": 0}
+    for name, low in header.items():
+        value = spec.get(name, "missing")
+        if name == "max_wait" and value is None:
+            continue
+        if type(value) is not int or not low <= value < 2**63:
+            raise ServiceError(
+                f"sweep plan {name} must be an int64{' >= 0' if low == 0 else ''}, "
+                f"got {value!r}"
+            )
+    n, start, horizon, max_wait = (spec[name] for name in header)
     arrays = {name: _unpack_int64(spec.get(name), name) for name in SweepPlan.ARRAYS}
     edge_count = len(arrays["target_idx"])
     _check_csr(arrays["out_ptr"], n, len(arrays["out_edge_idx"]), "out_ptr")
@@ -245,27 +245,6 @@ def plan_from_spec(spec: dict[str, Any]) -> SweepPlan:
     return SweepPlan(
         n=n, start_time=start, horizon=horizon, max_wait=max_wait, **arrays
     )
-
-
-def plan_fingerprint(spec: dict[str, Any], context: Sequence[Any] = ()) -> str:
-    """A short content hash identifying one shipped sweep job.
-
-    Hashes the canonical JSON of the plan spec — which encodes the
-    graph's lowered contacts (hence its version), the window, and the
-    waiting semantics — plus any extra ``context`` (the executor adds
-    the source block).  A worker echoes the fingerprint of
-    the job it *actually computed* inside its result frame; the
-    executor compares against the job it *shipped*, so a result frame
-    produced from a stale plan (or the wrong block) is detected however
-    well-formed its matrix looks.
-    """
-    try:
-        canonical = json.dumps(
-            [spec, list(context)], sort_keys=True, separators=(",", ":")
-        )
-    except (TypeError, ValueError) as exc:
-        raise ServiceError(f"job has no canonical form: {exc}") from None
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def matrix_to_spec(matrix: np.ndarray) -> dict[str, Any]:

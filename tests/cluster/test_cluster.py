@@ -12,6 +12,8 @@ which some sandboxes forbid — deselect with ``-m "not service"`` (or
 """
 
 import asyncio
+import json
+import socket
 
 import numpy as np
 import pytest
@@ -189,6 +191,9 @@ class TestFaultRecovery:
         _same, serial = TemporalEngine(g).arrival_matrix(0, WAIT, horizon=HORIZON)
         assert np.array_equal(distributed, serial)
         assert cluster.stale_results_rejected >= 1
+        # Every job the double saw, full-plan or fingerprint-only, was
+        # answered and then refused by the fingerprint check, not by EOF.
+        assert cluster.stale_results_rejected == faulty.jobs_seen
         assert cluster.jobs_recovered >= 1
         assert cluster.stats()["stale_results_rejected"] >= 1
 
@@ -278,6 +283,39 @@ class TestWorkerConcurrency:
         """The dispatcher itself is sync (trace replay and unit tests
         call it directly); only the socket handler threads it."""
         assert handle_worker_request({"op": "ping"})["result"] == "pong"
+
+
+class TestWorkerBoundary:
+    def test_bad_plan_headers_get_one_error_frame_each(self, pool):
+        """``start: 10**30`` once reached the kernel, whose OverflowError
+        dropped the connection with no frame; floats, strings and bools
+        were read with ``int()``.  Each header now gets one ``ok: false``
+        frame, and a ping on the same connection answers."""
+        from repro.core.parallel import build_sweep_plan
+        from repro.service.wire import plan_to_spec
+
+        engine = TemporalEngine(random_graph())
+        spec = plan_to_spec(build_sweep_plan(engine, 0, WAIT, HORIZON)[1])
+        headers = [
+            {"start": 10**30}, {"start": -10**30}, {"horizon": 2**63},
+            {"max_wait": 2**63}, {"n": 3.9}, {"start": "0"}, {"max_wait": True},
+        ]
+        host, port = pool.addresses[0].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            stream = sock.makefile("rwb")
+
+            def send(request):
+                stream.write(json.dumps(request).encode() + b"\n")
+                stream.flush()
+                return json.loads(stream.readline())
+
+            for i, header in enumerate(headers):
+                plan = {**spec, **header}
+                frame = send({"op": "sweep", "id": i, "plan": plan, "sources": [0]})
+                assert frame["id"] == i and frame["ok"] is False
+                assert frame["error"].startswith("ServiceError: sweep plan")
+                pong = send({"op": "ping", "id": 100 + i})
+                assert pong == {"id": 100 + i, "ok": True, "result": "pong"}
 
 
 class TestPoolLifecycle:

@@ -27,9 +27,10 @@ from repro.service.cluster import (
     PlanCache,
     dispatch_worker,
     handle_worker_request,
+    job_fingerprint,
     parse_worker_address,
 )
-from repro.service.wire import matrix_from_spec, plan_fingerprint, plan_to_spec
+from repro.service.wire import matrix_from_spec, plan_to_spec
 
 HORIZON = 14
 
@@ -95,16 +96,17 @@ class TestPlanCacheProtocol:
 
     def test_fingerprint_only_job_answers_from_the_cache(self):
         plan, serial = plan_and_serial()
-        spec = plan_to_spec(plan)
-        key = plan_fingerprint(spec)
         plans = PlanCache()
-        dispatch_worker("sweep", {"plan": spec, "sources": [0]}, plans)
+        first = dispatch_worker(
+            "sweep", {"plan": plan_to_spec(plan), "sources": [0]}, plans
+        )
         result = dispatch_worker(
-            "sweep", {"plan_key": key, "sources": [1, 2]}, plans
+            "sweep", {"plan_key": plan.fingerprint, "sources": [1, 2]}, plans
         )
         assert np.array_equal(matrix_from_spec(result), serial[1:3])
         # Both routes echo the fingerprint of the job actually computed.
-        assert result["fingerprint"] == plan_fingerprint(spec, ([1, 2],))
+        assert first["fingerprint"] == job_fingerprint(plan, [0])
+        assert result["fingerprint"] == job_fingerprint(plan, [1, 2])
 
     def test_unknown_fingerprint_is_a_plan_miss(self):
         plans = PlanCache()
@@ -125,12 +127,9 @@ class TestPlanCacheProtocol:
 
     def test_without_a_cache_every_fingerprint_job_misses(self):
         plan, _serial = plan_and_serial()
-        spec = plan_to_spec(plan)
-        dispatch_worker("sweep", {"plan": spec, "sources": [0]})  # plans=None
-        with pytest.raises(PlanMissError):
-            dispatch_worker(
-                "sweep", {"plan_key": plan_fingerprint(spec), "sources": [0]}
-            )
+        dispatch_worker("sweep", {"plan": plan_to_spec(plan), "sources": [0]})
+        with pytest.raises(PlanMissError):  # plans=None above and here
+            dispatch_worker("sweep", {"plan_key": plan.fingerprint, "sources": [0]})
 
     def test_non_string_plan_key_rejected(self):
         with pytest.raises(ServiceError, match="must be a string"):
@@ -138,23 +137,21 @@ class TestPlanCacheProtocol:
 
     def test_lru_eviction_is_bounded_and_counted(self):
         plans = PlanCache(max_plans=2)
-        specs = []
+        shipped = []
         for seed in (1, 2, 3):
             plan, _ = plan_and_serial(n=8, seed=seed)
-            spec = plan_to_spec(plan)
-            specs.append(spec)
-            dispatch_worker("sweep", {"plan": spec, "sources": [0]}, plans)
+            shipped.append(plan)
+            job = {"plan": plan_to_spec(plan), "sources": [0]}
+            dispatch_worker("sweep", job, plans)
         assert len(plans) == 2 and plans.evictions == 1
         # The oldest plan is gone; the two newest still answer.
         with pytest.raises(PlanMissError):
             dispatch_worker(
-                "sweep", {"plan_key": plan_fingerprint(specs[0]), "sources": [0]},
-                plans,
+                "sweep", {"plan_key": shipped[0].fingerprint, "sources": [0]}, plans
             )
-        for spec in specs[1:]:
+        for plan in shipped[1:]:
             dispatch_worker(
-                "sweep", {"plan_key": plan_fingerprint(spec), "sources": [0]},
-                plans,
+                "sweep", {"plan_key": plan.fingerprint, "sources": [0]}, plans
             )
         assert plans.hits == 2 and plans.misses == 1
 

@@ -11,6 +11,7 @@ so arbitrary predicates never pickle and each fires at most once per
 
 import concurrent.futures
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.core.latency import function_latency
 from repro.core.parallel import (
     MIN_PARALLEL_NODES,
     ProcessShards,
+    SweepPlan,
     build_sweep_plan,
     partition_sources,
     sweep_block,
@@ -191,6 +193,47 @@ class TestSweepPlan:
         for predicate in predicates:
             assert sorted(set(predicate.calls)) == list(range(0, HORIZON))
             assert predicate.max_calls_per_date() == 1
+
+    def test_fingerprint_tells_apart_every_one_value_change(self):
+        """One header int, one array element, or only where an array
+        boundary falls: each change gives a different fingerprint."""
+        plan = make_plan(
+            n=2, out_edges=((0, 1), ()), target_idx=(1, 1),
+            contacts=((1, 2), (3,)), arrivals=((2, 3), (5,)),
+            start_time=0, horizon=8, max_wait=None,
+        )
+        variants = [
+            replace(plan, n=3),
+            replace(plan, start_time=1),
+            replace(plan, horizon=9),
+            replace(plan, max_wait=0),  # None (unbounded) is not 0
+            replace(plan, max_wait=1),
+        ]
+        for name in SweepPlan.ARRAYS:
+            bumped = getattr(plan, name).copy()
+            bumped[-1] += 1
+            variants.append(replace(plan, **{name: bumped}))
+        # Move the first value of each array onto the end of the one
+        # before it: the concatenated bytes stay the same.
+        names = SweepPlan.ARRAYS
+        for before, after in zip(names, names[1:]):
+            head, tail = getattr(plan, before), getattr(plan, after)
+            moved = replace(
+                plan,
+                **{before: np.append(head, tail[0]), after: tail[1:].copy()},
+            )
+            assert np.array_equal(
+                np.concatenate([getattr(moved, a) for a in names]),
+                np.concatenate([getattr(plan, a) for a in names]),
+            )
+            variants.append(moved)
+        fingerprints = {p.fingerprint for p in [plan, *variants]}
+        assert len(fingerprints) == 1 + len(variants)
+        assert all(len(f) == 16 for f in fingerprints)
+        # Content, not identity, and not the Python type of the ints.
+        assert replace(plan).fingerprint == plan.fingerprint
+        numpy_header = replace(plan, n=np.int64(2), horizon=np.int64(8))
+        assert numpy_header.fingerprint == plan.fingerprint
 
     def test_plan_arrivals_swallow_callable_latencies(self):
         g, _predicates = blackbox_ring()

@@ -3,13 +3,19 @@
 The property suite (``tests/properties/test_property_kernel.py``) proves
 the kernel equal to the bignum oracle; this file pins the *mechanics*:
 :class:`SweepStats` accounting, the kernel's one-bucket-per-date axis,
-and the oracle's heap hygiene — dedup seeding and dead-pop skipping on
-a merge-heavy graph, the churn the old in-engine sweep paid for on
-every duplicated frontier entry.
+the lowering cached on the plan, and the oracle's heap hygiene — dedup
+seeding and dead-pop skipping on a merge-heavy graph, the churn the old
+in-engine sweep paid for on every duplicated frontier entry.
 """
+
+import gc
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.core import sweep_kernel
 from repro.core.engine import TemporalEngine
 from repro.core.latency import constant_latency
 from repro.core.parallel import build_sweep_plan
@@ -91,6 +97,50 @@ class TestSweepStats:
         plan = self._plan()
         for sweep in (sweep_block, sweep_block_bignum):
             assert sweep(plan, range(plan.n)).shape == (plan.n, plan.n)
+
+
+class TestLoweringMemo:
+    def test_two_sweeps_lower_once_and_the_plan_can_be_collected(
+        self, monkeypatch
+    ):
+        """The lowering is cached on the plan itself: a second sweep
+        reuses it, and nothing else keeps the plan alive."""
+        real = sweep_kernel._BitsetLowering
+        lowered = []
+
+        def counted(*fields):
+            lowered.append(real(*fields))
+            return lowered[-1]
+
+        monkeypatch.setattr(sweep_kernel, "_BitsetLowering", counted)
+        plan = TestSweepStats()._plan()
+        full = sweep_block(plan, range(plan.n))
+        assert np.array_equal(sweep_block(plan, (3, 1)), full[[3, 1]])
+        assert len(lowered) == 1
+        plan_ref = weakref.ref(plan)
+        del plan
+        gc.collect()
+        assert plan_ref() is None
+
+    def test_racing_first_sweeps_of_one_plan_stay_exact(self):
+        """Worker threads sweep one cached plan at once: first sweeps
+        that race may each lower it, and every answer stays exact."""
+        plan = TestSweepStats()._plan()
+        expected = sweep_block_bignum(plan, range(plan.n))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                results = list(
+                    pool.map(
+                        lambda _: sweep_block(plan, range(plan.n)),
+                        range(16),
+                        timeout=60,
+                    )
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(result, expected) for result in results)
 
 
 class TestEngineKernelThreading:

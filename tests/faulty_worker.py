@@ -8,10 +8,12 @@ local re-sweep must absorb.
 import json
 import socket
 import threading
+from dataclasses import replace
 
 import numpy as np
 
-from repro.service.wire import matrix_to_spec, plan_fingerprint
+from repro.service.cluster import job_fingerprint
+from repro.service.wire import matrix_to_spec, plan_from_spec
 
 
 class FaultyWorker:
@@ -34,9 +36,11 @@ class FaultyWorker:
       spec of the wrong dimensions;
     * ``"stale-plan-version"`` — answer ``ok: true`` with a matrix of
       the *correct* shape but computed "from" a stale plan: the echoed
-      fingerprint hashes a doctored plan spec.  Before fingerprint
-      checking this was the silent-corruption hole — a shape check
-      alone accepts the frame and stacks wrong numbers into the answer;
+      job fingerprint hashes a doctored copy of the plan.  Full-plan and
+      fingerprint-only jobs alike get such a frame (the double keeps
+      the plans it was shipped).  Before fingerprint checking this was
+      the silent-corruption hole — a shape check alone accepts the
+      frame and stacks wrong numbers into the answer;
     * ``"plan-evicted"`` — answer *every* sweep job with a structured
       plan-miss frame, even one that just shipped the full plan.  The
       executor owes exactly one re-ship; a worker that claims eviction
@@ -59,6 +63,7 @@ class FaultyWorker:
         self.port = self._sock.getsockname()[1]
         self.address = f"127.0.0.1:{self.port}"
         self.jobs_seen = 0
+        self._plans: dict = {}  # fingerprint -> plan, for stale-plan-version
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._serve, name="faulty-worker", daemon=True
@@ -114,18 +119,20 @@ class FaultyWorker:
                 conn.sendall(json.dumps(response).encode() + b"\n")
             elif mode == "stale-plan-version":
                 request = json.loads(data)
-                plan_spec = request.get("plan") or {}
-                sources = request.get("sources") or []
+                if request.get("plan") is not None:
+                    plan = plan_from_spec(request["plan"])
+                    self._plans[plan.fingerprint] = plan
+                else:
+                    plan = self._plans[request["plan_key"]]
+                sources = request["sources"]
                 # Right shape, wrong contents: zeros for the block, and
-                # a fingerprint honestly computed — but from a plan one
-                # version behind the one the executor shipped.
-                stale_spec = dict(plan_spec)
-                stale_spec["start"] = int(plan_spec.get("start", 0) or 0) - 1
+                # a job fingerprint honestly computed — but from a plan
+                # one start date behind the one the executor shipped.
+                stale = replace(plan, start_time=plan.start_time - 1)
                 result = matrix_to_spec(
-                    np.zeros((len(sources), int(plan_spec.get("n", 0) or 0)),
-                             dtype=np.int64)
+                    np.zeros((len(sources), plan.n), dtype=np.int64)
                 )
-                result["fingerprint"] = plan_fingerprint(stale_spec, (sources,))
+                result["fingerprint"] = job_fingerprint(stale, sources)
                 response = {"id": request.get("id"), "ok": True, "result": result}
                 conn.sendall(json.dumps(response).encode() + b"\n")
             elif mode == "plan-evicted":

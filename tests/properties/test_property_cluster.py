@@ -168,6 +168,7 @@ class TestPlanSpecRoundTrip:
         spec = plan_to_spec(plan)
         clone = plan_from_spec(json.loads(json.dumps(spec)))
         assert clone == plan
+        assert clone.fingerprint == plan.fingerprint
         assert type(clone.max_wait) is type(plan.max_wait)
 
     @given(sweep_plans(), st.integers(0, 4))
@@ -190,6 +191,7 @@ class TestPlanSpecRoundTrip:
         _nodes, plan = build_sweep_plan(engine, start, semantics, HORIZON)
         clone = plan_from_spec(json.loads(json.dumps(plan_to_spec(plan))))
         assert clone == plan
+        assert clone.fingerprint == plan.fingerprint
         full = tuple(range(plan.n))
         assert np.array_equal(sweep_block(clone, full), sweep_block(plan, full))
 

@@ -57,7 +57,7 @@ def test_failed_compute_records_the_error(table):
 
 def test_cancel_queued_task_never_starts():
     # One worker pinned by a gated task => the second submit stays queued.
-    table = TaskTable(max_tasks=4, workers=1)
+    table = TaskTable(max_tasks=4)
     gate = threading.Event()
     ran = []
     try:
@@ -132,7 +132,7 @@ def test_eviction_under_churn_drops_oldest_finished():
 
 
 def test_backpressure_when_full_of_unfinished_tasks():
-    table = TaskTable(max_tasks=2, workers=1)
+    table = TaskTable(max_tasks=2)
     gate = threading.Event()
     try:
         table.submit("reach", version=1, compute=gate.wait)
@@ -146,7 +146,7 @@ def test_backpressure_when_full_of_unfinished_tasks():
 
 
 def test_shutdown_cancels_queued_tasks():
-    table = TaskTable(max_tasks=4, workers=1)
+    table = TaskTable(max_tasks=4)
     gate = threading.Event()
     blocker = table.submit("reach", version=1, compute=gate.wait)
     queued = table.submit("reach", version=1, compute=lambda: 1)
@@ -183,5 +183,3 @@ def test_default_bound_and_bad_parameters():
     assert TaskTable().max_tasks == DEFAULT_MAX_TASKS
     with pytest.raises(ValueError):
         TaskTable(max_tasks=0)
-    with pytest.raises(ValueError):
-        TaskTable(workers=0)

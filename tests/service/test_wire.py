@@ -156,6 +156,13 @@ class TestSweepPlanSpecs:
             {"target_idx": "AAAA"},                       # not whole int64s
             {"dep": None},                                # missing payload
             {"out_ptr": None},                            # missing offsets
+            {"start": 10**30},                            # past int64
+            {"start": -10**30},                           # below int64
+            {"horizon": 2**63},                           # one past int64
+            {"max_wait": 2**63},                          # one past int64
+            {"n": 3.9},                                   # float, not int
+            {"start": "0"},                               # string, not int
+            {"max_wait": True},                           # bool, not int
         ],
     )
     def test_malformed_specs_rejected(self, corruption):
