@@ -1,8 +1,9 @@
-"""Legacy setup shim.
+"""Package metadata and install script.
 
-Kept so that ``pip install -e .`` / ``python setup.py develop`` work on
-environments whose setuptools predates PEP 660 editable wheels (no
-``wheel`` package available).  All real metadata lives in pyproject.toml.
+The repository has no ``pyproject.toml``: this file is the package's
+only metadata.  ``pip install -e .`` / ``python setup.py develop`` work
+with it even where setuptools predates PEP 660 editable wheels (no
+``wheel`` package available).
 """
 
 from setuptools import find_packages, setup

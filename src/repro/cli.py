@@ -477,7 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", type=int, default=7712)
     srv.add_argument(
         "--cache-size", type=_number(int, 0), default=256,
-        help="max memoized query results held across mutations",
+        help="max memoized query results at the current graph version; "
+        "the service also keeps, outside the cache and across mutations, "
+        "the newest arrival matrix of each of its last few windows",
     )
     srv.add_argument(
         "--rate-limit", type=_number(int, 0), default=None,

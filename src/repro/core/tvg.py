@@ -163,36 +163,17 @@ class TimeVaryingGraph:
 
         ``presence`` defaults to always-present and ``latency`` to the
         unit latency, so a plain static graph needs no schedule at all.
-        ``key`` must be unique; omitted keys are auto-generated.
+        ``key`` must be unique; an omitted key becomes the next ``e{k}``
+        no edge holds.  A duplicate key leaves the graph untouched.
         """
-        self.add_node(source)
-        self.add_node(target)
-        if key is None:
-            key = f"e{self._key_counter}"
-            self._key_counter += 1
-        if key in self._edges:
-            raise ReproError(f"duplicate edge key {key!r}")
-        edge = Edge(
-            source=source,
-            target=target,
-            label=label,
-            key=key,
-            presence=presence if presence is not None else always(),
-            latency=latency if latency is not None else constant_latency(1),
-        )
-        self._insert(edge)
-        return edge
+        edge = self._new_edge(source, target, label, presence, latency, key)
+        return self._add(edge)[0]
 
     def add_edge_object(self, edge: Edge) -> Edge:
         """Add a pre-built :class:`Edge` (used by transforms)."""
-        self.add_node(edge.source)
-        self.add_node(edge.target)
         if not edge.key:
             raise ReproError("edge objects added directly must carry a key")
-        if edge.key in self._edges:
-            raise ReproError(f"duplicate edge key {edge.key!r}")
-        self._insert(edge)
-        return edge
+        return self._add(edge)[0]
 
     def add_contact(
         self,
@@ -206,17 +187,47 @@ class TimeVaryingGraph:
         """Add an undirected contact as a symmetric pair of edges.
 
         Contact networks (the DTN setting of the paper's introduction)
-        are undirected; both directions share the same schedule.
+        are undirected; both directions share the same schedule.  Both
+        keys are checked before either edge goes in.
         """
-        forward = self.add_edge(u, v, label=label, presence=presence, latency=latency, key=key)
-        backward = self.add_edge_object(forward.reversed())
-        return forward, backward
+        forward = self._new_edge(u, v, label, presence, latency, key)
+        return self._add(forward, forward.reversed())
 
-    def _insert(self, edge: Edge) -> None:
-        self._edges[edge.key] = edge
-        self._out[edge.source][edge.key] = edge
-        self._in[edge.target][edge.key] = edge
-        self._record("add_edge", edge.key, edge.source, edge.target)
+    def _new_edge(
+        self, source: Hashable, target: Hashable, label: str | None,
+        presence: PresenceFunction | None, latency: LatencyFunction | None,
+        key: str | None,
+    ) -> Edge:
+        if key is None:
+            # Explicit keys may have taken some e{k}: skip them.
+            while f"e{self._key_counter}" in self._edges:
+                self._key_counter += 1
+            key = f"e{self._key_counter}"
+            self._key_counter += 1
+        return Edge(
+            source=source,
+            target=target,
+            label=label,
+            key=key,
+            presence=presence if presence is not None else always(),
+            latency=latency if latency is not None else constant_latency(1),
+        )
+
+    def _add(self, *edges: Edge) -> tuple[Edge, ...]:
+        """Insert edges all or nothing: every key is checked before any
+        node or edge goes in, so a refusal leaves the graph (and its
+        version) as it was."""
+        for edge in edges:
+            if edge.key in self._edges:
+                raise ReproError(f"duplicate edge key {edge.key!r}")
+        for edge in edges:
+            self.add_node(edge.source)
+            self.add_node(edge.target)
+            self._edges[edge.key] = edge
+            self._out[edge.source][edge.key] = edge
+            self._in[edge.target][edge.key] = edge
+            self._record("add_edge", edge.key, edge.source, edge.target)
+        return edges
 
     def remove_edge(self, key: str) -> Edge:
         """Remove and return the edge with the given key."""

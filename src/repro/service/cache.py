@@ -12,9 +12,8 @@ plain LRU on top.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 #: Sentinel returned by :meth:`QueryCache.get` on a miss, so ``None``
 #: stays a cacheable value (e.g. "no journey arrives").
@@ -35,15 +34,10 @@ class QueryCache:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
         self._entries: OrderedDict[tuple[int, Hashable], Any] = OrderedDict()
-        # Per-query sorted version lists, kept in lockstep with
-        # ``_entries`` — :meth:`ancestor` is a bisect over the versions
-        # of *that* query, not a scan of every cached entry.
-        self._versions: dict[Hashable, list[int]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.purged = 0
-        self.retained = 0
 
     def get(self, version: int, query: Hashable) -> Any:
         """The cached result, or :data:`MISS`; a hit refreshes recency."""
@@ -60,95 +54,26 @@ class QueryCache:
         key = (version, query)
         if key in self._entries:
             self._entries.move_to_end(key)
-        else:
-            if len(self._entries) >= self.max_entries:
-                evicted, _value = self._entries.popitem(last=False)
-                self._index_discard(evicted)
-                self.evictions += 1
-            self._index_add(key)
+        elif len(self._entries) >= self.max_entries:
+            self._entries.popitem(last=False)
+            self.evictions += 1
         self._entries[key] = value
 
-    def purge_stale(
-        self,
-        current_version: int,
-        retain: Callable[[Hashable], bool] | None = None,
-    ) -> int:
-        """Evict stale entries (version != ``current_version``), except
-        the newest one per query that ``retain`` vouches for.
+    def purge_stale(self, current_version: int) -> int:
+        """Evict every entry whose version is not ``current_version``;
+        returns how many went.
 
-        ``retain`` is a predicate on the *query* part of the key; of
-        the stale entries it accepts, the newest per query stays in the
-        cache as incremental seed material (the service keeps its last
-        arrival matrix this way, so a later query can patch instead of
-        re-sweeping).  Older ones go: versions only grow, so
-        :meth:`ancestor` can never hand them back again.  Returns how
-        many entries were purged.  Three separately monotone counters keep
-        the observability honest: ``purged`` counts only
-        staleness-purged entries, ``retained`` counts stale entries a
-        retain predicate kept (once per purge pass they survive), and
-        ``evictions`` counts only LRU-pressure drops from :meth:`put` —
-        the three never mix.  Entries at the current version are
-        untouched — invalidation is exact, not a flush.
+        ``purged`` counts only these staleness purges and ``evictions``
+        only LRU-pressure drops from :meth:`put`, so an operator can
+        tell write-churn invalidation from capacity pressure.  Entries
+        at the current version are untouched — invalidation is exact,
+        not a flush.
         """
         stale = [key for key in self._entries if key[0] != current_version]
-        newest: dict[Hashable, int] = {}
-        if retain is not None:
-            for version, query in stale:
-                if retain(query):
-                    newest[query] = max(version, newest.get(query, version))
-        kept = 0
         for key in stale:
-            if newest.get(key[1]) == key[0]:
-                kept += 1
-                continue
             del self._entries[key]
-            self._index_discard(key)
-        self.purged += len(stale) - kept
-        self.retained += kept
-        return len(stale) - kept
-
-    def ancestor(self, query: Hashable, version: int) -> tuple[int, Any] | None:
-        """The newest cached ``(ancestor_version, value)`` of ``query``
-        strictly below ``version``, or None.
-
-        The incremental sweep's entry point: a hit hands back the most
-        recent surviving matrix for the same query so the caller can
-        ask the graph for the delta chain since.  One bisect over the
-        per-query version index — O(log versions of *that* query), not
-        a scan of every cached entry.  Refreshes the found entry's LRU
-        recency (it is about to be useful) but moves no hit/miss
-        counters — it is not a result lookup.
-        """
-        versions = self._versions.get(query)
-        if not versions:
-            return None
-        i = bisect_left(versions, version)
-        if i == 0:
-            return None
-        found = versions[i - 1]
-        key = (found, query)
-        self._entries.move_to_end(key)
-        return found, self._entries[key]
-
-    # -- the per-query version index -------------------------------------------
-
-    def _index_add(self, key: tuple[int, Hashable]) -> None:
-        version, query = key
-        versions = self._versions.setdefault(query, [])
-        i = bisect_left(versions, version)
-        if i == len(versions) or versions[i] != version:
-            versions.insert(i, version)
-
-    def _index_discard(self, key: tuple[int, Hashable]) -> None:
-        version, query = key
-        versions = self._versions.get(query)
-        if versions is None:
-            return
-        i = bisect_left(versions, version)
-        if i < len(versions) and versions[i] == version:
-            versions.pop(i)
-            if not versions:
-                del self._versions[query]
+        self.purged += len(stale)
+        return len(stale)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -178,7 +103,6 @@ class QueryCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "purged": self.purged,
-            "retained": self.retained,
             "hit_rate": self.hit_rate,
         }
 

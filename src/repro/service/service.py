@@ -29,6 +29,7 @@ mutation/query schedules against a shadow copy to prove it.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 import numpy as np
@@ -49,19 +50,11 @@ from repro.service.tasks import DEFAULT_MAX_TASKS, TaskTable
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.core.parallel import SweepExecutor
 
-#: The incremental-maintenance policies a service can run under:
-#: ``"off"`` never patches (every cache miss is a full sweep), ``"on"``
-#: patches when the cone is small enough to beat a full sweep, and
-#: ``"force"`` patches whenever the delta chain allows it at all — the
-#: mode the differential suites pin the path down with.
-INCREMENTAL_MODES: tuple[str, ...] = ("off", "on", "force")
-
-
-def _is_matrix_query(query: Hashable) -> bool:
-    """Whether a cache query names a retainable arrival matrix."""
-    return (
-        isinstance(query, tuple) and bool(query) and query[0] == "arrival_matrix"
-    )
+#: How many incremental seeds a service keeps; the least recently
+#: computed goes first.  The benchmark's traffic sweeps one or two
+#: windows, and the engine memoizes at most ``PLAN_MEMO_SIZE`` (8)
+#: plans.
+MAX_SEEDS: int = 8
 
 
 class TVGService:
@@ -73,13 +66,14 @@ class TVGService:
     sweeps run (:class:`~repro.core.parallel.ProcessShards`,
     :class:`~repro.service.cluster.ClusterExecutor`, or None for
     in-process).  Answers are identical on every executor, so cache
-    keys and hit behaviour don't change.  ``incremental`` picks the
-    maintenance mode (:data:`INCREMENTAL_MODES`): with it on, mutations
-    *retain* old arrival matrices instead of purging them, and a later
-    miss patches the nearest ancestor through the graph's recorded
-    delta chain — re-sweeping only the source rows whose answers can
-    have changed — rather than re-sweeping everything; answers stay
-    entry-for-entry identical to a from-scratch sweep.
+    keys and hit behaviour don't change.
+
+    The service also keeps, per window, the newest arrival matrix it
+    computed — its *seed* — across mutations.  A later miss patches the
+    seed through the graph's delta chain, re-sweeping only the source
+    rows whose answers can have changed, and sweeps in full only when
+    the chain does not allow a patch; answers stay entry-for-entry
+    identical to a from-scratch sweep.
     """
 
     def __init__(
@@ -88,19 +82,16 @@ class TVGService:
         window: Interval | tuple[int, int] | None = None,
         cache_size: int = 256,
         executor: "SweepExecutor | None" = None,
-        incremental: str = "on",
         max_tasks: int = DEFAULT_MAX_TASKS,
     ) -> None:
-        if incremental not in INCREMENTAL_MODES:
-            raise ValueError(
-                f"unknown incremental mode {incremental!r}; "
-                f"choose from {', '.join(INCREMENTAL_MODES)}"
-            )
         self.graph = graph
         self.engine = TemporalEngine(graph, window, executor)
         self.cache = QueryCache(max_entries=cache_size)
-        self.incremental = incremental
         self.tasks = TaskTable(max_tasks=max_tasks)
+        # Matrix query -> the newest (version, index, matrix) computed
+        # for it, oldest computation first.
+        self._seeds: OrderedDict[tuple, tuple[int, dict, np.ndarray]] = OrderedDict()
+        self.seeds_retained = 0
         self.queries_served = 0
         self.mutations_applied = 0
         self.full_sweeps = 0
@@ -125,11 +116,7 @@ class TVGService:
 
         Every point query at the same ``(version, window, semantics)``
         shares this one entry, so a burst of ``reach``/``arrival``
-        calls between mutations costs a single sweep.  On a miss, an
-        *ancestor* matrix for the same query (retained across
-        mutations when incremental maintenance is on) is patched
-        through the graph's delta chain instead of re-swept from
-        scratch, whenever the dirty cone allows it.
+        calls between mutations costs a single sweep.
         """
         query = ("arrival_matrix", start, horizon, str(semantics))
         return self._cached(
@@ -139,35 +126,38 @@ class TVGService:
     def _compute_matrix(
         self, query: tuple, start: int, horizon: int, semantics: WaitingSemantics
     ) -> tuple[dict[Hashable, int], np.ndarray]:
-        """One cache-miss matrix: incremental patch if possible, else a
-        full sweep on the engine's executor."""
-        if self.incremental != "off":
-            found = self.cache.ancestor(query, self.graph.version)
-            if found is not None:
-                ancestor_version, (index, matrix) = found
-                result = self.engine.arrival_matrix_incremental(
-                    start,
-                    (list(index), matrix),
-                    self.graph.deltas_since(ancestor_version),
-                    semantics,
-                    horizon,
-                    # "on" keeps full sweeps (on the executor) for
-                    # cones covering most rows; "force" never does.
-                    max_rows=(
-                        None
-                        if self.incremental == "force"
-                        else max(1, self.graph.node_count // 2)
-                    ),
-                )
-                if result is not None:
-                    nodes, merged, reswept = result
-                    self.incremental_sweeps += 1
-                    self.rows_reswept += reswept
-                    self.rows_reused += len(nodes) - reswept
-                    return {node: i for i, node in enumerate(nodes)}, merged
-        self.full_sweeps += 1
-        nodes, full = self.engine.arrival_matrix(start, semantics, horizon=horizon)
-        return {node: i for i, node in enumerate(nodes)}, full
+        """One cache-miss matrix, from the query's seed when it can be.
+
+        A seed at the current version (its cache entry was evicted) is
+        the answer; an older one is patched through the delta chain,
+        whatever the cone's size (a patch costs at most a full sweep plus
+        one matrix copy).  The result becomes the query's seed.
+        """
+        version = self.graph.version
+        seed = self._seeds.pop(query, None)
+        result = None
+        if seed is not None and seed[0] == version:
+            result = seed[1:]
+        elif seed is not None:
+            seed_version, index, matrix = seed
+            patched = self.engine.arrival_matrix_incremental(
+                start, (list(index), matrix), self.graph.deltas_since(seed_version),
+                semantics, horizon,
+            )
+            if patched is not None:
+                nodes, merged, reswept = patched
+                self.incremental_sweeps += 1
+                self.rows_reswept += reswept
+                self.rows_reused += len(nodes) - reswept
+                result = {node: i for i, node in enumerate(nodes)}, merged
+        if result is None:
+            self.full_sweeps += 1
+            nodes, full = self.engine.arrival_matrix(start, semantics, horizon=horizon)
+            result = {node: i for i, node in enumerate(nodes)}, full
+        self._seeds[query] = (version, *result)
+        if len(self._seeds) > MAX_SEEDS:
+            self._seeds.popitem(last=False)
+        return result
 
     # -- queries ---------------------------------------------------------------
 
@@ -242,8 +232,8 @@ class TVGService:
 
     def _mutated(self) -> None:
         self.mutations_applied += 1
-        retain = _is_matrix_query if self.incremental != "off" else None
-        self.cache.purge_stale(self.graph.version, retain=retain)
+        self.seeds_retained += len(self._seeds)
+        self.cache.purge_stale(self.graph.version)
 
     def add_edge(
         self,
@@ -293,7 +283,7 @@ class TVGService:
         task = self.tasks.submit(
             op,
             version,
-            lambda: run(TVGService(snapshot, cache_size=4, incremental="off")),
+            lambda: run(TVGService(snapshot, cache_size=4)),
         )
         return {"task": task.task_id, "version": version}
 
@@ -362,10 +352,10 @@ class TVGService:
                 "edges": self.graph.edge_count,
                 "version": self.graph.version,
             },
-            # The one production kernel; kept in the report for
-            # readers that compare runs by it.
+            # The one production kernel and patch policy; kept in the
+            # report for readers that compare runs by them.
             "kernel": "bitset",
-            "incremental": self.incremental,
+            "incremental": "on",
             "queries_served": self.queries_served,
             "mutations_applied": self.mutations_applied,
             "sweeps": {
@@ -374,7 +364,9 @@ class TVGService:
                 "rows_reswept": self.rows_reswept,
                 "rows_reused": self.rows_reused,
             },
-            "cache": self.cache.stats(),
+            # ``retained``: seeds carried across a mutation, one per
+            # seed per mutation.
+            "cache": {**self.cache.stats(), "retained": self.seeds_retained},
             "tasks": self.tasks.stats(),
         }
         from repro.service.cluster import ClusterExecutor

@@ -45,6 +45,14 @@ class TestStructure:
         e2 = g.add_edge("a", "b")
         assert e1.key != e2.key
 
+    def test_auto_key_skips_explicit_keys(self):
+        """A key-less edge takes the next free ``e{k}``, first try."""
+        g = TimeVaryingGraph()
+        g.add_edge("a", "b", key="e0")
+        g.add_edge("b", "c", key="e1")
+        assert g.add_edge("c", "a").key == "e2"
+        assert g.add_edge("a", "c").key == "e3"
+
     def test_out_in_edges(self, graph):
         assert {e.key for e in graph.out_edges("a")} == {"ab", "ac"}
         assert {e.key for e in graph.in_edges("c")} == {"bc", "ac"}

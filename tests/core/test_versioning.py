@@ -11,6 +11,7 @@ method surface so a newly added mutator cannot dodge the audit.
 """
 
 import inspect
+from dataclasses import replace
 
 import pytest
 
@@ -114,6 +115,31 @@ class TestFailedMutationsDoNotBump:
         with pytest.raises(ReproError):
             graph.add_edge("a", "c", key="ab")
         assert graph.version == before
+
+    def test_duplicate_edge_key_on_new_endpoints(self, graph):
+        """A refused edge adds neither of its new endpoints."""
+        before = (graph.version, graph.nodes, graph.edges)
+        with pytest.raises(ReproError, match="duplicate edge key 'ab'"):
+            graph.add_edge("x", "y", key="ab")
+        assert (graph.version, graph.nodes, graph.edges) == before
+
+    def test_duplicate_edge_object_on_new_endpoints(self, graph):
+        """``add_edge_object`` refuses a taken key in the same order:
+        before either new endpoint goes in."""
+        taken = replace(graph.edge("ab"), source="x", target="y")
+        before = (graph.version, graph.nodes, graph.edges)
+        with pytest.raises(ReproError, match="duplicate edge key 'ab'"):
+            graph.add_edge_object(taken)
+        assert (graph.version, graph.nodes, graph.edges) == before
+
+    def test_contact_whose_reverse_key_is_taken(self, graph):
+        """Both keys of a contact are checked before either edge goes
+        in, so a taken reverse key adds nothing at all."""
+        graph.add_edge("a", "c", key="x~rev")
+        before = (graph.version, graph.nodes, graph.edges)
+        with pytest.raises(ReproError, match="duplicate edge key 'x~rev'"):
+            graph.add_contact("b", "d", key="x")
+        assert (graph.version, graph.nodes, graph.edges) == before
 
     def test_remove_unknown_edge(self, graph):
         before = graph.version

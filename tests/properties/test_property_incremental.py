@@ -9,13 +9,13 @@ The from-scratch reference is the bignum oracle
 engine's plan, so the patch path is checked against an independent
 kernel.  Two layers attack it:
 
-* a **stateful machine** drives a :class:`TVGService` pinned to
-  ``incremental="force"`` (every applicable cache miss takes the patch
-  path) through interleaved mutations — edge add/remove, presence swaps
-  over structured *and* black-box schedules, and the nasty
-  remove-then-re-add of the same key — and checks every matrix entry
-  against a from-scratch sweep on an independently-mirrored shadow
-  graph;
+* a **stateful machine** drives an in-process :class:`TVGService`
+  (every miss whose delta chain allows it patches the window's seed,
+  whatever its cone) through interleaved mutations — edge add/remove,
+  presence swaps over structured *and* black-box schedules, and the
+  nasty remove-then-re-add of the same key — and checks every matrix
+  entry against a from-scratch sweep on an independently-mirrored
+  shadow graph;
 
 * a **direct engine-level property** applies an arbitrary mutation
   batch to a random graph and checks
@@ -25,7 +25,6 @@ kernel.  Two layers attack it:
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -45,7 +44,7 @@ from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
 from repro.core.sweep_kernel import sweep_block_bignum
 from repro.core.time_domain import Lifetime
 from repro.core.tvg import TimeVaryingGraph
-from repro.service.service import INCREMENTAL_MODES, TVGService
+from repro.service.service import TVGService
 
 NODES = ("a", "b", "c", "d", "e")
 HORIZON = 10
@@ -103,7 +102,7 @@ def scratch_matrix(graph, start, semantics):
 
 
 class IncrementalDifferentialMachine(RuleBasedStateMachine):
-    """Mutate/query schedules against a force-incremental service.
+    """Mutate/query schedules against an in-process service.
 
     Every query's full matrix must equal a from-scratch oracle sweep on
     the shadow graph — through a *fresh* engine each time, so nothing
@@ -112,11 +111,7 @@ class IncrementalDifferentialMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
-        self.service = TVGService(
-            self._fresh_graph("served"),
-            cache_size=64,
-            incremental="force",
-        )
+        self.service = TVGService(self._fresh_graph("served"), cache_size=64)
         self.shadow = self._fresh_graph("shadow")
         self.keys: list[str] = []
         self.counter = 0
@@ -191,7 +186,7 @@ class IncrementalDifferentialMachine(RuleBasedStateMachine):
 
     def teardown(self):
         # The machine only proves something if the patch path actually
-        # ran; with "force", any query after a presence-only mutation
+        # ran; in process, any query after a presence-only mutation
         # must have taken it.  (Schedules with no such pair prove the
         # fallback instead — both outcomes are valid, so no assert on
         # the counter here; test_incremental_path_is_exercised pins it.)
@@ -323,12 +318,9 @@ class TestEngineIncrementalEqualsScratch:
 class TestServiceIncrementalPlumbing:
     def test_incremental_path_is_exercised(self):
         """A presence swap between two identical queries MUST take the
-        patch path under "force" — pins that the machine above is not
+        patch path in process — pins that the machine above is not
         vacuously passing through full sweeps."""
-        service = TVGService(
-            IncrementalDifferentialMachine._fresh_graph("pinned"),
-            incremental="force",
-        )
+        service = TVGService(IncrementalDifferentialMachine._fresh_graph("pinned"))
         service.add_edge("a", "b", presence=interval_presence([(0, 4)]), key="ab")
         service.arrival("a", "b", 0, HORIZON, WAIT)
         service.set_presence("ab", interval_presence([(2, 6)]))
@@ -336,24 +328,3 @@ class TestServiceIncrementalPlumbing:
         stats = service.stats()["sweeps"]
         assert stats["incremental"] == 1, stats
         assert service.stats()["cache"]["retained"] >= 1
-
-    def test_off_mode_never_patches_or_retains(self):
-        service = TVGService(
-            IncrementalDifferentialMachine._fresh_graph("off"),
-            incremental="off",
-        )
-        service.add_edge("a", "b", presence=interval_presence([(0, 4)]), key="ab")
-        service.arrival("a", "b", 0, HORIZON, WAIT)
-        service.set_presence("ab", interval_presence([(2, 6)]))
-        service.arrival("a", "b", 0, HORIZON, WAIT)
-        stats = service.stats()
-        assert stats["sweeps"]["incremental"] == 0
-        assert stats["cache"]["retained"] == 0
-
-    def test_mode_validation(self):
-        graph = IncrementalDifferentialMachine._fresh_graph("modes")
-        assert TVGService(graph).incremental == "on"
-        for mode in INCREMENTAL_MODES:
-            assert TVGService(graph, incremental=mode).incremental == mode
-        with pytest.raises(ValueError, match="unknown incremental mode"):
-            TVGService(graph, incremental="sometimes")

@@ -270,14 +270,11 @@ class ServiceDifferentialMachine(RuleBasedStateMachine):
 
     @invariant()
     def cache_holds_only_current_or_retained_entries(self):
-        """Stale entries may survive a mutation ONLY as incremental
-        seed material — retained arrival matrices; every other query
-        kind must still be purged to the current version exactly."""
+        """No stale entry survives a mutation: the service keeps its
+        incremental seeds itself, so every cache entry is at the current
+        version."""
         version = self.service.graph.version
-        for cache_version, query in self.service.cache._entries:
-            if cache_version != version:
-                assert self.service.incremental != "off"
-                assert isinstance(query, tuple) and query[0] == "arrival_matrix"
+        assert all(v == version for v, _query in self.service.cache._entries)
 
 
 ServiceDifferentialMachine.TestCase.settings = settings(

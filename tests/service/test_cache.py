@@ -1,5 +1,7 @@
 """Unit tests for the versioned LRU query cache."""
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.service.cache import MISS, QueryCache
@@ -56,6 +58,38 @@ class TestLRU:
             cache.put(0, f"q{i}", i)
             assert len(cache) <= 3
 
+    def test_agrees_with_a_reference_model_under_churn(self):
+        """Hits, misses, evictions and purges in a mixed workload leave
+        exactly the entries, recency order and counters that a
+        brute-force ordered-dict model predicts."""
+        cache = QueryCache(max_entries=3)
+        model: OrderedDict = OrderedDict()  # least recently used first
+        counts = {"hits": 0, "misses": 0, "evictions": 0, "purged": 0}
+        for step in range(60):
+            version = step // 7
+            if step % 7 == 0:
+                stale = [key for key in model if key[0] != version]
+                for key in stale:
+                    del model[key]
+                counts["purged"] += len(stale)
+                assert cache.purge_stale(version) == len(stale)
+            key = (version, f"q{step * step % 7}")
+            if key in model:
+                counts["hits"] += 1
+                model.move_to_end(key)
+                assert cache.get(*key) == model[key]
+            else:
+                counts["misses"] += 1
+                assert cache.get(*key) is MISS
+                if len(model) == 3:
+                    model.popitem(last=False)
+                    counts["evictions"] += 1
+                model[key] = step
+                cache.put(*key, step)
+            assert list(cache._entries.items()) == list(model.items())
+        assert {name: cache.stats()[name] for name in counts} == counts
+        assert all(counts.values())
+
 
 class TestPurgeStale:
     def test_purges_exactly_the_stale_entries(self):
@@ -74,119 +108,31 @@ class TestPurgeStale:
         assert cache.purge_stale(5) == 0
         assert cache.get(5, "a") == 1
 
-
-class TestRetention:
-    def test_retain_predicate_keeps_matching_stale_entries(self):
+    def test_no_query_kind_survives_a_purge(self):
+        """The cache keeps no seeds: a stale arrival matrix goes like
+        any other entry."""
         cache = QueryCache()
         cache.put(0, ("arrival_matrix", 0, 10), "matrix")
         cache.put(0, ("growth", 0, 10), "curve")
         cache.put(1, ("growth", 0, 10), "fresh")
-        purged = cache.purge_stale(
-            1, retain=lambda q: q[0] == "arrival_matrix"
-        )
-        assert purged == 1  # only the growth entry
-        assert (0, ("arrival_matrix", 0, 10)) in cache
-        assert (0, ("growth", 0, 10)) not in cache
+        assert cache.purge_stale(1) == 2
+        assert (0, ("arrival_matrix", 0, 10)) not in cache
         assert (1, ("growth", 0, 10)) in cache
-        assert cache.purged == 1 and cache.retained == 1
+        assert len(cache) == 1
 
-    def test_retained_entries_survive_repeated_purges(self):
+    def test_repeated_purges_count_an_overwritten_entry_once(self):
         cache = QueryCache()
-        cache.put(0, ("arrival_matrix",), "m")
-        for version in (1, 2, 3):
-            cache.purge_stale(version, retain=lambda q: True)
-        assert (0, ("arrival_matrix",)) in cache
-        assert cache.retained == 3 and cache.purged == 0
-
-    def test_ancestor_finds_the_newest_older_entry(self):
-        cache = QueryCache()
-        cache.put(1, "q", "v1")
-        cache.put(3, "q", "v3")
-        cache.put(5, "q", "v5")
-        cache.put(3, "other", "x")
-        assert cache.ancestor("q", 6) == (5, "v5")
-        assert cache.ancestor("q", 5) == (3, "v3")
-        assert cache.ancestor("q", 1) is None
-        assert cache.ancestor("missing", 9) is None
-
-    def test_ancestor_moves_no_hit_or_miss_counters(self):
-        cache = QueryCache()
-        cache.put(1, "q", "v1")
-        cache.ancestor("q", 2)
-        cache.ancestor("missing", 2)
-        assert cache.hits == 0 and cache.misses == 0
-
-    def test_ancestor_refreshes_recency(self):
-        cache = QueryCache(max_entries=2)
-        cache.put(1, "old", "seed")
-        cache.put(2, "other", "x")
-        assert cache.ancestor("old", 9) == (1, "seed")  # now most recent
-        cache.put(2, "third", "y")  # evicts 'other', not the seed
-        assert (1, "old") in cache
-        assert (2, "other") not in cache
-
-
-class TestAncestorIndex:
-    """The per-query version index behind :meth:`ancestor` must track
-    every way an entry can leave the cache — a stale index entry would
-    make ``ancestor`` KeyError on a ghost, a missed removal would leak."""
-
-    def test_eviction_removes_the_version_from_the_index(self):
-        cache = QueryCache(max_entries=2)
-        cache.put(1, "q", "v1")
-        cache.put(3, "q", "v3")
-        cache.put(5, "q", "v5")  # LRU-evicts (1, "q")
-        assert cache.ancestor("q", 2) is None
-        assert cache.ancestor("q", 4) == (3, "v3")
-
-    def test_purge_removes_versions_from_the_index(self):
-        cache = QueryCache()
-        cache.put(1, "q", "v1")
-        cache.put(2, "q", "v2")
-        cache.purge_stale(2)
-        assert cache.ancestor("q", 9) == (2, "v2")
-        cache.purge_stale(3)
-        assert cache.ancestor("q", 9) is None
-
-    def test_retained_entries_stay_findable(self):
-        cache = QueryCache()
-        cache.put(1, ("arrival_matrix",), "seed")
-        cache.purge_stale(4, retain=lambda q: True)
-        assert cache.ancestor(("arrival_matrix",), 9) == (1, "seed")
-
-    def test_overwrite_does_not_duplicate_the_version(self):
-        cache = QueryCache(max_entries=2)
         cache.put(1, "q", "first")
         cache.put(1, "q", "second")
-        assert cache.ancestor("q", 2) == (1, "second")
-        cache.purge_stale(9)  # drops (1, "q") exactly once
-        assert cache.ancestor("q", 2) is None
-
-    def test_index_stays_consistent_under_churn(self):
-        """Every surviving entry findable, every dead one not — after a
-        mixed workload of puts, evictions, and purges."""
-        cache = QueryCache(max_entries=8)
-        for version in range(20):
-            cache.put(version, f"q{version % 3}", version)
-            if version % 7 == 6:
-                cache.purge_stale(version, retain=lambda q: q == "q0")
-        for query in ("q0", "q1", "q2"):
-            found = cache.ancestor(query, 99)
-            if found is None:
-                continue
-            version, value = found
-            assert (version, query) in cache and value == version
-        # The brute answer (scan of live entries) agrees with the index.
-        for query in ("q0", "q1", "q2"):
-            live = [v for (v, q) in cache._entries if q == query and v < 99]
-            expected = max(live) if live else None
-            found = cache.ancestor(query, 99)
-            assert (found[0] if found else None) == expected
+        for version in (2, 3, 4):
+            cache.purge_stale(version)
+        assert len(cache) == 0
+        assert cache.purged == 1
 
 
 class TestObservabilitySeparation:
-    """Purges, retentions, and LRU evictions must be separately visible
-    — an operator watching ``stats()`` can tell write-churn invalidation
+    """Purges and LRU evictions must be separately visible — an
+    operator watching ``stats()`` can tell write-churn invalidation
     from capacity pressure."""
 
     def test_purge_does_not_count_as_eviction(self):
@@ -204,14 +150,14 @@ class TestObservabilitySeparation:
     def test_stats_exposes_all_three_counters(self):
         cache = QueryCache(max_entries=1)
         cache.put(0, "a", 1)
-        cache.put(0, "b", 2)               # evicts a
-        cache.purge_stale(1, retain=None)  # purges b
+        cache.put(0, "b", 2)  # evicts a
+        cache.purge_stale(1)  # purges b
         cache.put(1, "c", 3)
-        cache.purge_stale(2, retain=lambda q: True)  # retains c
+        cache.purge_stale(1)  # c is current: nothing goes
         stats = cache.stats()
         assert stats["evictions"] == 1
         assert stats["purged"] == 1
-        assert stats["retained"] == 1
+        assert stats["entries"] == 1
 
 
 class TestContains:

@@ -14,7 +14,7 @@ from repro.core.semantics import NO_WAIT, WAIT
 from repro.core.traversal import earliest_arrivals
 from repro.errors import ServiceError
 from repro.service.server import OPS, ServiceFrontend, handle_request, parse_request
-from repro.service.service import TVGService
+from repro.service.service import MAX_SEEDS, TVGService
 
 
 @pytest.fixture()
@@ -108,12 +108,15 @@ class TestCachingAcrossMutations:
         line_service.growth(0, 10, WAIT)
         assert len(line_service.cache) > 0
         line_service.add_edge("c", "a", key="ca")
-        # Derived entries (growth curves) are purged; the stale
-        # arrival_matrix entry survives as incremental seed material.
+        # The cache holds nothing stale; the window's matrix survives
+        # as the service's seed, and the next miss patches it.
+        assert len(line_service.cache) == 0
         assert line_service.cache.purged > 0
-        assert line_service.cache.retained > 0
-        for _version, query in line_service.cache._entries:
-            assert query[0] == "arrival_matrix"
+        assert line_service.stats()["cache"]["retained"] == 1
+        assert line_service.growth(0, 10, WAIT) == reachability_growth(
+            line_service.graph, 0, 10, WAIT
+        )
+        assert (line_service.full_sweeps, line_service.incremental_sweeps) == (1, 1)
 
     def test_off_mode_mutation_purges_everything(self):
         graph = (
@@ -123,7 +126,7 @@ class TestCachingAcrossMutations:
             .edge("b", "c", present=[(5, 7)], key="bc")
             .build()
         )
-        service = TVGService(graph, incremental="off")
+        service = TVGService(graph)
         service.growth(0, 10, WAIT)
         assert len(service.cache) > 0
         service.add_edge("c", "a", key="ca")
@@ -142,11 +145,11 @@ class TestCachingAcrossMutations:
     def test_retained_seed_evicted_by_lru_churn_falls_back_to_full_sweep(
         self,
     ):
-        """A ``retain`` predicate only spares a seed from *staleness*
-        purges — plain LRU pressure from unrelated puts can still evict
-        it.  The incremental path must then fall back to a full sweep
-        (never a KeyError, never a stale answer) with coherent counters.
-        """
+        """Cache LRU churn cannot touch a seed: the service owns it, so
+        the query still patches.  More than :data:`MAX_SEEDS` newer
+        windows push it out; the query then falls back to a full sweep
+        (never a KeyError, never a stale answer) with coherent
+        counters."""
         def build():
             return (
                 TVGBuilder(name="line")
@@ -156,31 +159,37 @@ class TestCachingAcrossMutations:
                 .build()
             )
 
-        service = TVGService(build(), cache_size=2, incremental="force")
+        def oracle(graph):
+            return earliest_arrivals(graph, "a", 0, WAIT, horizon=10).get("c")
+
+        service = TVGService(build(), cache_size=2)
         service.arrival("a", "c", 0, 10, WAIT)  # seeds the v0 matrix
-        assert service.full_sweeps == 1
-        service.add_edge("c", "a", key="ca")  # seed retained across purge
-        assert service.cache.retained == 1
-        # Unrelated windows churn the 2-slot cache; the second put must
-        # LRU-evict the retained seed (nothing refreshed it since).
+        service.add_edge("c", "a", key="ca")
+        # Unrelated windows churn the 2-slot cache; the seed survives.
         service.arrival("a", "c", 0, 8, WAIT)
         service.arrival("a", "c", 0, 9, WAIT)
-        assert service.cache.evictions >= 1
-        assert service.cache.ancestor(
-            ("arrival_matrix", 0, 10, str(WAIT)), service.graph.version
-        ) is None
+        assert service.cache.evictions == 0  # the mutation emptied it
+        service.arrival("a", "c", 1, 8, WAIT)
+        assert service.cache.evictions == 1
+        assert service.arrival("a", "c", 0, 10, WAIT) == oracle(service.graph)
+        assert (service.full_sweeps, service.incremental_sweeps) == (4, 1)
+
+        service.add_edge("a", "c", key="ac", presence=never())
+        for start in range(1, MAX_SEEDS + 2):  # MAX_SEEDS + 1 newer windows
+            service.arrival("a", "c", start, 10, WAIT)
+        assert len(service._seeds) == MAX_SEEDS
         sweeps_before = service.full_sweeps
         answer = service.arrival("a", "c", 0, 10, WAIT)
         assert service.full_sweeps == sweeps_before + 1
-        assert service.incremental_sweeps == 0  # no ghost seed was patched
+        assert service.incremental_sweeps == 1  # no ghost seed was patched
         shadow = build()
         shadow.add_edge("c", "a", key="ca")
-        oracle = earliest_arrivals(shadow, "a", 0, WAIT, horizon=10)
-        assert answer == oracle.get("c")
+        shadow.add_edge("a", "c", key="ac", presence=never())
+        assert answer == oracle(shadow)
 
     def test_surviving_seed_is_patched_not_reswept(self):
-        """The control for the eviction case above: without LRU churn
-        the same query patches the retained seed incrementally."""
+        """The control for the eviction case above: without newer
+        windows the same query patches the seed incrementally."""
         graph = (
             TVGBuilder(name="line")
             .lifetime(0, 10)
@@ -188,19 +197,29 @@ class TestCachingAcrossMutations:
             .edge("b", "c", present=[(5, 7)], key="bc")
             .build()
         )
-        service = TVGService(graph, cache_size=2, incremental="force")
+        service = TVGService(graph, cache_size=2)
         service.arrival("a", "c", 0, 10, WAIT)
         service.add_edge("c", "a", key="ca")
         service.arrival("a", "c", 0, 10, WAIT)
         assert service.incremental_sweeps == 1
         assert service.full_sweeps == 1
 
+    def test_evicted_entry_is_answered_from_its_seed(self):
+        """A seed at the current version is the answer itself: a query
+        whose cache entry was LRU-evicted costs no sweep at all."""
+        graph = periodic_random_tvg(8, period=4, density=0.3, seed=2)
+        service = TVGService(graph, cache_size=1)
+        first = service.growth(0, 8, WAIT)
+        service.growth(0, 6, WAIT)  # evicts the first window's entries
+        assert service.growth(0, 8, WAIT) == first
+        assert (service.full_sweeps, service.incremental_sweeps) == (2, 0)
+
     def test_churn_keeps_at_most_two_matrices_per_query(self):
-        """Each mutation + miss cycle leaves the new matrix and one seed
-        (the newest stale one, all ``ancestor`` needs) — not one more
-        retained matrix per cycle — and answers stay exact."""
+        """Each mutation + miss cycle leaves one cached matrix and one
+        seed, and the seed *is* the cached matrix — not one more kept
+        matrix per cycle — and answers stay exact."""
         graph = periodic_random_tvg(12, period=4, density=0.3, seed=5)
-        service = TVGService(graph, incremental="force")
+        service = TVGService(graph)
         service.growth(0, 12, WAIT)
         keys = [edge.key for edge in graph.edges]
         query = ("arrival_matrix", 0, 12, str(WAIT))
@@ -210,9 +229,39 @@ class TestCachingAcrossMutations:
             )
             curve = service.growth(0, 12, WAIT)
             cached = [v for v, q in service.cache._entries if q == query]
-            assert len(cached) <= 2
+            assert cached == [graph.version]
+            version, _index, matrix = service._seeds[query]
+            assert version == graph.version
+            assert matrix is service.cache._entries[(version, query)][1]
             assert curve == reachability_growth(graph, 0, 12, WAIT)
         assert service.incremental_sweeps == 8
+
+    def test_executor_and_in_process_answers_agree(self):
+        """A cone covering every row is patched with or without an
+        executor, and both services answer alike."""
+        def build():
+            return (
+                TVGBuilder(name="ring")
+                .lifetime(0, 10)
+                .edge("a", "b", key="ab")
+                .edge("b", "c", key="bc")
+                .edge("c", "a", key="ca")
+                .build()
+            )
+
+        local = TVGService(build())
+        sharded = TVGService(build(), executor=ProcessShards(1))
+        for service in (local, sharded):
+            service.growth(0, 10, WAIT)
+            # Every node reaches a, so the cone is all three rows.
+            service.set_presence("ab", periodic_presence([1], 2))
+        assert local.growth(0, 10, WAIT) == sharded.growth(0, 10, WAIT)
+        assert local.growth(0, 10, WAIT) == reachability_growth(
+            local.graph, 0, 10, WAIT
+        )
+        for service in (local, sharded):
+            assert (service.full_sweeps, service.incremental_sweeps) == (1, 1)
+            assert service.rows_reswept == 3
 
     def test_stats_shape(self, line_service):
         line_service.growth(0, 10, WAIT)
@@ -221,7 +270,88 @@ class TestCachingAcrossMutations:
         assert stats["graph"]["edges"] == 3
         assert stats["queries_served"] == 1
         assert stats["mutations_applied"] == 1
-        assert set(stats["cache"]) >= {"entries", "hits", "misses", "purged"}
+        assert set(stats["cache"]) >= {
+            "entries", "hits", "misses", "purged", "retained"
+        }
+
+
+class TestSeeds:
+    """The service keeps one seed per arrival-matrix query — the newest
+    matrix computed for it — across mutations, for a later miss to
+    patch."""
+
+    def test_seed_survives_repeated_mutations(self, line_service):
+        """Three mutations carry the one seed three times, and the next
+        miss patches it across the whole three-delta chain."""
+        line_service.growth(0, 10, WAIT)
+        line_service.add_edge("c", "a", key="ca")
+        line_service.set_presence("ca", periodic_presence([1], 2))
+        line_service.remove_edge("bc")
+        assert line_service.stats()["cache"]["retained"] == 3
+        assert line_service.growth(0, 10, WAIT) == reachability_growth(
+            line_service.graph, 0, 10, WAIT
+        )
+        assert (line_service.full_sweeps, line_service.incremental_sweeps) == (1, 1)
+
+    def test_retained_counts_one_per_seed_per_mutation(self, line_service):
+        line_service.growth(0, 10, WAIT)
+        line_service.growth(0, 10, NO_WAIT)
+        line_service.add_edge("c", "a", key="ca")
+        line_service.set_presence("ca", never())
+        assert line_service.stats()["cache"]["retained"] == 4
+        assert len(line_service._seeds) == 2
+
+    def test_a_seed_patches_only_its_own_query(self, line_service):
+        """A NO_WAIT miss never takes the WAIT seed of the same window;
+        it sweeps in full, and the WAIT query still patches its own."""
+        line_service.growth(0, 10, WAIT)
+        line_service.add_edge("c", "a", key="ca")
+        assert line_service.growth(0, 10, NO_WAIT) == reachability_growth(
+            line_service.graph, 0, 10, NO_WAIT
+        )
+        assert (line_service.full_sweeps, line_service.incremental_sweeps) == (2, 0)
+        assert line_service.growth(0, 10, WAIT) == reachability_growth(
+            line_service.graph, 0, 10, WAIT
+        )
+        assert (line_service.full_sweeps, line_service.incremental_sweeps) == (2, 1)
+
+    def test_recomputed_seed_is_dropped_last(self):
+        """Seeds go least recently *computed* first: a window answered
+        again from its seed outlives the windows computed after it."""
+        graph = periodic_random_tvg(8, period=4, density=0.3, seed=2)
+        service = TVGService(graph, cache_size=1)
+        horizons = range(4, 4 + MAX_SEEDS)
+        for horizon in horizons:
+            service.growth(0, horizon, WAIT)
+        service.growth(0, 4, WAIT)  # evicted from the cache: its seed answers
+        assert service.full_sweeps == MAX_SEEDS
+        service.growth(0, 4 + MAX_SEEDS, WAIT)  # one window too many
+        assert len(service._seeds) == MAX_SEEDS
+        assert service.growth(0, 4, WAIT) == reachability_growth(graph, 0, 4, WAIT)
+        assert service.full_sweeps == MAX_SEEDS + 1
+        assert service.growth(0, 5, WAIT) == reachability_growth(graph, 0, 5, WAIT)
+        assert service.full_sweeps == MAX_SEEDS + 2
+
+    def test_seeds_stay_bounded_and_exact_under_churn(self):
+        """Mutations interleaved with queries over more windows than
+        :data:`MAX_SEEDS`: the seeds stay bounded, none is newer than
+        the graph, and every answer equals a from-scratch sweep."""
+        graph = periodic_random_tvg(8, period=4, density=0.3, seed=7)
+        service = TVGService(graph, cache_size=4)
+        keys = [edge.key for edge in graph.edges]
+        for step in range(30):
+            if step % 3 == 2:
+                service.set_presence(
+                    keys[step % len(keys)], periodic_presence([step % 4], 4)
+                )
+            # A hot window between cold ones that cycle past MAX_SEEDS.
+            end = 6 if step % 2 else 7 + step % (MAX_SEEDS + 3)
+            assert service.growth(0, end, WAIT) == reachability_growth(
+                graph, 0, end, WAIT
+            )
+            assert len(service._seeds) <= MAX_SEEDS
+            assert all(v <= graph.version for v, _, _ in service._seeds.values())
+        assert service.incremental_sweeps > 0
 
 
 class TestDispatcher:
@@ -258,6 +388,25 @@ class TestDispatcher:
         removed = handle_request(line_service, {"op": "remove_edge", "key": "ca"})
         assert removed["ok"]
         assert not line_service.graph.has_edge("ca")
+
+    def test_refused_add_edge_leaves_the_graph_unchanged(self, line_service):
+        """A taken key on new endpoints is refused before either
+        endpoint goes in; a key-less edge then gets the next free key."""
+        before = handle_request(line_service, {"op": "stats"})["result"]["graph"]
+        refused = handle_request(
+            line_service,
+            {"op": "add_edge", "source": "x", "target": "y", "key": "ab"},
+        )
+        assert refused == {
+            "ok": False, "error": "ReproError: duplicate edge key 'ab'"
+        }
+        after = handle_request(line_service, {"op": "stats"})["result"]["graph"]
+        assert after == before
+        assert line_service.mutations_applied == 0
+        added = handle_request(
+            line_service, {"op": "add_edge", "source": "x", "target": "y"}
+        )
+        assert added == {"ok": True, "result": "e0"}
 
     @pytest.mark.parametrize(
         "request_dict",

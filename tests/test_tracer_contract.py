@@ -62,7 +62,7 @@ def test_every_layer_point_resolves(tracing):
 
 
 def test_traced_service_records_every_pipeline_layer(installed):
-    service = TVGService(_graph(), incremental="force")
+    service = TVGService(_graph())
     growth = {"op": "growth", "start": 0, "end": 8}
     assert server.handle_request(service, {"id": 1, **growth})["ok"]
     compiled = service.engine.compiled.contacts
