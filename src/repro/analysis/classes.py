@@ -331,6 +331,12 @@ def classify(
     checkers through the compiled contact arrays.
     """
     require_window(start, end)
+    if engine is not None:
+        # Compile the whole window up front: the first checker asks only
+        # for [start, mid), and TC(mid, end) would then widen the index
+        # with a second compile.
+        engine.require_graph(graph, "classify")
+        engine.index_for(start, end)
     bound = recurrence_bound if recurrence_bound is not None else max(1, (end - start) // 4)
     declared = period if period is not None else graph.period
     tags: set[str] = set()

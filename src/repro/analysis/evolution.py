@@ -14,12 +14,11 @@ Engine route
 hook.  With a :class:`~repro.core.engine.TemporalEngine` the whole curve
 comes from ONE batched all-pairs arrival sweep
 (:meth:`~repro.core.engine.TemporalEngine.arrival_matrix`): the matrix
-of earliest arrivals is computed once, its off-diagonal entries sorted,
-and each prefix date answered by binary search — instead of ``n``
-independent interpretive searches re-run per source.  Results are
-identical to the interpretive path (the differential oracle suite in
-``tests/properties/test_property_analysis.py`` proves it under all
-three waiting semantics).
+of earliest arrivals is computed once and its off-diagonal arrivals
+counted per date — instead of ``n`` independent interpretive searches
+re-run per source.  Results are identical to the interpretive path (the
+differential oracle suite in ``tests/properties/test_property_analysis.py``
+proves it under all three waiting semantics).
 """
 
 from __future__ import annotations
@@ -66,22 +65,30 @@ def growth_curve_from_arrivals(
     """The growth curve derived from an all-pairs arrival matrix.
 
     ``arrival`` is the output of
-    :meth:`~repro.core.engine.TemporalEngine.arrival_matrix`; sort its
-    off-diagonal finite entries once and each prefix date is a binary
-    search.  Shared by :func:`reachability_growth` and the query
-    service, which reuses one cached matrix across query families.
+    :meth:`~repro.core.engine.TemporalEngine.arrival_matrix`.  Dates
+    are counted, not sorted: the arrivals below ``end`` (unreached pairs
+    never are) are ``bincount``-ed by offset from ``start`` — an earlier
+    one joins from the first date on — and the cumulative sum is the
+    number of pairs joined by each date, less the diagonal's, which is
+    removed by position.  Shared by :func:`reachability_growth` and the
+    query service, which reuses one cached matrix across query
+    families.
     """
-    from repro.core.engine import UNREACHED
-
     n = arrival.shape[0]
     if n <= 1:
         return [(t, 1.0) for t in range(start, end)]
+    if end <= start:
+        return []
+
+    def counts(values: np.ndarray) -> np.ndarray:
+        early = values[values < end]
+        return np.bincount(np.maximum(early, start) - start, minlength=end - start)
+
+    joined = np.cumsum(counts(arrival) - counts(np.diagonal(arrival)))
     total_pairs = n * (n - 1)
-    off_diagonal = arrival[~np.eye(n, dtype=bool)]
-    arrivals = np.sort(off_diagonal[off_diagonal != UNREACHED])
-    dates = np.arange(start, end, dtype=np.int64)
-    joined = np.searchsorted(arrivals, dates, side="right")
-    return [(int(t), int(count) / total_pairs) for t, count in zip(dates, joined)]
+    return [
+        (t, count / total_pairs) for t, count in zip(range(start, end), joined.tolist())
+    ]
 
 
 def reachability_growth(
@@ -98,9 +105,8 @@ def reachability_growth(
     window is temporally connected under the semantics.
 
     With ``engine=`` the curve derives from one batched arrival sweep:
-    sort the off-diagonal earliest arrivals once, then each prefix is a
-    binary search — O(n^2 log n) total instead of a full reachability
-    computation per prefix length.
+    the off-diagonal earliest arrivals are counted per date, O(n^2)
+    total instead of a full reachability computation per prefix length.
     """
     require_window(start, end)
     nodes = list(graph.nodes)

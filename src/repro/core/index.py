@@ -1,63 +1,39 @@
 """The compiled contact-sequence index (``CompiledTVG``).
 
 Interpretive journey search asks a Python :class:`PresenceFunction` one
-date at a time — a per-edge, per-date function call on the hottest path
-of the whole system.  :class:`CompiledTVG` lowers every *structured*
-presence into sorted contact dates over a bounded window — all edges'
-dates in one flat int64 array sliced per edge by an ``edge_ptr`` CSR —
-plus CSR-style per-node adjacency, so the two queries journey search
-needs become array operations:
-
-* *next presence at or after t* — one ``searchsorted`` (binary search);
-* *all departures in [a, b)* — one slice of the sorted contact array.
-
-Lowering rules
---------------
-
-A presence is *structured* — exactly lowerable, no per-date calls — when
-it is built from ``always``/``never``, :class:`IntervalPresence`,
+date at a time.  :class:`CompiledTVG` lowers every *structured*
+presence — ``always``/``never``, :class:`IntervalPresence`,
 :class:`PeriodicPresence`, and their ``shifted``/``dilated``/
-``union``/``intersect`` combinators.  For those, ``presence.support``
-already answers scan-free, so lowering an edge is one ``support`` call
-over the window materialized into ``np.int64`` dates.
+``union``/``intersect`` combinators — into sorted contact dates over a
+bounded window, all edges' dates in one flat int64 array sliced per
+edge by an ``edge_ptr`` CSR, plus a CSR per-node adjacency.  *Next
+presence at or after t* becomes one ``searchsorted``, *all departures
+in [a, b)* one slice.
 
-Black-box fallback
-------------------
+Every leaf, and any shift or dilation of one, is a few arithmetic
+progressions per edge: an interval piece has step 1, a periodic residue
+step ``period``, ``always`` is the window, a shift moves the first date
+and a dilation scales the first date and the step.  So one Python pass
+collects them, their in-window counts are computed analytically, and
+one ``np.repeat`` plus an offset ``arange`` expands all edges at once,
+already in order (a periodic leaf's residues are rotated so the first
+one at or after the window start comes first).  Memory is
+O(contacts), never O(edges x window).  Unions and intersections lower
+per edge through ``presence.support``.
 
 :class:`FunctionPresence` (and any unknown subclass) admits no exact
 lowering — the paper's Table 1 schedules are arbitrary computable
-predicates.  Those edges are *not* compiled: the index records them as
-opaque and the engine answers their queries through the original
-callable with bounded scans, byte-for-byte the interpretive semantics.
-A compiled and an interpretive run therefore always agree; compilation
-only accelerates the edges it can prove out.
-
-Lazy black-box lowering
------------------------
-
-A black-box predicate is arbitrary but *deterministic*, so its answers
-can be memoized.  :class:`LazyContactCache` lowers black-box edges
-lazily: the first query over a window scans the predicate once and
-stores the resulting contact dates as a sorted array; later queries are
-answered from the array, and wider queries extend the scanned window by
-calling the predicate only on the *new* dates.  The cache outlives index
-rebuilds (the :class:`~repro.core.engine.TemporalEngine` owns one and
-threads it through every :class:`CompiledTVG` it compiles), so across
-repeated analysis queries each predicate is invoked at most once per
-(edge, date).  Graph mutation flushes the cache through the same version
-counter that invalidates the index.
-
-Invalidation
-------------
-
-The index snapshots :attr:`TimeVaryingGraph.version` at build time.
-Any structural mutation bumps the counter, and
-:class:`~repro.core.engine.TemporalEngine` transparently rebuilds a
-stale index before answering.
+predicates.  Such edges are flagged *opaque* and lowered lazily by the
+engine's long-lived :class:`LazyContactCache`, byte-for-byte the
+interpretive semantics, each predicate called at most once per (edge,
+date).  The index snapshots :attr:`TimeVaryingGraph.version`; the
+:class:`~repro.core.engine.TemporalEngine` patches or rebuilds a stale
+index before answering.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -99,25 +75,14 @@ def is_structured(presence: PresenceFunction) -> bool:
 class LazyContactCache:
     """Memoized contact arrays for black-box presences of one graph.
 
-    Per edge (keyed by edge key) the cache holds a sorted list of
-    disjoint scanned *segments* ``(lo, hi, contacts)`` — the sorted
-    ``np.int64`` contact dates found in ``[lo, hi)``.  A query inside
-    scanned territory is pure array work; a query reaching outside
-    scans only the uncovered gaps it actually touches and merges the
-    result with any overlapping or adjacent segments.  Queries far from
-    earlier ones therefore start a new segment instead of scanning the
-    no-man's-land in between, and across the cache's lifetime each
-    predicate is invoked **at most once per (edge, date)** — the lazy
-    counterpart of the eager lowering :class:`CompiledTVG` applies to
-    structured presences.
-
-    The cache snapshots :attr:`TimeVaryingGraph.version`; when the graph
-    mutates it drops exactly the edges whose schedule actually changed —
-    the edge is gone, or its presence object is a different one than the
-    segments were scanned against — and retains every other edge's
-    segments.  Contacts are a pure function of the presence object, so
-    an unrelated ``add_edge`` can no longer re-fire every black-box
-    predicate on every other edge.
+    Per edge key the cache holds sorted, disjoint scanned *segments*
+    ``(lo, hi, contacts)``: the sorted ``np.int64`` contact dates found
+    in ``[lo, hi)``.  A query scans only the uncovered gaps it touches
+    and merges the result with overlapping or adjacent segments (a
+    query far from earlier ones starts a new segment), so across the
+    cache's lifetime each predicate is invoked **at most once per (edge,
+    date)**.  When the graph mutates, the cache drops exactly the edges
+    that are gone or whose presence object changed, and keeps the rest.
     """
 
     __slots__ = ("graph", "version", "_segments", "_presences")
@@ -132,14 +97,8 @@ class LazyContactCache:
         self._presences: dict[str, PresenceFunction] = {}
 
     def _sync(self) -> None:
-        """Catch up with graph mutations, keeping untouched edges.
-
-        A cached edge survives iff it still exists and its presence is
-        the *same object* the segments were scanned from; a remove +
-        re-add under the same key with a new schedule, or a
-        ``set_presence``, fails the identity check and drops exactly
-        that edge's segments.
-        """
+        """Catch up with graph mutations: a cached edge survives iff it
+        still exists with the *same* presence object it was scanned from."""
         if self.graph.version == self.version:
             return
         for key in list(self._segments):
@@ -232,21 +191,110 @@ def _support_dates(presence: PresenceFunction, window: Interval) -> np.ndarray:
     return np.fromiter(support.times(), dtype=np.int64, count=support.total_length())
 
 
-def pack_csr(
-    rows: Sequence[Sequence[int] | None],
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(ptr, values)``: int rows packed into one flat int64 CSR, row
-    ``i`` being ``values[ptr[i]:ptr[i + 1]]`` (None packs as empty)."""
-    lengths = np.fromiter(
-        (0 if row is None else len(row) for row in rows),
-        dtype=np.int64,
-        count=len(rows),
+#: Bound on the magnitudes the array lowering computes with (window,
+#: leaf windows, periods, scales, offsets): below it no int64
+#: intermediate overflows.  An edge past it lowers through ``support``.
+_ARRAY_BOUND = 2**60
+
+
+def _peel(presence: PresenceFunction) -> tuple[PresenceFunction, int, int]:
+    """``(leaf, scale, offset)``: the leaf under a presence's shifts and
+    dilations, whose dates map to ``scale * t + offset``."""
+    scale, offset = 1, 0
+    while type(presence) in (_ShiftedPresence, _DilatedPresence):
+        if type(presence) is _ShiftedPresence:
+            offset += scale * presence.delta
+        else:
+            scale *= presence.factor
+        presence = presence.inner
+    return presence, scale, offset
+
+
+def _lower_edges(
+    edges: Sequence[Edge], window: Interval
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(edge_ptr, dates, opaque)``: the edges' sorted contact dates in
+    ``window`` as one flat CSR, black-box edges flagged and empty.
+
+    One pass collects *entries* ``(edge, period, residue count)``, each
+    a leaf's dates ``lo + period * q + o`` in ``[lo, hi)`` for its
+    residues' offsets ``o`` from ``lo`` (an interval piece or ``always``
+    is an entry of period 1); the rest is whole-array arithmetic.
+    """
+    start, end = window.start, window.end
+    entries: list[int] = []
+    residues: list[int] = []
+    bounds: dict[int, tuple[int, int]] = {}  # entry -> (lo, hi) if not the window
+    affine: dict[int, tuple[int, int]] = {}  # edge -> (scale, offset) of a leaf
+    rows: dict[int, np.ndarray] = {}  # edge -> dates lowered by ``support``
+    opaque = np.zeros(len(edges), dtype=bool)
+    # A window past the bound lowers every edge through ``support``.
+    limit = _ARRAY_BOUND if -_ARRAY_BOUND < start and end < _ARRAY_BOUND else 0
+    for i, edge in enumerate(edges):
+        leaf = edge.presence
+        if type(leaf) is PeriodicPresence and leaf.period < limit:  # fast path
+            entries += (i, leaf.period, len(leaf._sorted))
+            residues += leaf._sorted
+            continue
+        leaf, scale, offset = _peel(leaf)
+        lo, hi = -((offset - start) // scale), -((offset - end) // scale)
+        kind = type(leaf) if max(scale, abs(offset), abs(lo), abs(hi)) < limit else None
+        if kind is not None and (scale, offset) != (1, 0):
+            affine[i] = (scale, offset)
+        if kind is PeriodicPresence and leaf.period < limit:
+            bounds[len(entries) // 3] = (lo, hi)
+            entries += (i, leaf.period, len(leaf._sorted))
+            residues += leaf._sorted
+        elif kind is IntervalPresence or kind is _AlwaysPresence:
+            starts, ends = (
+                (leaf.intervals._starts, leaf.intervals._ends)
+                if kind is IntervalPresence
+                else ([lo], [hi])
+            )
+            for j in range(bisect_right(ends, lo), bisect_left(starts, hi)):
+                bounds[len(entries) // 3] = (max(starts[j], lo), min(ends[j], hi))
+                entries += (i, 1, 1)
+                residues.append(0)
+        elif is_structured(edge.presence):
+            rows[i] = _support_dates(edge.presence, window)
+        else:
+            opaque[i] = True
+
+    edge_of, period, width = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    count = len(edge_of)
+    lo, hi = np.full((2, count), [[start], [end]] if limit else 0, dtype=np.int64)
+    if bounds:
+        lo[list(bounds)], hi[list(bounds)] = zip(*bounds.values())
+    # Per residue: its entry, the offset of its first date from lo, and
+    # (as residues are sorted, offsets are sorted up to a rotation: the
+    # ones below ``lo % period`` wrap round to the end) its rank.
+    owner = np.repeat(np.arange(count), width)
+    res = np.array(residues, dtype=np.int64)
+    offset = (res - lo[owner]) % period[owner]
+    res_ptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(width, out=res_ptr[1:])
+    wrapped = np.bincount(owner[res < (lo % period)[owner]], minlength=count)
+    rank = (np.arange(len(res)) - res_ptr[owner] - wrapped[owner]) % width[owner]
+    first = np.empty_like(offset)
+    first[res_ptr[owner] + rank] = lo[owner] + offset
+    # Per entry: a date per residue per full period, plus one per offset
+    # inside the remainder; its k-th date is round k // width, rank k % width.
+    full, rest = np.divmod(np.maximum(hi - lo, 0), period)
+    counts = width * full + np.bincount(owner[offset < rest[owner]], minlength=count)
+    contact_ptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(counts, out=contact_ptr[1:])
+    owner = np.repeat(np.arange(count), counts)
+    rounds, rank = np.divmod(
+        np.arange(contact_ptr[-1], dtype=np.int64) - contact_ptr[owner], width[owner]
     )
-    ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=ptr[1:])
-    filled = [row for row in rows if row is not None and len(row)]
-    values = np.concatenate(filled) if filled else _EMPTY_CONTACTS
-    return ptr, values.astype(np.int64, copy=False)
+    dates = first[res_ptr[owner] + rank] + period[owner] * rounds
+    if affine:
+        scale, shift = np.zeros((2, len(edges)), dtype=np.int64)
+        scale += 1
+        scale[list(affine)], shift[list(affine)] = zip(*affine.values())
+        dates = dates * scale[edge_of[owner]] + shift[edge_of[owner]]
+    edge_ptr = contact_ptr[np.searchsorted(edge_of, np.arange(len(edges) + 1))]
+    return (*splice_csr(edge_ptr, dates, rows), opaque)
 
 
 def split_csr(
@@ -299,30 +347,14 @@ class CompiledTVG:
     ``out_edge_idx[out_ptr[j]:out_ptr[j + 1]]``, and ``target_idx[i]``
     is edge ``i``'s head node.  Arrays are never written after they are
     built — :meth:`apply_deltas` splices new ones — so a
-    :class:`~repro.core.parallel.SweepPlan` may share them.
-
-    ``cache`` optionally supplies a :class:`LazyContactCache`; with one,
-    black-box queries are memoized through it instead of re-calling the
-    predicate on every scan.
+    :class:`~repro.core.parallel.SweepPlan` may share them.  With a
+    ``cache``, black-box queries are memoized through it.
     """
 
     __slots__ = (
-        "graph",
-        "version",
-        "window",
-        "nodes",
-        "node_index",
-        "edge_list",
-        "edge_ptr",
-        "dates",
-        "opaque",
-        "cache",
-        "const_latency",
-        "out_ptr",
-        "out_edge_idx",
-        "target_idx",
-        "_out_lists",
-        "_edge_pos",
+        "graph", "version", "window", "nodes", "node_index", "edge_list", "edge_ptr",
+        "dates", "opaque", "cache", "const_latency", "out_ptr", "out_edge_idx",
+        "target_idx", "_out_lists", "_edge_pos",
     )
 
     def __init__(
@@ -341,49 +373,30 @@ class CompiledTVG:
         self.node_index: dict[Hashable, int] = {
             node: i for i, node in enumerate(self.nodes)
         }
-        self.edge_list: tuple[Edge, ...] = graph.edges
-        edge_count = len(self.edge_list)
-        edge_pos = {edge.key: i for i, edge in enumerate(self.edge_list)}
-        self._edge_pos: dict[str, int] = edge_pos
-
-        lowered = [self._lower(edge.presence, window) for edge in self.edge_list]
-        self.edge_ptr, self.dates = pack_csr(lowered)
-        self.opaque = np.fromiter(
-            (c is None for c in lowered), dtype=bool, count=edge_count
-        )
+        edges = self.edge_list = graph.edges
+        #: Edge key -> index, built by the first :meth:`apply_deltas`.
+        self._edge_pos: dict[str, int] | None = None
+        self.edge_ptr, self.dates, self.opaque = _lower_edges(edges, window)
         #: Latency value when the edge's zeta is constant, else -1 (call it).
-        self.const_latency = np.fromiter(
-            (
+        self.const_latency = np.array(
+            [
                 edge.latency.value if isinstance(edge.latency, ConstantLatency) else -1
-                for edge in self.edge_list
-            ),
+                for edge in edges
+            ],
             dtype=np.int64,
-            count=edge_count,
         )
 
-        # CSR adjacency over edge indices, grouped by source node.
-        per_node = [
-            [edge_pos[edge.key] for edge in graph.out_edges(node)]
-            for node in self.nodes
-        ]
-        self.out_ptr, self.out_edge_idx = pack_csr(per_node)
-        # Hot-loop view of the CSR rows: plain tuples iterate faster than
-        # numpy slices, so snapshot each row once (derived, never diverges).
-        self._out_lists: tuple[tuple[int, ...], ...] = tuple(
-            tuple(row) for row in per_node
-        )
+        # CSR adjacency over edge indices, grouped by source node: a
+        # node's out-edges keep graph order, as out_edges lists them.
+        node_pos = self.node_index
+        sources = np.array([node_pos[e.source] for e in edges], dtype=np.int64)
+        self.out_edge_idx = np.argsort(sources, kind="stable").astype(np.int64)
+        self.out_ptr = np.zeros(len(self.nodes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=len(self.nodes)), out=self.out_ptr[1:])
         #: Head-node index of each edge (for index-space sweeps).
-        self.target_idx = np.fromiter(
-            (self.node_index[edge.target] for edge in self.edge_list),
-            dtype=np.int64,
-            count=edge_count,
-        )
-
-    @staticmethod
-    def _lower(presence: PresenceFunction, window: Interval) -> np.ndarray | None:
-        if not is_structured(presence):
-            return None
-        return _support_dates(presence, window)
+        self.target_idx = np.array([node_pos[e.target] for e in edges], dtype=np.int64)
+        # Rows as tuples (faster than numpy slices in hot loops), made on first use.
+        self._out_lists: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def contacts(self) -> list[np.ndarray | None]:
@@ -409,37 +422,34 @@ class CompiledTVG:
     def apply_deltas(self, deltas) -> bool:
         """Patch the index from a complete mutation-delta chain.
 
-        Presence swaps are the only mutation that leaves every compiled
-        shape intact — same nodes, same edge set, same adjacency, same
-        latencies — so a chain of pure ``"set_presence"`` deltas patches
-        as: relower each touched edge over the existing window, splice
-        the new ranges into fresh flat arrays (the old ones stay intact
-        for any plan still holding them), and refresh the touched
-        :attr:`edge_list` entries.  Any other delta kind (or an
-        unknowable chain, ``deltas is None``) returns False and the
-        caller rebuilds from scratch.  Returns True with
-        :attr:`version` caught up on success.
+        Presence swaps leave nodes, edges, adjacency and latencies
+        intact, so a chain of ``"set_presence"`` deltas relowers the
+        touched edges (through the same lowering as a compile) and
+        splices them into fresh arrays, leaving the old ones to any plan
+        holding them.  Returns False, for a rebuild, on any other delta
+        kind or an unknowable chain (``deltas is None``).
         """
-        if deltas is None:
+        if deltas is None or any(
+            delta.kind != "set_presence" or delta.edge_key is None for delta in deltas
+        ):
             return False
-        touched: dict[str, None] = {}
+        if self._edge_pos is None:
+            self._edge_pos = {edge.key: i for i, edge in enumerate(self.edge_list)}
+        touched: dict[int, None] = {}
         for delta in deltas:
-            if delta.kind != "set_presence" or delta.edge_key is None:
-                return False
-            touched[delta.edge_key] = None
-        relowered: dict[int, np.ndarray] = {}
-        edges = list(self.edge_list)
-        opaque = self.opaque.copy()
-        for key in touched:
-            pos = self._edge_pos.get(key)
+            pos = self._edge_pos.get(delta.edge_key)
             if pos is None:
                 return False
-            edges[pos] = self.graph.edge(key)
-            lowered = self._lower(edges[pos].presence, self.window)
-            opaque[pos] = lowered is None
-            relowered[pos] = _EMPTY_CONTACTS if lowered is None else lowered
-        self.edge_ptr, self.dates = splice_csr(self.edge_ptr, self.dates, relowered)
-        self.opaque = opaque
+            touched[pos] = None
+        edges = list(self.edge_list)
+        for pos in touched:
+            edges[pos] = self.graph.edge(edges[pos].key)
+        ptr, dates, opaque = _lower_edges([edges[pos] for pos in touched], self.window)
+        self.edge_ptr, self.dates = splice_csr(
+            self.edge_ptr, self.dates, dict(zip(touched, split_csr(ptr, dates)))
+        )
+        self.opaque = self.opaque.copy()
+        self.opaque[list(touched)] = opaque
         self.edge_list = tuple(edges)
         self.version = self.graph.version
         return True
@@ -448,6 +458,11 @@ class CompiledTVG:
 
     def out_edge_indices(self, node_idx: int) -> Sequence[int]:
         """Out-edge indices of a node, in insertion order."""
+        if self._out_lists is None:
+            edges, bounds = self.out_edge_idx.tolist(), self.out_ptr.tolist()
+            self._out_lists = tuple(
+                tuple(edges[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+            )
         return self._out_lists[node_idx]
 
     def opaque_contacts(self, edge_idx: int, start: int, end: int) -> np.ndarray:

@@ -4,28 +4,23 @@ Every arrival sweep — in-process, sharded, clustered, incremental —
 runs :func:`~repro.core.sweep_kernel.sweep_block` over one
 :class:`SweepPlan`: the sweep lowered to a handful of flat int64 arrays
 plus its ints.  A worker cannot hold the graph: presences and latencies
-are arbitrary Python callables (black-box
-:class:`~repro.core.presence.FunctionPresence`, lambda latencies) that
-may not pickle, and re-evaluating a black-box predicate in ``k``
-workers would break the engine's at-most-once-per-(edge, date)
-contract.  So :func:`build_sweep_plan` lowers in the parent, straight
-from the compiled index's flat contact CSR: a window mask over the
-compiled dates plus ``arr = dep + latency[edge]``.  Only black-box
-edges (resolved through the engine's
-:class:`~repro.core.index.LazyContactCache`, so each predicate still
-fires at most once per (edge, date)) and callable latencies are
-visited one edge at a time.  The plan pickles, ships over the wire as
-its arrays (:mod:`repro.service.wire`), and lowers to the kernel's
-sorted form with one ``lexsort``.
+may be arbitrary Python callables that do not pickle, and re-evaluating
+a black-box predicate in ``k`` workers would break the engine's
+at-most-once-per-(edge, date) contract.  So :func:`build_sweep_plan`
+lowers in the parent, straight from the compiled index's flat contact
+CSR (a window mask plus ``arr = dep + latency[edge]``); only black-box
+edges (through the engine's :class:`~repro.core.index.LazyContactCache`)
+and callable latencies are visited one edge at a time.  The plan
+pickles and ships over the wire as its arrays
+(:mod:`repro.service.wire`).
 
 The sweep is partitionable by *source blocks*: the arrival dates
 recorded for source ``i`` never depend on which other sources share
-the pass (masks are bookkeeping, not state), so sweeping blocks
-independently yields sub-matrices that stack into the exact full
-matrix — element for element.  Where a full sweep runs is the
-engine's *executor* (``TemporalEngine(graph, executor=...)``): any
-object with a ``sweep(plan)`` method returning the ``(n, n)`` int64
-matrix.  :class:`ProcessShards` runs the blocks in a process pool;
+the pass, so blocks swept independently stack into the exact full
+matrix.  Where a full sweep runs is the engine's *executor*
+(``TemporalEngine(graph, executor=...)``): any object with a
+``sweep(plan)`` method returning the ``(n, n)`` int64 matrix.
+:class:`ProcessShards` runs the blocks in a process pool;
 ``tests/properties/test_property_parallel`` proves block stacking
 equal to the one-block sweep under all three waiting semantics,
 black-box edges included.

@@ -1,37 +1,22 @@
 """The sweep kernel behind the all-pairs arrival matrix, and its oracle.
 
-Every consumer of the batched arrival sweep — the in-process
-:meth:`~repro.core.engine.TemporalEngine.arrival_matrix`, the
-process-sharded executor (:mod:`repro.core.parallel`), the distributed
-cluster workers (:mod:`repro.service.cluster`), and the service's
-shared cached sweep — lowers the sweep to one plain-data
-:class:`~repro.core.parallel.SweepPlan` and then runs
-:func:`sweep_block` over it.
-
-In :func:`sweep_block` the frontier is a ``(n, ceil(b/64))`` uint64
-numpy matrix (``b`` = source-block width): bit ``i`` of node ``j``'s
-row says source ``i``'s journeys have mass pending at ``j``.  Pending
-states are bucketed *by date* — arrivals are strictly later than
-departures (latencies are positive), so every mask pending at date
-``t`` is final before any date-``t`` state is expanded, and a whole
-date processes as vectorized row ops: ``new = mask & ~node_mask``,
-``node_mask |= new``, arrival stamping by ``np.unpackbits`` +
-``np.nonzero`` on the newly-set bits, and successor pushes grouped per
-``(arrival date, target)`` so frontier merges are one
-``np.bitwise_or.reduceat`` and a fancy-indexed ``|=`` instead of a
-dict probe and a bignum OR per contact.
+Every arrival sweep — in-process, process-sharded
+(:mod:`repro.core.parallel`), on cluster workers
+(:mod:`repro.service.cluster`), incremental — lowers to one plain-data
+:class:`~repro.core.parallel.SweepPlan` and runs :func:`sweep_block`
+over it: frontiers as ``(n, ceil(b/64))`` uint64 matrices (bit ``i`` of
+node ``j``'s row: source ``i`` has mass pending at ``j``), pending
+states bucketed *by date* — latencies are positive, so a date's masks
+are final before any of its states expand — and each date processed as
+vectorized row ops, its pushes merged per ``(arrival date, target)`` by
+one ``np.bitwise_or.reduceat``.
 
 :func:`sweep_block_bignum` is the ground-truth oracle, called by name
 from the tests and ``benchmarks/bench_sweep_kernel.py`` only: a heap of
-``(date, node)`` states whose masks are Python arbitrary-precision
-ints.  Slower, but independent of every numpy vectorization above, so
-the property suites can prove the two bit-exactly equal
-(``tests/properties/test_property_kernel`` does, under all three
-waiting semantics, black-box presences included).  It reports
-:class:`SweepStats` on request — pops, pushes, and *dead pops* (heap
-entries whose pending mass was already consumed); it seeds one heap
-entry per distinct ``(node, date)`` key, so duplicate seed sources
-cost no dead pops.
+``(date, node)`` states whose masks are Python ints, independent of
+every vectorization above, so ``tests/properties/test_property_kernel``
+can prove the two bit-exactly equal under all three waiting semantics.
+It reports :class:`SweepStats` on request.
 """
 
 from __future__ import annotations
@@ -128,50 +113,66 @@ class _BitsetLowering(NamedTuple):
     group_hi: np.ndarray
 
 
+def _radix_order(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """The stable order sorting contacts by ``keys``, most significant
+    first.  Each key's offsets from its minimum (exact as uint64 even
+    where the int64 subtraction wraps) are packed side by side into
+    uint64 words, and LSD radix passes sort by the words' 16-bit digits:
+    one stable ``argsort`` of uint16 digits (a counting sort in numpy)
+    per digit — two over a 32-date window with under 2**11 nodes.
+    """
+    count = len(keys[0])
+    words: list[tuple[np.ndarray, int]] = []
+    for key in reversed(keys):
+        if not count:
+            break
+        offsets = (key - key.min()).view(np.uint64)
+        bits = int(offsets.max()).bit_length()
+        if words and words[-1][1] + bits <= 64:
+            packed, used = words[-1]
+            words[-1] = (packed | offsets << np.uint64(used), used + bits)
+        else:
+            words.append((offsets, bits))
+    order = np.arange(count)
+    for packed, bits in words:
+        for low in range(0, bits, 16):
+            digits = (packed >> np.uint64(low)).astype(np.uint16)
+            order = order[np.argsort(digits[order], kind="stable")]
+    return order
+
+
 def _bitset_lowering(plan: "SweepPlan") -> _BitsetLowering:
     """The plan's :class:`_BitsetLowering`, computed on first use and
     stored on the plan itself, so it lives exactly as long as the plan
     (plans are immutable, so it never goes stale).  Two threads lowering
-    one plan at once both compute the same value; either may be kept."""
+    one plan at once both compute the same value; either may be kept.
+
+    Contacts are put in (departure, arrival, target) order by
+    :func:`_radix_order`, and the date axis is read off the sorted
+    columns; nothing is sized by the date span.
+    """
     lowered = plan.__dict__.get("_lowering")
     if lowered is not None:
         return lowered
-    n = plan.n
     edge_count = len(plan.target_idx)
     src_of_edge = np.empty(edge_count, dtype=np.int64)
-    src_of_edge[plan.out_edge_idx] = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(plan.out_ptr)
-    )
-    edge_of_contact = np.repeat(
-        np.arange(edge_count, dtype=np.int64), np.diff(plan.edge_ptr)
-    )
+    src_of_edge[plan.out_edge_idx] = np.repeat(np.arange(plan.n), np.diff(plan.out_ptr))
+    edge_of_contact = np.repeat(np.arange(edge_count), np.diff(plan.edge_ptr))
     tgt_flat = plan.target_idx[edge_of_contact]
-    order = np.lexsort((tgt_flat, plan.arr, plan.dep))
+    order = _radix_order((plan.dep, plan.arr, tgt_flat))
     dep_s = plan.dep[order]
     arr_s = plan.arr[order]
     tgt_s = tgt_flat[order]
     src_s = src_of_edge[edge_of_contact[order]]
-    total_contacts = len(order)
     # Group starts: one merge group per distinct (departure, arrival,
-    # target) — precomputed once, sliced per date below.
-    if total_contacts:
-        change = np.empty(total_contacts, dtype=bool)
-        change[0] = True
-        change[1:] = (
-            (dep_s[1:] != dep_s[:-1])
-            | (arr_s[1:] != arr_s[:-1])
-            | (tgt_s[1:] != tgt_s[:-1])
-        )
-        group_starts_all = np.flatnonzero(change)
-    else:
-        group_starts_all = np.empty(0, dtype=np.int64)
-
-    # The date axis: every departure, every arrival, and the seed date.
-    dates = np.unique(
-        np.concatenate(
-            (dep_s, arr_s, np.asarray([plan.start_time], dtype=np.int64))
-        )
-    )
+    # target), sliced per date below.  The date axis: every departure,
+    # every arrival (one per distinct departure and arrival), the seed.
+    new_dep, new_pair, change = np.ones((3, len(order)), dtype=bool)
+    new_dep[1:] = dep_s[1:] != dep_s[:-1]
+    new_pair[1:] = new_dep[1:] | (arr_s[1:] != arr_s[:-1])
+    change[1:] = new_pair[1:] | (tgt_s[1:] != tgt_s[:-1])
+    group_starts_all = np.flatnonzero(change)
+    dates = np.unique(np.concatenate((dep_s[new_dep], arr_s[new_pair], [plan.start_time])))
     date_lo = np.searchsorted(dep_s, dates, side="left")
     date_hi = np.searchsorted(dep_s, dates, side="right")
     group_lo = np.searchsorted(group_starts_all, date_lo, side="left")
@@ -191,30 +192,18 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
     Row ``r`` of the returned ``(len(sources), plan.n)`` int64 matrix is
     the earliest-arrival row of source ``sources[r]`` — a source's
     arrival dates never depend on which other sources share the pass,
-    so blocks stack into the full matrix (proven bit-exact against
-    :func:`sweep_block_bignum` by the kernel property suite).
+    so blocks stack into the full matrix.
 
-    All contacts are sorted ONCE by (departure, arrival, target); the
-    sweep then walks the merged date axis (contact departures, contact
-    arrivals, and the seed date) in increasing order.  At each date the
-    pending bucket — a full-width ``(n, words)`` uint64 matrix — is
-    applied (``new = mask & ~node_mask`` stamps first arrivals), and the
-    date's contact slice departs carrying whichever source rows the
-    semantics make eligible:
-
-    * unbounded waiting — ``node_mask`` rows (every bit that has ever
-      arrived at the tail; earlier arrivals' departure windows subsume
-      later ones, so this is exact);
-    * no-wait — the current bucket's rows (only bits arriving exactly at
-      the departure date may continue);
-    * bounded ``wait[w]`` — the OR of the buckets retained for the
-      recency window ``[t - w, t]`` (an arrival *event*, re-arrivals of
-      known bits included, keeps a bit eligible for ``w`` more dates —
-      exactly the bignum sweep's full-mask push discipline).
-
-    Each contact is therefore touched exactly once per sweep, and all
-    pushes landing on the same (arrival date, target) merge with one
-    ``np.bitwise_or.reduceat`` over pre-sorted group boundaries.
+    The sweep walks the lowering's date axis in increasing order.  At
+    each date the pending bucket — a full-width ``(n, words)`` uint64
+    matrix — stamps first arrivals (``new = mask & ~node_mask``), and
+    the date's contacts depart carrying the source rows the semantics
+    make eligible: ``node_mask`` rows under unbounded waiting (earlier
+    arrivals' departure windows subsume later ones), the current
+    bucket's under no-wait, and under ``wait[w]`` the OR of the buckets
+    of ``[t - w, t]`` (an arrival *event*, re-arrivals included, keeps a
+    bit eligible for ``w`` more dates, exactly the bignum sweep's
+    full-mask push discipline).  Each contact is touched once per sweep.
     """
     sources = tuple(sources)
     b = len(sources)

@@ -191,3 +191,30 @@ class TestEngineRoute:
 
         with pytest.raises(ReproError):
             edges_recurrent(rotor(), 0, 24, engine=TemporalEngine(rotor()))
+        with pytest.raises(ReproError):
+            classify(rotor(), 0, 24, engine=TemporalEngine(rotor()))
+
+    @pytest.mark.parametrize("window", [(0, 24), (5, 37), (3, 4), (0, 2)])
+    def test_fresh_engine_compiles_once(self, monkeypatch, window):
+        # An unbounded lifetime leaves the compiled window to the
+        # queries: TC(start, mid) alone would compile [start, mid), and
+        # TC(mid, end) would then grow it with a second compile.
+        from repro.core.engine import TemporalEngine
+        from repro.core.generators import periodic_random_tvg
+        from repro.core.index import CompiledTVG
+
+        graph = periodic_random_tvg(6, period=4, density=0.4, seed=3)
+        assert not graph.lifetime.bounded
+        builds = []
+        original = CompiledTVG.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args[1])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledTVG, "__init__", counting)
+        engine = TemporalEngine(graph)
+        report = classify(graph, *window, engine=engine)
+        assert len(builds) == 1
+        assert (builds[0].start, builds[0].end) == window
+        assert report == classify(graph, *window)

@@ -1,5 +1,6 @@
 """Tests for time-series analyses."""
 
+import numpy as np
 import pytest
 
 from repro.analysis.evolution import (
@@ -10,6 +11,7 @@ from repro.analysis.evolution import (
 )
 from repro.core.builders import TVGBuilder, static_graph
 from repro.core.semantics import NO_WAIT, WAIT
+from repro.core.sweep_kernel import UNREACHED
 from repro.errors import ReproError
 
 
@@ -122,3 +124,61 @@ class TestEngineRoute:
 
         with pytest.raises(ReproError):
             reachability_growth(rotor(), 0, 12, WAIT, engine=TemporalEngine(rotor()))
+
+
+class TestGrowthDerive:
+    """The counting derive against the kept sort-based one."""
+
+    @staticmethod
+    def check(matrix, start, end):
+        from lowering_helpers import reference_growth_curve
+
+        from repro.analysis.evolution import growth_curve_from_arrivals
+
+        arrival = np.asarray(matrix, dtype=np.int64)
+        assert growth_curve_from_arrivals(arrival, start, end) == (
+            reference_growth_curve(arrival, start, end)
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_matrices(self, n):
+        rng = np.random.default_rng(n)
+        for start, end in ((0, 5), (-3, 2), (4, 5)):
+            matrix = rng.integers(start, end + 2, (n, n))
+            np.fill_diagonal(matrix, start)
+            self.check(matrix, start, end)
+
+    def test_every_pair_unreached(self):
+        for n in (2, 3, 5):
+            matrix = np.full((n, n), UNREACHED)
+            self.check(matrix, 0, 6)
+            np.fill_diagonal(matrix, 0)
+            self.check(matrix, 0, 6)
+
+    def test_arrivals_at_and_beyond_end(self):
+        matrix = [[0, 4, 5, 6], [9, 0, 5, UNREACHED], [4, 4, 0, 2**40], [1, 5, 4, 0]]
+        self.check(matrix, 0, 5)
+        self.check(matrix, 0, 6)
+
+    def test_negative_start(self):
+        matrix = [[-7, -6, -1, 3], [-5, -7, UNREACHED, -2], [0, 1, -7, -7], [-3, -4, 2, -7]]
+        for end in (-6, -2, 0, 4, 9):
+            self.check(matrix, -7, end)
+
+    def test_diagonal_removed_by_position_not_value(self):
+        # A hand-built matrix whose diagonal is not ``start``: early,
+        # late, unreached — and off-diagonal entries equal to it.
+        matrix = [[-9, 2, 3], [3, 4, UNREACHED], [1, 3, UNREACHED]]
+        for start, end in ((0, 6), (2, 5), (-10, 1)):
+            self.check(matrix, start, end)
+        self.check([[7, -3], [-3, 2]], 0, 8)
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(0, 7))
+            start = int(rng.integers(-20, 20))
+            end = start + int(rng.integers(1, 12))
+            matrix = rng.integers(start - 3, end + 3, (n, n))
+            matrix[rng.random((n, n)) < 0.3] = UNREACHED
+            self.check(matrix, start, end)
