@@ -254,10 +254,10 @@ async def run_chaos_phase() -> dict:
     from repro.service.server import serve_service
 
     workload, _shadow, service = _build_service()
-    # Effective 20 requests/second per client: tight enough that the
+    # 20 requests/second per client: tight enough that the
     # hammer loop below must trip it, loose enough that polite traffic
     # (which honours every retry_after hint) always gets through.
-    limiter = RateLimiter(24, window=1.0, margin=4)
+    limiter = RateLimiter(20, window=1.0)
     gate = AdmissionGate(64)
     server = await serve_service(
         service, port=0, limit=2048, limiter=limiter, gate=gate

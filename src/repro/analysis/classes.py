@@ -25,10 +25,10 @@ set of classes a graph exhibits on the window — the inclusion structure
 (C7 ⊆ C6 ⊆ C5, C9 ⊆ C2, ...) is asserted by the tests.
 
 Every checker and :func:`classify` accept an ``engine=`` hook.  With a
-:class:`~repro.core.engine.TemporalEngine`, each connectivity check
-(C1/C2/C3) is one batched arrival sweep instead of ``n`` interpretive
-searches, and the schedule checkers (C5–C10) read per-edge contact
-dates off the compiled index — black-box presences memoized by the
+:class:`~repro.core.engine.TemporalEngine`, each TC check is one
+batched arrival sweep instead of ``n`` interpretive searches, and the
+schedule checkers (C5–C10) read per-edge contact dates off the flat
+contact arrays of one sweep plan — black-box presences memoized by the
 :class:`~repro.core.index.LazyContactCache`, so repeated
 classifications never re-call a predicate on a date it already
 answered.  Verdicts are identical either way (proven by the
@@ -96,12 +96,18 @@ def is_recurrently_connected(
     stride: int = 1,
     engine: "TemporalEngine | None" = None,
 ) -> bool:
-    """C3 on the window: TC holds from every sampled start date."""
+    """C3 on the window: TC holds from every sampled start date.
+
+    The samples are ``range(start, max(start + 1, end - 1), stride)``.
+    A node ready at ``t`` can wait until any ``t' >= t``, so TC from
+    ``t'`` to the fixed horizon implies TC from ``t``: the conjunction
+    over the samples is TC from the last one, one check.
+    """
     require_window(start, end)
-    return all(
-        is_temporally_connected_from(graph, t, end, engine=engine)
-        for t in range(start, max(start + 1, end - 1), stride)
-    )
+    if stride <= 0:
+        raise ReproError(f"stride must be positive, got {stride}")
+    last = range(start, max(start + 1, end - 1), stride)[-1]
+    return is_temporally_connected_from(graph, last, end, engine=engine)
 
 
 def _window_contacts(
@@ -112,17 +118,22 @@ def _window_contacts(
 ) -> list[tuple[object, list[int]]]:
     """Each edge paired with its sorted contact dates on ``[start, end)``.
 
-    With an engine the dates come off the compiled index — black-box
-    edges answered by the memoizing
-    :class:`~repro.core.index.LazyContactCache` — otherwise from the
-    interpretive presence support.
+    With an engine the dates come off the ``edge_ptr``/``dep`` CSR of
+    the window's WAIT sweep plan — black-box edges answered by the
+    memoizing :class:`~repro.core.index.LazyContactCache` — otherwise
+    from the interpretive presence support.
     """
     if engine is not None:
+        # Looked up per call, as the engine's sweeps do, so a wrapper
+        # installed on the module sees every plan build.
+        from repro.core.parallel import build_sweep_plan
+
         engine.require_graph(graph, "a class checker")
-        index = engine.index_for(start, end)
+        _nodes, plan = build_sweep_plan(engine, start, WAIT, end)
+        dates, bounds = plan.dep.tolist(), plan.edge_ptr.tolist()
+        edges = engine.index_for(start, end).edge_list
         return [
-            (edge, index.departures(ei, start, end))
-            for ei, edge in enumerate(index.edge_list)
+            (edge, dates[lo:hi]) for edge, lo, hi in zip(edges, bounds, bounds[1:])
         ]
     window = Interval(start, end)
     return [
@@ -327,27 +338,32 @@ def classify(
     ``recurrence_bound`` and ``period`` default to window/4 and the
     graph's declared period respectively.  ``engine`` accelerates the
     connectivity checkers (C1/C2/C3) through the batched arrival sweep
-    — run wherever the engine's executor puts it — and the schedule
-    checkers through the compiled contact arrays.
+    — run wherever the engine's executor puts it, at most four sweeps
+    per call — and the schedule checkers through the window's flat
+    contact arrays.
     """
     require_window(start, end)
     if engine is not None:
         # Compile the whole window up front: the first checker asks only
-        # for [start, mid), and TC(mid, end) would then widen the index
-        # with a second compile.
+        # for C3's [last sample, end), and TC(start, mid) would then
+        # widen the index with a second compile.
         engine.require_graph(graph, "classify")
         engine.index_for(start, end)
     bound = recurrence_bound if recurrence_bound is not None else max(1, (end - start) // 4)
     declared = period if period is not None else graph.period
     tags: set[str] = set()
-    if is_round_connected(graph, start, end, engine=engine):
-        tags.add("C1")
-    if is_temporally_connected_from(graph, start, end, engine=engine):
-        tags.add("C2")
     if is_recurrently_connected(
         graph, start, end, stride=max(1, (end - start) // 8), engine=engine
     ):
         tags.add("C3")
+    if is_round_connected(graph, start, end, engine=engine):
+        tags.add("C1")
+    # C3 includes TC from start, and C1's TC(start, mid) holds at the
+    # longer horizon too: C2 needs its own sweep only without either.
+    if tags & {"C1", "C3"} or is_temporally_connected_from(
+        graph, start, end, engine=engine
+    ):
+        tags.add("C2")
     if edges_recurrent(graph, start, end, engine=engine):
         tags.add("C5")
     if edges_bounded_recurrent(graph, start, end, bound, engine=engine):

@@ -32,12 +32,7 @@ def is_temporally_connected(
     horizon: int | None = None,
     engine: "TemporalEngine | None" = None,
 ) -> bool:
-    """Whether every ordered pair is joined by a feasible journey.
-
-    The engine route counts pairs straight off the bit-packed
-    reachability form (see :func:`~repro.analysis.reachability
-    .reachability_ratio`), never expanding the boolean matrix.
-    """
+    """Whether every ordered pair is joined by a feasible journey."""
     return reachability_ratio(graph, start_time, semantics, horizon, engine) == 1.0
 
 
@@ -83,8 +78,7 @@ def classify_connectivity(
     """Classify a TVG's behaviour over ``[start, end)``.
 
     With ``engine=`` the two reachability ratios come from batched
-    sweeps (one per semantics) instead of ``2n`` searches, counted off
-    the bit-packed reachability form.
+    sweeps (one per semantics) instead of ``2n`` searches.
     """
     connected = sum(1 for t in range(start, end) if is_connected_at(graph, t))
     return ConnectivityReport(

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Hashable
 import numpy as np
 
 from repro.core.semantics import NO_WAIT, WAIT, WaitingSemantics
+from repro.core.sweep_kernel import UNREACHED
 from repro.core.traversal import reachable_nodes
 from repro.core.tvg import TimeVaryingGraph
 
@@ -40,7 +41,8 @@ def reachability_matrix(
     """
     if engine is not None:
         engine.require_graph(graph, "reachability_matrix")
-        return engine.reachability_matrix(start_time, semantics, horizon)
+        nodes, arrival = engine.arrival_matrix(start_time, semantics, horizon)
+        return nodes, arrival != UNREACHED
     nodes = list(graph.nodes)
     index = {node: i for i, node in enumerate(nodes)}
     matrix = np.zeros((len(nodes), len(nodes)), dtype=bool)
@@ -59,27 +61,12 @@ def reachability_ratio(
     horizon: int | None = None,
     engine: "TemporalEngine | None" = None,
 ) -> float:
-    """Fraction of ordered pairs ``(u, v), u != v`` connected by a journey.
-
-    With an engine the count comes off the bit-packed form
-    (:meth:`~repro.core.engine.TemporalEngine.reachability_packed`):
-    a popcount over ``ceil(n/8) x n`` bytes, never materializing the
-    boolean matrix (``packbits`` zero-pads the tail bits, so the byte
-    popcount needs no edge-of-column masking).
-    """
-    if engine is not None:
-        engine.require_graph(graph, "reachability_ratio")
-        nodes, packed = engine.reachability_packed(start_time, semantics, horizon)
-        n = len(nodes)
-        if n <= 1:
-            return 1.0
-        reachable_pairs = int(np.bitwise_count(packed).sum()) - n  # drop the diagonal
-        return reachable_pairs / (n * (n - 1))
-    nodes, matrix = reachability_matrix(graph, start_time, semantics, horizon)
+    """Fraction of ordered pairs ``(u, v), u != v`` connected by a journey."""
+    nodes, matrix = reachability_matrix(graph, start_time, semantics, horizon, engine)
     n = len(nodes)
     if n <= 1:
         return 1.0
-    reachable_pairs = int(matrix.sum()) - n  # drop the diagonal
+    reachable_pairs = int(np.count_nonzero(matrix)) - n  # drop the diagonal
     return reachable_pairs / (n * (n - 1))
 
 

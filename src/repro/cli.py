@@ -289,11 +289,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.service import TVGService
     from repro.service.tasks import DEFAULT_MAX_TASKS
 
-    if args.rate_limit is not None and args.rate_margin >= args.rate_limit:
-        raise ReproError(
-            f"--rate-margin ({args.rate_margin}) must be below "
-            f"--rate-limit ({args.rate_limit})"
-        )
     graph, start, horizon = _load_or_generate(args)
     max_tasks = DEFAULT_MAX_TASKS if args.max_tasks is None else args.max_tasks
     service = TVGService(
@@ -302,11 +297,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     limiter = None
     if args.rate_limit is not None:
-        limiter = RateLimiter(
-            args.rate_limit, window=args.rate_window, margin=args.rate_margin
-        )
+        limiter = RateLimiter(args.rate_limit, window=args.rate_window)
         print(
-            f"rate limit:         {limiter.effective_limit} requests / "
+            f"rate limit:         {limiter.limit} requests / "
             f"{args.rate_window}s per client"
         )
     gate = None
@@ -489,10 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument(
         "--rate-window", type=_number(float, 0), default=1.0,
         help="sliding rate-limit window in seconds",
-    )
-    srv.add_argument(
-        "--rate-margin", type=_number(int, 0, inclusive=True), default=0,
-        help="admit this many requests below the hard --rate-limit",
     )
     srv.add_argument(
         "--max-inflight", type=_number(int, 0), default=None,

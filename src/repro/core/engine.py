@@ -55,6 +55,7 @@ from repro.core.edges import Edge
 from repro.core.index import CompiledTVG, LazyContactCache
 from repro.core.intervals import Interval
 from repro.core.semantics import NO_WAIT, WaitingSemantics
+from repro.core.traversal import _resolve_horizon
 from repro.core.tvg import TimeVaryingGraph
 from repro.errors import TimeDomainError
 
@@ -166,15 +167,6 @@ class TemporalEngine:
                 f"the engine passed to {caller} was built for a different graph"
             )
 
-    def _resolve_horizon(self, horizon: int | None) -> int:
-        if horizon is not None:
-            return horizon
-        if self.graph.lifetime.bounded:
-            return int(self.graph.lifetime.end)
-        raise TimeDomainError(
-            "an explicit horizon is required on graphs with unbounded lifetime"
-        )
-
     # -- the shared successor kernel -------------------------------------------
 
     def successors(
@@ -190,7 +182,7 @@ class TemporalEngine:
         edge, edges in insertion order — the exact enumeration order of
         the interpretive :func:`repro.core.traversal.successors`.
         """
-        horizon = self._resolve_horizon(horizon)
+        horizon = _resolve_horizon(self.graph, horizon)
         if ready >= horizon:
             return []
         index = self.index_for(min(ready, horizon), horizon)
@@ -302,7 +294,7 @@ class TemporalEngine:
         ``executor`` — or, without one, by
         :func:`~repro.core.sweep_kernel.sweep_block` in this process.
         """
-        horizon = self._resolve_horizon(horizon)
+        horizon = _resolve_horizon(self.graph, horizon)
         from repro.core.parallel import build_sweep_plan
         from repro.core.sweep_kernel import sweep_block
 
@@ -318,7 +310,6 @@ class TemporalEngine:
         deltas: "Sequence[MutationDelta] | None",
         semantics: WaitingSemantics = NO_WAIT,
         horizon: int | None = None,
-        max_rows: int | None = None,
     ) -> tuple[list[Hashable], np.ndarray, int] | None:
         """Patch a cached arrival matrix across a mutation-delta chain.
 
@@ -338,13 +329,10 @@ class TemporalEngine:
         equal to a from-scratch sweep, or None when the incremental
         path does not apply: unknowable chain (``deltas is None``),
         node additions (the matrix axes change), or a node-order
-        mismatch with ``previous``.  ``max_rows`` optionally bounds the
-        cone: a larger one also returns None, letting the caller prefer
-        a full sweep on the engine's executor when re-sweeping most
-        rows anyway.  The cone itself is always swept in-process.  The
-        input matrix is never mutated.
+        mismatch with ``previous``.  The cone itself is always swept
+        in-process.  The input matrix is never mutated.
         """
-        horizon = self._resolve_horizon(horizon)
+        horizon = _resolve_horizon(self.graph, horizon)
         if deltas is None:
             return None
         prev_nodes, prev_matrix = previous
@@ -366,49 +354,8 @@ class TemporalEngine:
         rows = affected_rows(prev_matrix, tuple(tails))
         if rows.size == 0:
             return nodes, prev_matrix.copy(), 0
-        if max_rows is not None and rows.size > max_rows:
-            return None
         block = sweep_block(plan, rows.tolist())
         return nodes, merge_rows(prev_matrix, rows, block), int(rows.size)
-
-    def reachability_packed(
-        self,
-        start_time: int,
-        semantics: WaitingSemantics = NO_WAIT,
-        horizon: int | None = None,
-    ) -> tuple[list[Hashable], np.ndarray]:
-        """Every source's reachable set, bit-packed — the primary form.
-
-        Returns ``(nodes, packed)`` where ``packed`` is the
-        ``(ceil(n/8), n)`` uint8 matrix of
-        ``np.packbits(reachable, axis=0, bitorder="little")``: bit ``i``
-        of column ``j`` (i.e. ``packed[i >> 3, j] >> (i & 7) & 1``) says
-        node ``nodes[j]`` is reachable from source ``nodes[i]`` (each
-        node trivially reaches itself).  Derived from
-        :meth:`arrival_matrix`: reachable means the earliest arrival is
-        finite.  Consumers that count or test bits
-        (:mod:`repro.analysis.reachability`,
-        :mod:`repro.analysis.connectivity`) work on this form directly —
-        popcounts and column compares are byte ops.
-        """
-        nodes, arrival = self.arrival_matrix(start_time, semantics, horizon)
-        return nodes, np.packbits(arrival != UNREACHED, axis=0, bitorder="little")
-
-    def reachability_matrix(
-        self,
-        start_time: int,
-        semantics: WaitingSemantics = NO_WAIT,
-        horizon: int | None = None,
-    ) -> tuple[list[Hashable], np.ndarray]:
-        """Boolean reachability matrix via the batched sweep.
-
-        Same contract as
-        :func:`repro.analysis.reachability.reachability_matrix`.
-        """
-        nodes, arrival = self.arrival_matrix(start_time, semantics, horizon)
-        matrix = arrival != UNREACHED
-        np.fill_diagonal(matrix, True)
-        return nodes, matrix
 
     # -- simulator fast path ---------------------------------------------------
 

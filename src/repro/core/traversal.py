@@ -77,13 +77,7 @@ def successors(
     presence scans (same triples, same order).
     """
     horizon = _resolve_horizon(graph, horizon)
-    if engine is not None:
-        engine.require_graph(graph, "a traversal")
-        yield from engine.successors(node, ready, semantics, horizon)
-        return
-    for edge in graph.out_edges(node):
-        for departure in edge_departures(edge, ready, semantics, horizon):
-            yield edge, departure, departure + edge.latency(departure)
+    yield from _step_fn(graph, semantics, horizon, engine)(node, ready)
 
 
 def _step_fn(

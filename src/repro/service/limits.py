@@ -5,12 +5,10 @@ around its dispatcher:
 
 * :class:`RateLimiter` — per-client sliding-window rate limiting over
   windowed timestamps.  Each client key holds a deque of admission
-  times; a request is admitted when fewer than ``limit - margin``
-  timestamps remain inside the trailing window (the *margin* keeps
-  admitted traffic a configurable distance below the hard limit, so a
-  burst that races the pruning never lands exactly on it).  Rejections
-  come with a ``retry_after`` hint: the time until the client's oldest
-  windowed timestamp expires.
+  times; a request is admitted when fewer than ``limit`` timestamps
+  remain inside the trailing window.  Rejections come with a
+  ``retry_after`` hint: the time until the client's oldest windowed
+  timestamp expires.
 * :class:`AdmissionGate` — a server-wide cap on in-flight requests
   (admitted into dispatch, response not yet written).  Purely a
   counter; the caller pairs :meth:`~AdmissionGate.try_acquire` with
@@ -40,9 +38,7 @@ GATE_RETRY_AFTER: float = 0.05
 class RateLimiter:
     """Sliding-window request admission, one timestamp deque per client.
 
-    ``limit`` is the hard per-window cap; ``margin`` lowers the
-    *effective* cap to ``limit - margin`` (admitted traffic stays below
-    the hard limit by that margin).  ``window`` is the sliding window
+    ``limit`` is the per-window cap and ``window`` the sliding window
     in seconds.  ``clock`` is any monotonic float-returning callable —
     tests inject a fake to step time deterministically.
     """
@@ -51,22 +47,14 @@ class RateLimiter:
         self,
         limit: int,
         window: float = 1.0,
-        margin: int = 0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if limit <= 0:
             raise ValueError(f"limit must be positive, got {limit}")
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        if margin < 0 or margin >= limit:
-            raise ValueError(
-                f"margin must be in [0, limit), got margin={margin} "
-                f"with limit={limit}"
-            )
         self.limit = limit
         self.window = window
-        self.margin = margin
-        self.effective_limit = limit - margin
         self._clock = clock
         self._stamps: dict[Hashable, deque[float]] = {}
         self.admitted = 0
@@ -76,8 +64,8 @@ class RateLimiter:
         """Charge one request to ``client`` now.
 
         Returns ``None`` when admitted (the timestamp is recorded), or
-        the ``retry_after`` hint in seconds when the client is over its
-        effective limit (nothing is recorded — rejected requests don't
+        the ``retry_after`` hint in seconds when the client is at its
+        limit (nothing is recorded — rejected requests don't
         extend the window against the client).
         """
         now = self._clock()
@@ -85,7 +73,7 @@ class RateLimiter:
         cutoff = now - self.window
         while stamps and stamps[0] <= cutoff:
             stamps.popleft()
-        if len(stamps) >= self.effective_limit:
+        if len(stamps) >= self.limit:
             self.rejected += 1
             return max(0.0, stamps[0] + self.window - now)
         stamps.append(now)
@@ -105,8 +93,6 @@ class RateLimiter:
         return {
             "limit": self.limit,
             "window_seconds": self.window,
-            "margin": self.margin,
-            "effective_limit": self.effective_limit,
             "admitted": self.admitted,
             "rejected": self.rejected,
             "tracked_clients": self.tracked_clients,
@@ -114,7 +100,7 @@ class RateLimiter:
 
     def __repr__(self) -> str:
         return (
-            f"RateLimiter({self.effective_limit}/{self.window}s effective, "
+            f"RateLimiter({self.limit}/{self.window}s, "
             f"{self.admitted} admitted, {self.rejected} rejected)"
         )
 

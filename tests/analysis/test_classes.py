@@ -29,6 +29,12 @@ def rotor(horizon=24):
     )
 
 
+def periodic_graph(density):
+    from repro.core.generators import periodic_random_tvg
+
+    return periodic_random_tvg(8, period=4, density=density, seed=3)
+
+
 def dying_edge_graph():
     """One edge stops appearing halfway — not recurrent."""
     return (
@@ -57,6 +63,18 @@ class TestConnectivityClasses:
     def test_empty_window_rejected(self):
         with pytest.raises(ReproError):
             is_temporally_connected_from(rotor(), 5, 5)
+
+    @pytest.mark.parametrize("with_engine", [False, True])
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_non_positive_stride_rejected(self, stride, with_engine):
+        # An empty sample range would make C3 vacuously true: an
+        # edgeless graph would pass.
+        from repro.core.engine import TemporalEngine
+
+        g = TVGBuilder().lifetime(0, 10).node("a").node("b").node("c").build()
+        engine = TemporalEngine(g) if with_engine else None
+        with pytest.raises(ReproError, match="stride must be positive"):
+            is_recurrently_connected(g, 0, 10, stride=stride, engine=engine)
 
 
 class TestEdgeRecurrence:
@@ -197,8 +215,9 @@ class TestEngineRoute:
     @pytest.mark.parametrize("window", [(0, 24), (5, 37), (3, 4), (0, 2)])
     def test_fresh_engine_compiles_once(self, monkeypatch, window):
         # An unbounded lifetime leaves the compiled window to the
-        # queries: TC(start, mid) alone would compile [start, mid), and
-        # TC(mid, end) would then grow it with a second compile.
+        # queries: C3's TC(last sample, end) alone would compile
+        # [last sample, end), and TC(start, mid) would then grow it
+        # with a second compile.
         from repro.core.engine import TemporalEngine
         from repro.core.generators import periodic_random_tvg
         from repro.core.index import CompiledTVG
@@ -218,3 +237,34 @@ class TestEngineRoute:
         assert len(builds) == 1
         assert (builds[0].start, builds[0].end) == window
         assert report == classify(graph, *window)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            *(periodic_graph(density) for density in (0.05, 0.2, 0.6)),
+            # TC(0, 16) holds, TC(16, 32) does not: the four-sweep path.
+            TVGBuilder(name="late-silence")
+            .lifetime(0, 32)
+            .contact("a", "b", present=[(0, 32)], key="ab")
+            .contact("b", "a", present=[(0, 10)], key="ba")
+            .build(),
+        ],
+        ids=["sparse", "periodic", "dense", "late-silence"],
+    )
+    def test_fresh_engine_sweeps_at_most_four_times(self, monkeypatch, graph):
+        # C3 is one sweep from its last sample, C1 at most two, and C2
+        # sweeps only when neither C1 nor C3 implies it.
+        from repro.core import sweep_kernel
+        from repro.core.engine import TemporalEngine
+
+        sweeps = []
+        original = sweep_kernel.sweep_block
+
+        def counting(plan, sources):
+            sweeps.append((plan.start_time, plan.horizon))
+            return original(plan, sources)
+
+        monkeypatch.setattr(sweep_kernel, "sweep_block", counting)
+        report = classify(graph, 0, 32, engine=TemporalEngine(graph))
+        assert 2 <= len(sweeps) <= 4
+        assert report == classify(graph, 0, 32)

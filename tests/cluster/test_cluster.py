@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from faulty_worker import FaultyWorker
 
+from repro.analysis.reachability import reachability_matrix, reachability_ratio
 from repro.core.engine import TemporalEngine
 from repro.core.generators import periodic_random_tvg
 from repro.core.latency import function_latency
@@ -138,13 +139,13 @@ class TestDistributedEqualsSerial:
     def test_derived_views_accept_cluster(self, pool):
         g = random_graph(n=12, seed=5)
         cluster = ClusterExecutor(pool.addresses)
-        engine = TemporalEngine(g, executor=cluster)
-        nodes, boolean = engine.reachability_matrix(0, WAIT, HORIZON)
-        _same, packed = engine.reachability_packed(0, WAIT, HORIZON)
-        _also, serial = TemporalEngine(g).reachability_matrix(0, WAIT, HORIZON)
-        assert np.array_equal(boolean, serial)
-        unpacked = np.unpackbits(packed, axis=0, count=len(nodes), bitorder="little")
-        assert np.array_equal(unpacked.astype(bool), boolean)
+        engine, serial = TemporalEngine(g, executor=cluster), TemporalEngine(g)
+        _nodes, boolean = reachability_matrix(g, 0, WAIT, HORIZON, engine=engine)
+        _same, expected = reachability_matrix(g, 0, WAIT, HORIZON, engine=serial)
+        assert np.array_equal(boolean, expected)
+        assert reachability_ratio(
+            g, 0, WAIT, HORIZON, engine=engine
+        ) == reachability_ratio(g, 0, WAIT, HORIZON, engine=serial)
 
     def test_tiny_graphs_stay_serial(self, pool):
         g = random_graph(n=4, seed=2)

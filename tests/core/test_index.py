@@ -249,23 +249,22 @@ class TestArrivalMatrix:
         for i in range(len(nodes)):
             assert matrix[i, i] == 3
 
-    def test_masks_and_matrix_derive_from_arrivals(self):
+    def test_matrix_and_ratio_derive_from_arrivals(self):
         import numpy as np
 
+        from repro.analysis.reachability import reachability_matrix, reachability_ratio
         from repro.core.engine import UNREACHED
 
         g = build_graph()
         engine = TemporalEngine(g)
         nodes, arrival = engine.arrival_matrix(0, WAIT)
-        _same, packed = engine.reachability_packed(0, WAIT)
-        _also, boolean = engine.reachability_matrix(0, WAIT)
+        _same, boolean = reachability_matrix(g, 0, WAIT, engine=engine)
         assert np.array_equal(boolean, arrival != UNREACHED)
-        for j in range(len(nodes)):
-            expected = 0
-            for i in range(len(nodes)):
-                if arrival[i, j] != UNREACHED:
-                    expected |= 1 << i
-            assert int.from_bytes(packed[:, j].tobytes(), "little") == expected
+        n = len(nodes)
+        reached = sum(
+            arrival[i, j] != UNREACHED for i in range(n) for j in range(n) if i != j
+        )
+        assert reachability_ratio(g, 0, WAIT, engine=engine) == reached / (n * (n - 1))
 
     def test_arrivals_past_horizon_are_kept(self):
         # b->c departs at 3 (the last date < horizon) with unit latency:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from plan_helpers import make_plan
 
+from repro.analysis.reachability import reachability_matrix, reachability_ratio
 from repro.core import parallel
 from repro.core.engine import UNREACHED, TemporalEngine
 from repro.core.generators import periodic_random_tvg
@@ -360,12 +361,13 @@ class TestMultiprocessSharding:
     def test_derived_views_accept_shards(self):
         g = random_graph(n=12, seed=5)
         engine = TemporalEngine(g, executor=ProcessShards(2))
-        nodes, boolean = engine.reachability_matrix(0, WAIT, HORIZON)
-        _same, packed = engine.reachability_packed(0, WAIT, HORIZON)
-        _also, serial = TemporalEngine(g).reachability_matrix(0, WAIT, HORIZON)
-        assert np.array_equal(boolean, serial)
-        unpacked = np.unpackbits(packed, axis=0, count=len(nodes), bitorder="little")
-        assert np.array_equal(unpacked.astype(bool), boolean)
+        serial = TemporalEngine(g)
+        _nodes, boolean = reachability_matrix(g, 0, WAIT, HORIZON, engine=engine)
+        _same, expected = reachability_matrix(g, 0, WAIT, HORIZON, engine=serial)
+        assert np.array_equal(boolean, expected)
+        assert reachability_ratio(
+            g, 0, WAIT, HORIZON, engine=engine
+        ) == reachability_ratio(g, 0, WAIT, HORIZON, engine=serial)
 
     def test_direct_sharded_call(self):
         g = random_graph(n=10, seed=9)

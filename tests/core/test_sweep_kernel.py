@@ -144,18 +144,17 @@ class TestLoweringMemo:
 
 
 class TestEngineKernelThreading:
-    def test_reachability_packed_matches_masks(self):
-        """The packed uint8 matrix is the primary form: column ``j``'s
-        bytes, read little-endian, are the bit mask of the sources that
-        reach node ``j``."""
-        engine = TemporalEngine(merge_heavy_graph(6))
-        nodes, packed = engine.reachability_packed(0, WAIT, horizon=HORIZON)
-        _also, matrix = engine.reachability_matrix(0, WAIT, horizon=HORIZON)
-        n = len(nodes)
-        assert packed.shape == ((n + 7) // 8, n)
-        assert packed.dtype == np.uint8
-        unpacked = np.unpackbits(packed, axis=0, count=n, bitorder="little")
-        assert np.array_equal(unpacked.astype(bool), matrix)
-        for j in range(n):
-            mask = sum(1 << i for i in range(n) if matrix[i, j])
-            assert int.from_bytes(packed[:, j].tobytes(), "little") == mask
+    def test_reachability_views_match_the_interpretive_path(self):
+        """The matrix and ratio derived from the kernel's arrivals equal
+        the per-source interpretive searches."""
+        from repro.analysis.reachability import reachability_matrix, reachability_ratio
+
+        g = merge_heavy_graph(6)
+        engine = TemporalEngine(g)
+        _nodes, matrix = reachability_matrix(g, 0, WAIT, HORIZON, engine=engine)
+        _same, expected = reachability_matrix(g, 0, WAIT, HORIZON)
+        assert matrix.dtype == bool
+        assert np.array_equal(matrix, expected)
+        assert reachability_ratio(
+            g, 0, WAIT, HORIZON, engine=engine
+        ) == reachability_ratio(g, 0, WAIT, HORIZON)

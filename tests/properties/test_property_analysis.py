@@ -14,7 +14,12 @@ memoized lazily) against the predicate-calling oracle.
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.classes import (
+    ClassReport,
     classify,
+    edges_bounded_recurrent,
+    edges_periodic,
+    edges_recurrent,
+    interval_connectivity,
     is_recurrently_connected,
     is_round_connected,
     is_temporally_connected_from,
@@ -77,11 +82,11 @@ def presences(draw):
 
 
 @st.composite
-def tvgs(draw):
-    n = draw(st.integers(2, 5))
+def tvgs(draw, max_nodes=5, max_edges=8):
+    n = draw(st.integers(2, max_nodes))
     graph = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="random")
     graph.add_nodes(range(n))
-    edge_count = draw(st.integers(1, 8))
+    edge_count = draw(st.integers(1, max_edges))
     for _ in range(edge_count):
         u = draw(st.integers(0, n - 1))
         v = draw(st.integers(0, n - 1))
@@ -94,6 +99,50 @@ def tvgs(draw):
             latency=constant_latency(draw(st.integers(1, 3))),
         )
     return graph
+
+
+#: Few nodes, many edges: TC holds often enough that its loss at later
+#: start dates shows.
+dense_tvgs = tvgs(max_nodes=4, max_edges=16)
+
+
+@st.composite
+def windows(draw):
+    """A window inside the lifetime, widths 1 and 2 drawn as often as
+    all the wider ones together."""
+    width = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, HORIZON)))
+    start = draw(st.integers(0, HORIZON - width))
+    return start, start + width
+
+
+def sampled_recurrence(graph, start, end, stride):
+    """C3 as the conjunction over its sampled start dates, interpretive."""
+    return all(
+        is_temporally_connected_from(graph, t, end)
+        for t in range(start, max(start + 1, end - 1), stride)
+    )
+
+
+def reference_classify(graph, start, end):
+    """classify with C1, C2 and the sampled C3 each evaluated on its
+    own, in that order, interpretively."""
+    tags = set()
+    if is_round_connected(graph, start, end):
+        tags.add("C1")
+    if is_temporally_connected_from(graph, start, end):
+        tags.add("C2")
+    if sampled_recurrence(graph, start, end, max(1, (end - start) // 8)):
+        tags.add("C3")
+    if edges_recurrent(graph, start, end):
+        tags.add("C5")
+    if edges_bounded_recurrent(graph, start, end, max(1, (end - start) // 4)):
+        tags.add("C6")
+    if graph.period is not None and edges_periodic(graph, graph.period, start, end):
+        tags.add("C7")
+    t_interval = interval_connectivity(graph, start, end)
+    if t_interval >= 1:
+        tags |= {"C9", "C10"}
+    return ClassReport((start, end), frozenset(tags), t_interval)
 
 
 class TestArrivalMatrixAgainstOracle:
@@ -153,6 +202,41 @@ class TestClassificationAgainstOracle:
         assert is_recurrently_connected(
             graph, start, HORIZON, stride=2, engine=engine
         ) == is_recurrently_connected(graph, start, HORIZON, stride=2)
+
+
+class TestRecurrenceByMonotonicity:
+    """Under unbounded waiting TC from ``t'`` implies TC from every
+    ``t <= t'`` (same horizon), so C3 is one check from the last sample
+    and classify needs C2's own sweep only without C1 or C3."""
+
+    @given(dense_tvgs, windows(), st.booleans())
+    @settings(DETERMINISTIC, max_examples=40)
+    def test_tc_is_monotone_in_the_start_date(self, graph, window, with_engine):
+        start, end = window
+        engine = TemporalEngine(graph) if with_engine else None
+        verdicts = [
+            is_temporally_connected_from(graph, t, end, engine=engine)
+            for t in range(start, end)
+        ]
+        assert verdicts == sorted(verdicts, reverse=True)
+
+    @given(dense_tvgs, windows(), st.integers(1, 4), st.booleans())
+    @settings(DETERMINISTIC, max_examples=150)
+    def test_one_check_equals_the_sampled_conjunction(
+        self, graph, window, stride, with_engine
+    ):
+        start, end = window
+        engine = TemporalEngine(graph) if with_engine else None
+        assert is_recurrently_connected(
+            graph, start, end, stride=stride, engine=engine
+        ) == sampled_recurrence(graph, start, end, stride)
+
+    @given(dense_tvgs, windows())
+    @settings(DETERMINISTIC, max_examples=60)
+    def test_classify_equals_independent_checkers(self, graph, window):
+        expected = reference_classify(graph, *window)
+        assert classify(graph, *window) == expected
+        assert classify(graph, *window, engine=TemporalEngine(graph)) == expected
 
 
 class TestBroadcastTreeAgainstOracle:

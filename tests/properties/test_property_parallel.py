@@ -14,6 +14,7 @@ the end-to-end multi-process runs under the ``slow`` marker.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.reachability import reachability_matrix, reachability_ratio
 from repro.core.engine import TemporalEngine
 from repro.core.latency import constant_latency
 from repro.core.parallel import build_sweep_plan, partition_sources, sweep_block
@@ -85,6 +86,17 @@ def tvgs(draw):
     return graph
 
 
+class StackedBlocks:
+    """An in-process executor: ``shards`` block sweeps, stacked."""
+
+    def __init__(self, shards: int) -> None:
+        self.shards = shards
+
+    def sweep(self, plan):
+        blocks = partition_sources(plan.n, self.shards)
+        return np.vstack([sweep_block(plan, block) for block in blocks])
+
+
 class TestShardedEqualsSerial:
     @given(tvgs(), semantics_strategy, st.integers(0, 3), st.integers(2, 4))
     @settings(DETERMINISTIC, max_examples=60)
@@ -116,13 +128,18 @@ class TestShardedEqualsSerial:
 
     @given(tvgs(), semantics_strategy)
     @settings(DETERMINISTIC, max_examples=30)
-    def test_masks_match_the_matrix(self, graph, semantics):
-        """The vectorized mask packing agrees with the boolean matrix
-        (bit i of packed column j == matrix[i, j]) on arbitrary graphs."""
-        engine = TemporalEngine(graph)
-        nodes, matrix = engine.reachability_matrix(0, semantics, horizon=HORIZON)
-        _same, packed = engine.reachability_packed(0, semantics, horizon=HORIZON)
-        for j in range(len(nodes)):
-            assert int.from_bytes(packed[:, j].tobytes(), "little") == sum(
-                1 << i for i in range(len(nodes)) if matrix[i, j]
-            )
+    def test_derived_views_match_the_serial_engine(self, graph, semantics):
+        """The reachability matrix and ratio over stacked block sweeps
+        equal the serial engine's on arbitrary graphs."""
+        stacked = TemporalEngine(graph, executor=StackedBlocks(3))
+        serial = TemporalEngine(graph)
+        _nodes, matrix = reachability_matrix(
+            graph, 0, semantics, HORIZON, engine=stacked
+        )
+        _same, expected = reachability_matrix(
+            graph, 0, semantics, HORIZON, engine=serial
+        )
+        assert np.array_equal(matrix, expected)
+        assert reachability_ratio(
+            graph, 0, semantics, HORIZON, engine=stacked
+        ) == reachability_ratio(graph, 0, semantics, HORIZON, engine=serial)

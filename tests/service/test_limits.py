@@ -66,14 +66,6 @@ class TestRateLimiter:
         clock.advance(0.6)  # ...and recovers exactly when the window slides
         assert limiter.admit("c") is None
 
-    def test_margin_lowers_the_effective_limit(self):
-        clock = FakeClock()
-        limiter = RateLimiter(10, window=1.0, margin=3, clock=clock)
-        assert limiter.effective_limit == 7
-        outcomes = [limiter.admit("c") for _ in range(10)]
-        assert outcomes[:7] == [None] * 7
-        assert all(hint is not None for hint in outcomes[7:])
-
     def test_clients_are_independent(self):
         clock = FakeClock()
         limiter = RateLimiter(1, window=1.0, clock=clock)
@@ -92,13 +84,11 @@ class TestRateLimiter:
         assert limiter.admit("c") is None
 
     def test_stats_shape(self):
-        limiter = RateLimiter(5, window=2.0, margin=1, clock=FakeClock())
+        limiter = RateLimiter(5, window=2.0, clock=FakeClock())
         limiter.admit("c")
         stats = limiter.stats()
         assert stats["limit"] == 5
         assert stats["window_seconds"] == 2.0
-        assert stats["margin"] == 1
-        assert stats["effective_limit"] == 4
         assert stats["admitted"] == 1
         assert stats["rejected"] == 0
         assert stats["tracked_clients"] == 1
@@ -109,8 +99,6 @@ class TestRateLimiter:
             {"limit": 0},
             {"limit": -1},
             {"limit": 5, "window": 0},
-            {"limit": 5, "margin": -1},
-            {"limit": 5, "margin": 5},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):

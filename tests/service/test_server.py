@@ -742,7 +742,7 @@ class TestStatsDocument:
     def test_stats_aggregates_service_and_frontend_state(self):
         async def body():
             service = TVGService(line_graph())
-            limiter = RateLimiter(100, window=1.0, margin=10)
+            limiter = RateLimiter(90, window=1.0)
             gate = AdmissionGate(8)
             server = await serve_service(
                 service, port=0, limiter=limiter, gate=gate
@@ -768,7 +768,7 @@ class TestStatsDocument:
                 assert "sweeps" in stats
                 # Frontend aggregation.
                 frontend = stats["frontend"]
-                assert frontend["rate_limit"]["effective_limit"] == 90
+                assert frontend["rate_limit"]["limit"] == 90
                 assert frontend["rate_limit"]["admitted"] >= 5
                 assert frontend["admission"]["peak"] >= 1
                 latency = frontend["latency"]

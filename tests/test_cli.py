@@ -149,19 +149,17 @@ class TestServeCommand:
         # Admission control defaults: off unless asked for.
         assert args.rate_limit is None
         assert args.rate_window == 1.0
-        assert args.rate_margin == 0
         assert args.max_inflight is None
         assert args.max_tasks is None
 
     def test_parser_wires_the_admission_flags(self):
         args = build_parser().parse_args(
             ["serve", "--nodes", "6", "--rate-limit", "100",
-             "--rate-window", "0.5", "--rate-margin", "10",
+             "--rate-window", "0.5",
              "--max-inflight", "64", "--max-tasks", "32"]
         )
         assert args.rate_limit == 100
         assert args.rate_window == 0.5
-        assert args.rate_margin == 10
         assert args.max_inflight == 64
         assert args.max_tasks == 32
 
@@ -295,7 +293,6 @@ class TestNumberBoundaries:
             ["serve", "--max-tasks", "0"],
             ["serve", "--rate-window", "0"],
             ["serve", "--rate-window", "nan"],
-            ["serve", "--rate-margin", "-1"],
             ["reach", "--shards", "0"],
             ["reach", "--shards", "-3"],
             ["growth", "--shards", "0"],
@@ -320,8 +317,6 @@ class TestNumberBoundaries:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["serve", "--rate-limit", "5", "--rate-margin", "5"],
-            ["serve", "--rate-limit", "5", "--rate-margin", "9"],
             ["reach", "--engine", "interpretive", "--shards", "2"],
             ["reach", "--engine", "interpretive", "--workers", "127.0.0.1:1"],
             ["growth", "--engine", "interpretive", "--shards", "2"],

@@ -87,3 +87,25 @@ def test_traced_service_records_every_pipeline_layer(installed):
     assert {request for request, _a, _f in spans["kernel.lower"]} == {1, 3}
     assert [request for request, _a, _f in spans["engine.incremental"]] == [3]
     assert [h[0] for h in installed.handles] == [1, 2, 3]
+
+
+def test_traced_classify_records_every_plan_it_builds(installed):
+    # C1 holds and C3 does not, so no sweep builds the whole window's
+    # plan: only the schedule checkers do.
+    graph = (
+        TVGBuilder(name="pair")
+        .lifetime(0, 8)
+        .edge("a", "b", present=[(0, 6)], key="ab")
+        .edge("b", "a", present=[(0, 6)], key="ba")
+        .build()
+    )
+    service = TVGService(graph)
+    classify = {"id": 1, "op": "classify", "start": 0, "end": 8}
+    assert server.handle_request(service, classify)["ok"]
+    service.close()
+
+    names = [name for _request, name, *_rest in installed.spans]
+    built = [flag for _r, name, *_t, flag in installed.spans if name == "plan.build"]
+    assert sum(built) == len(service.engine._plan_memo)
+    assert names.count("derive.classify") == 1
+    assert 1 <= names.count("kernel.sweep") <= 4
