@@ -19,9 +19,10 @@ Two claims are checked:
   single-core algorithmic claim (fewer rows swept, same kernel), so it
   applies on every host, 1-CPU sandboxes included.
 
-Both paths run on the same engine and the same kernel; plans
-compile once and best-of-``REPEATS`` timing amortizes warmup, so the
-timings isolate swept-row volume.  Emits ``BENCH_incremental.json``
+Both paths run on the same engine and the same kernel, and both answer
+in the kernel's compact offset form (the seed and the full re-sweep come
+from ``arrival_offsets``); plans compile once and best-of-``REPEATS``
+timing amortizes warmup, so the timings isolate swept-row volume.  Emits ``BENCH_incremental.json``
 next to this file.
 
 Run standalone (``python benchmarks/bench_incremental.py``) or through
@@ -129,14 +130,14 @@ def run_benchmark() -> dict:
     }
 
     for label, semantics in (("wait", WAIT), ("nowait", NO_WAIT)):
-        nodes0, m0 = engine.arrival_matrix(0, semantics, horizon=HORIZON)
+        nodes0, m0 = engine.arrival_offsets(0, semantics, horizon=HORIZON)
         version0 = graph.version
         dirty_keys = churn(graph, rng)
         deltas = graph.deltas_since(version0)
         assert deltas is not None and len(deltas) == len(dirty_keys)
 
         scratch, full_seconds = _best_of(
-            lambda: engine.arrival_matrix(0, semantics, horizon=HORIZON)[1]
+            lambda: engine.arrival_offsets(0, semantics, horizon=HORIZON)[1]
         )
         incremental, incremental_seconds = _best_of(
             lambda: engine.arrival_matrix_incremental(

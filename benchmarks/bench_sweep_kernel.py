@@ -64,7 +64,11 @@ def run_benchmark() -> dict:
     from repro.core.generators import periodic_random_tvg
     from repro.core.parallel import build_sweep_plan
     from repro.core.semantics import NO_WAIT, WAIT
-    from repro.core.sweep_kernel import sweep_block, sweep_block_bignum
+    from repro.core.sweep_kernel import (
+        offsets_to_dates,
+        sweep_block,
+        sweep_block_bignum,
+    )
 
     graph = periodic_random_tvg(
         NODES, period=PERIOD, density=DENSITY, labels="ab", seed=SEED
@@ -94,7 +98,8 @@ def run_benchmark() -> dict:
             lambda: sweep_block_bignum(plan, sources)
         )
         bitset, bitset_seconds = _best_of(lambda: sweep_block(plan, sources))
-        assert np.array_equal(bitset, bignum), (
+        # The bitset kernel answers in offsets; the oracle in int64 dates.
+        assert np.array_equal(offsets_to_dates(bitset, plan.start_time), bignum), (
             f"bitset kernel diverged from the bignum oracle under {label}"
         )
         results["cases"][f"sweep_block_{label}"] = {

@@ -13,12 +13,13 @@ Engine route
 ``reachability_growth`` and ``value_of_waiting`` accept an ``engine=``
 hook.  With a :class:`~repro.core.engine.TemporalEngine` the whole curve
 comes from ONE batched all-pairs arrival sweep
-(:meth:`~repro.core.engine.TemporalEngine.arrival_matrix`): the matrix
-of earliest arrivals is computed once and its off-diagonal arrivals
-counted per date — instead of ``n`` independent interpretive searches
-re-run per source.  Results are identical to the interpretive path (the
-differential oracle suite in ``tests/properties/test_property_analysis.py``
-proves it under all three waiting semantics).
+(:meth:`~repro.core.engine.TemporalEngine.arrival_offsets`): the matrix
+of earliest-arrival offsets is computed once and its off-diagonal
+arrivals counted per date — instead of ``n`` independent interpretive
+searches re-run per source.  Results are identical to the interpretive
+path (the differential oracle suite in
+``tests/properties/test_property_analysis.py`` proves it under all three
+waiting semantics).
 """
 
 from __future__ import annotations
@@ -64,25 +65,35 @@ def growth_curve_from_arrivals(
 ) -> list[tuple[int, float]]:
     """The growth curve derived from an all-pairs arrival matrix.
 
-    ``arrival`` is the output of
-    :meth:`~repro.core.engine.TemporalEngine.arrival_matrix`.  Dates
-    are counted, not sorted: the arrivals below ``end`` (unreached pairs
-    never are) are ``bincount``-ed by offset from ``start`` — an earlier
-    one joins from the first date on — and the cumulative sum is the
-    number of pairs joined by each date, less the diagonal's, which is
-    removed by position.  Shared by :func:`reachability_growth` and the
-    query service, which reuses one cached matrix across query
-    families.
+    ``arrival`` is either form the engine answers in: the compact
+    offsets from ``start`` of
+    :meth:`~repro.core.engine.TemporalEngine.arrival_offsets` (an
+    unsigned dtype whose max marks unreached pairs) or the int64 dates
+    of :meth:`~repro.core.engine.TemporalEngine.arrival_matrix`, told
+    apart by dtype.  Dates are counted, not sorted: the arrivals before
+    ``end`` — offsets below ``min(end - start, sentinel)``, so a window
+    wider than the dtype never counts the sentinel — are
+    ``bincount``-ed by offset, and the cumulative sum is the number of
+    pairs joined by each date, less the diagonal's, which is removed by
+    position.  Shared by :func:`reachability_growth` and the query
+    service, which reuses one cached matrix across query families.
     """
     n = arrival.shape[0]
     if n <= 1:
         return [(t, 1.0) for t in range(start, end)]
     if end <= start:
         return []
+    if arrival.dtype.kind == "u":
+        # Offsets from start; the dtype's max marks unreached pairs.
+        base, limit = 0, min(end - start, int(np.iinfo(arrival.dtype).max))
+    else:
+        # int64 dates; UNREACHED is never below end.  An earlier date
+        # joins from the first date on.
+        base, limit = start, end
 
     def counts(values: np.ndarray) -> np.ndarray:
-        early = values[values < end]
-        return np.bincount(np.maximum(early, start) - start, minlength=end - start)
+        early = values[values < limit].astype(np.int64, copy=False)
+        return np.bincount(np.maximum(early, base) - base, minlength=end - start)
 
     joined = np.cumsum(counts(arrival) - counts(np.diagonal(arrival)))
     total_pairs = n * (n - 1)
@@ -116,8 +127,8 @@ def reachability_growth(
     total_pairs = n * (n - 1)
     if engine is not None:
         engine.require_graph(graph, "reachability_growth")
-        _nodes, arrival = engine.arrival_matrix(start, semantics, horizon=end)
-        return growth_curve_from_arrivals(arrival, start, end)
+        _nodes, offsets = engine.arrival_offsets(start, semantics, horizon=end)
+        return growth_curve_from_arrivals(offsets, start, end)
     earliest: dict[tuple[Hashable, Hashable], int] = {}
     for source in nodes:
         states = reachable_states(graph, [(source, start)], semantics, horizon=end)

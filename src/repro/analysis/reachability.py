@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Hashable
 import numpy as np
 
 from repro.core.semantics import NO_WAIT, WAIT, WaitingSemantics
-from repro.core.sweep_kernel import UNREACHED
+from repro.core.sweep_kernel import sentinel
 from repro.core.traversal import reachable_nodes
 from repro.core.tvg import TimeVaryingGraph
 
@@ -37,12 +37,13 @@ def reachability_matrix(
     """Boolean matrix ``M[i, j]`` = node ``j`` reachable from node ``i``.
 
     Diagonal entries are True (the trivial journey).  Returns the node
-    ordering alongside so callers can label the axes.
+    ordering alongside so callers can label the axes.  With an engine
+    the matrix is the arrival offsets compared with their sentinel.
     """
     if engine is not None:
         engine.require_graph(graph, "reachability_matrix")
-        nodes, arrival = engine.arrival_matrix(start_time, semantics, horizon)
-        return nodes, arrival != UNREACHED
+        nodes, offsets = engine.arrival_offsets(start_time, semantics, horizon)
+        return nodes, offsets != sentinel(offsets)
     nodes = list(graph.nodes)
     index = {node: i for i, node in enumerate(nodes)}
     matrix = np.zeros((len(nodes), len(nodes)), dtype=bool)

@@ -18,7 +18,10 @@ calls.  On top of the kernel it offers:
   arrives — in ONE pass over the temporal state space.  Each state
   carries a bitmask of the sources that reach it; masks merge as states
   are processed in increasing time order, and the first pop that brings
-  a source's bit to a node *is* that pair's earliest arrival.  Where
+  a source's bit to a node *is* that pair's earliest arrival.
+  :meth:`arrival_offsets` is the one sweep entry point: it answers in
+  compact offsets from the start date, and :meth:`arrival_matrix`
+  converts them once to int64 dates.  Where
   the sweep runs is the engine's one setting, its ``executor``
   (in-process by default; :class:`~repro.core.parallel.ProcessShards`
   or :class:`~repro.service.cluster.ClusterExecutor` spread the source
@@ -26,8 +29,8 @@ calls.  On top of the kernel it offers:
   arrivals:
   :func:`repro.analysis.reachability.reachability_matrix` (arrival is
   finite), :func:`repro.analysis.evolution.reachability_growth`
-  (cumulative count of arrivals <= t, O(log) per prefix instead of a
-  full matrix per prefix), and the connectivity predicates of
+  (arrivals counted per date offset and summed cumulatively, instead
+  of a full matrix per prefix), and the connectivity predicates of
   :mod:`repro.analysis.classes`;
 * a fast per-round presence lookup (:meth:`out_edges_at`) for the
   :class:`~repro.dynamics.network.Simulator`.
@@ -76,7 +79,7 @@ class TemporalEngine:
     default the graph's bounded lifetime is used and the window grows
     on demand when a query reaches past it.  ``executor`` says where
     full arrival sweeps run: any object with a ``sweep(plan)`` method
-    returning the plan's ``(n, n)`` int64 matrix
+    returning the plan's ``(n, n)`` offset matrix
     (:class:`~repro.core.parallel.SweepExecutor`), or None to sweep
     in-process.  Answers are identical whichever runs them.
     """
@@ -264,18 +267,20 @@ class TemporalEngine:
 
     # -- the batched multi-source sweep ----------------------------------------
 
-    def arrival_matrix(
+    def arrival_offsets(
         self,
         start_time: int,
         semantics: WaitingSemantics = NO_WAIT,
         horizon: int | None = None,
     ) -> tuple[list[Hashable], np.ndarray]:
-        """All-pairs earliest arrivals, in one pass.
+        """All-pairs earliest arrivals, in one pass — the one sweep
+        entry point.
 
-        Returns ``(nodes, matrix)`` where ``matrix[i, j]`` is the first
-        date a journey from ``nodes[i]`` (ready at ``start_time``) can
-        arrive at ``nodes[j]`` — :data:`UNREACHED` for pairs no journey
-        joins, ``start_time`` on the diagonal (the trivial journey).
+        Returns ``(nodes, offsets)`` where ``offsets[i, j]`` is how long
+        after ``start_time`` a journey from ``nodes[i]`` (ready at
+        ``start_time``) can first arrive at ``nodes[j]``, in the plan's
+        :func:`~repro.core.sweep_kernel.offset_dtype` — its max for
+        pairs no journey joins, 0 on the diagonal (the trivial journey).
         Departures are bounded by ``horizon``; arrivals may exceed it,
         exactly as in :func:`repro.core.traversal.earliest_arrivals`.
 
@@ -303,6 +308,21 @@ class TemporalEngine:
             return nodes, sweep_block(plan, range(plan.n))
         return nodes, self.executor.sweep(plan)
 
+    def arrival_matrix(
+        self,
+        start_time: int,
+        semantics: WaitingSemantics = NO_WAIT,
+        horizon: int | None = None,
+    ) -> tuple[list[Hashable], np.ndarray]:
+        """:meth:`arrival_offsets` as int64 dates: ``(nodes, matrix)``
+        where ``matrix[i, j]`` is the first date a journey from
+        ``nodes[i]`` arrives at ``nodes[j]`` — :data:`UNREACHED` for
+        pairs no journey joins, ``start_time`` on the diagonal."""
+        from repro.core.sweep_kernel import offsets_to_dates
+
+        nodes, offsets = self.arrival_offsets(start_time, semantics, horizon)
+        return nodes, offsets_to_dates(offsets, start_time)
+
     def arrival_matrix_incremental(
         self,
         start_time: int,
@@ -311,10 +331,10 @@ class TemporalEngine:
         semantics: WaitingSemantics = NO_WAIT,
         horizon: int | None = None,
     ) -> tuple[list[Hashable], np.ndarray, int] | None:
-        """Patch a cached arrival matrix across a mutation-delta chain.
+        """Patch a cached offset matrix across a mutation-delta chain.
 
-        ``previous`` is a ``(nodes, matrix)`` pair some earlier
-        :meth:`arrival_matrix` call produced **for the same**
+        ``previous`` is a ``(nodes, offsets)`` pair some earlier
+        :meth:`arrival_offsets` call produced **for the same**
         ``(start_time, semantics, horizon)`` query on an ancestor
         version of this graph, and ``deltas`` the complete chain of
         mutations since (:meth:`TimeVaryingGraph.deltas_since`).  The
@@ -323,14 +343,15 @@ class TemporalEngine:
         any dirty tail cannot gain or lose a journey through a dirty
         edge (see :func:`~repro.core.sweep_kernel.affected_rows`) —
         so only those rows are re-swept and merged over a copy of the
-        old matrix.
+        old matrix, recast to the new plan's offset dtype when the
+        chain moved it.
 
-        Returns ``(nodes, matrix, rows_reswept)``, entry-for-entry
-        equal to a from-scratch sweep, or None when the incremental
-        path does not apply: unknowable chain (``deltas is None``),
-        node additions (the matrix axes change), or a node-order
-        mismatch with ``previous``.  The cone itself is always swept
-        in-process.  The input matrix is never mutated.
+        Returns ``(nodes, offsets, rows_reswept)``, entry-for-entry
+        equal to a from-scratch :meth:`arrival_offsets`, or None when
+        the incremental path does not apply: unknowable chain (``deltas
+        is None``), node additions (the matrix axes change), or a
+        node-order mismatch with ``previous``.  The cone itself is
+        always swept in-process.  The input matrix is never mutated.
         """
         horizon = _resolve_horizon(self.graph, horizon)
         if deltas is None:
@@ -339,7 +360,12 @@ class TemporalEngine:
         if any(d.kind == "add_node" for d in deltas):
             return None
         from repro.core.parallel import build_sweep_plan
-        from repro.core.sweep_kernel import affected_rows, merge_rows, sweep_block
+        from repro.core.sweep_kernel import (
+            affected_rows,
+            merge_rows,
+            offset_dtype,
+            sweep_block,
+        )
 
         nodes, plan = build_sweep_plan(self, start_time, semantics, horizon)
         if list(prev_nodes) != nodes or prev_matrix.shape != (plan.n, plan.n):
@@ -352,9 +378,10 @@ class TemporalEngine:
                 return None
             tails[tail] = None
         rows = affected_rows(prev_matrix, tuple(tails))
-        if rows.size == 0:
-            return nodes, prev_matrix.copy(), 0
-        block = sweep_block(plan, rows.tolist())
+        if rows.size:
+            block = sweep_block(plan, rows.tolist())
+        else:
+            block = np.empty((0, plan.n), dtype=offset_dtype(plan))
         return nodes, merge_rows(prev_matrix, rows, block), int(rows.size)
 
     # -- simulator fast path ---------------------------------------------------

@@ -19,7 +19,9 @@ recorded for source ``i`` never depend on which other sources share
 the pass, so blocks swept independently stack into the exact full
 matrix.  Where a full sweep runs is the engine's *executor*
 (``TemporalEngine(graph, executor=...)``): any object with a
-``sweep(plan)`` method returning the ``(n, n)`` int64 matrix.
+``sweep(plan)`` method returning the ``(n, n)`` matrix of arrival
+offsets in the plan's
+:func:`~repro.core.sweep_kernel.offset_dtype`.
 :class:`ProcessShards` runs the blocks in a process pool;
 ``tests/properties/test_property_parallel`` proves block stacking
 equal to the one-block sweep under all three waiting semantics,
@@ -77,9 +79,10 @@ class SweepPlan:
     unbounded, 0 for no-wait).  The arrays are never written, so plans
     may share them; plans compare by content.
 
-    State derived from the content — :attr:`fingerprint` and the
-    kernel's lowering (:func:`~repro.core.sweep_kernel._bitset_lowering`)
-    — is computed at most once per plan object and cached on it, so it
+    State derived from the content — :attr:`fingerprint`, the kernel's
+    lowering (:func:`~repro.core.sweep_kernel._bitset_lowering`) and
+    its offset dtype (:func:`~repro.core.sweep_kernel.offset_dtype`) —
+    is computed at most once per plan object and cached on it, so it
     lives exactly as long as the plan; it is never part of equality or
     of the wire spec.
     """
@@ -245,8 +248,8 @@ def partition_sources(
 
 class SweepExecutor(Protocol):
     """Where a full sweep runs: ``sweep(plan)`` returns the plan's
-    ``(n, n)`` int64 arrival matrix, element for element equal to
-    ``sweep_block(plan, range(plan.n))``."""
+    ``(n, n)`` arrival-offset matrix, dtype included, element for
+    element equal to ``sweep_block(plan, range(plan.n))``."""
 
     def sweep(self, plan: SweepPlan) -> np.ndarray: ...
 

@@ -11,12 +11,21 @@ are final before any of its states expand — and each date processed as
 vectorized row ops, its pushes merged per ``(arrival date, target)`` by
 one ``np.bitwise_or.reduceat``.
 
+The kernel answers in one compact form: arrival *offsets* from the
+plan's ``start_time`` in :func:`offset_dtype`, the narrowest unsigned
+dtype whose max — the unreached sentinel — exceeds every arrival offset
+the plan can produce (uint8 on a 32-date window).
+:func:`offsets_to_dates` turns them into the int64 dates with
+:data:`UNREACHED` that :meth:`~repro.core.engine.TemporalEngine.arrival_matrix`
+returns.
+
 :func:`sweep_block_bignum` is the ground-truth oracle, called by name
 from the tests and ``benchmarks/bench_sweep_kernel.py`` only: a heap of
 ``(date, node)`` states whose masks are Python ints, independent of
-every vectorization above, so ``tests/properties/test_property_kernel``
-can prove the two bit-exactly equal under all three waiting semantics.
-It reports :class:`SweepStats` on request.
+every vectorization above (it returns int64 dates), so
+``tests/properties/test_property_kernel`` can prove the two bit-exactly
+equal under all three waiting semantics.  It reports
+:class:`SweepStats` on request.
 """
 
 from __future__ import annotations
@@ -32,10 +41,43 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.core.parallel import SweepPlan
 
-#: Sentinel arrival date for unreachable pairs — larger than any real
-#: date, so ``matrix <= t`` comparisons need no special casing.
-#: (Re-exported by :mod:`repro.core.engine`, its historical home.)
+#: Sentinel arrival date for unreachable pairs in the int64 date form —
+#: larger than any real date, so ``matrix <= t`` comparisons need no
+#: special casing.  (Re-exported by :mod:`repro.core.engine`.)
 UNREACHED: int = np.iinfo(np.int64).max
+
+#: The arrival-offset dtypes, narrowest first.
+OFFSET_DTYPES: tuple[np.dtype, ...] = tuple(
+    np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+)
+
+
+def offset_dtype(plan: "SweepPlan") -> np.dtype:
+    """The narrowest of :data:`OFFSET_DTYPES` whose max (the unreached
+    sentinel) exceeds ``plan``'s largest arrival offset from its
+    ``start_time`` — arrivals are the only dates a sweep stamps besides
+    the start itself.  Computed once per plan and cached on it, like
+    the plan's lowering."""
+    dtype = plan.__dict__.get("_offset_dtype")
+    if dtype is None:
+        largest = int(plan.arr.max()) - plan.start_time if len(plan.arr) else 0
+        dtype = next(t for t in OFFSET_DTYPES if largest < np.iinfo(t).max)
+        object.__setattr__(plan, "_offset_dtype", dtype)
+    return dtype
+
+
+def sentinel(offsets: np.ndarray) -> int:
+    """The unreached sentinel of an offset matrix: its dtype's max."""
+    return int(np.iinfo(offsets.dtype).max)
+
+
+def offsets_to_dates(offsets: np.ndarray, start_time: int) -> np.ndarray:
+    """Offsets from ``start_time`` as int64 dates, the sentinel as
+    :data:`UNREACHED`.  Every real arrival date fits int64, so the
+    (wrapping) int64 addition is exact even for uint64 offsets."""
+    dates = offsets.astype(np.int64) + np.int64(start_time)
+    dates[offsets == sentinel(offsets)] = UNREACHED
+    return dates
 
 
 @dataclass
@@ -56,7 +98,8 @@ class SweepStats:
 
 
 def affected_rows(previous: np.ndarray, tails: Sequence[int]) -> np.ndarray:
-    """Source rows of ``previous`` whose answers a dirty edge can change.
+    """Source rows of the offset matrix ``previous`` whose answers a
+    dirty edge can change.
 
     ``tails`` are the node indices at which some edge's schedule changed
     (its tail — where journeys board it).  Any journey whose arrival
@@ -64,29 +107,35 @@ def affected_rows(previous: np.ndarray, tails: Sequence[int]) -> np.ndarray:
     *first* dirty edge on that journey is reached by an all-clean
     prefix, which was equally valid before the mutation — so the old
     matrix already records a finite arrival at that edge's tail.  Rows
-    with ``previous[i, tail] == UNREACHED`` for every dirty tail are
-    therefore exact as they stand, under every waiting semantics (the
-    argument never inspects departure eligibility, only prefix
-    validity).  Conservative: a returned row may turn out unchanged.
+    holding the sentinel at every dirty tail are therefore exact as they
+    stand, under every waiting semantics (the argument never inspects
+    departure eligibility, only prefix validity).  Conservative: a
+    returned row may turn out unchanged.
     """
     if len(tails) == 0:
         return np.empty(0, dtype=np.int64)
     tail_idx = np.asarray(tuple(tails), dtype=np.int64)
     return np.flatnonzero(
-        (previous[:, tail_idx] != UNREACHED).any(axis=1)
+        (previous[:, tail_idx] != sentinel(previous)).any(axis=1)
     ).astype(np.int64)
 
 
 def merge_rows(
     previous: np.ndarray, rows: Sequence[int], block: np.ndarray
 ) -> np.ndarray:
-    """A copy of ``previous`` with ``rows`` replaced by ``block``'s rows.
+    """A copy of ``previous`` in ``block``'s dtype, with ``rows``
+    replaced by ``block``'s rows.
 
     ``block`` is the output of :func:`sweep_block` over exactly
-    ``rows`` (in order); the merge never mutates ``previous`` — cached
-    matrices stay valid for their own version.
+    ``rows`` (in order).  A ``previous`` of another dtype (the plan's
+    largest offset moved across a dtype bound) is recast sentinel to
+    sentinel; every offset outside ``rows`` fits the new dtype, because
+    those rows' answers did not change.  The merge never mutates
+    ``previous`` — cached matrices stay valid for their own version.
     """
-    merged = previous.copy()
+    merged = previous.astype(block.dtype)
+    if merged.dtype != previous.dtype:
+        merged[previous == sentinel(previous)] = sentinel(merged)
     if len(rows):
         merged[np.asarray(tuple(rows), dtype=np.int64)] = block
     return merged
@@ -99,18 +148,29 @@ class _BitsetLowering(NamedTuple):
     """A plan's contacts sorted and grouped — everything in
     :func:`sweep_block` that does not depend on the source block,
     so repeated sweeps of one plan (sharded blocks, incremental cone
-    re-sweeps) pay the O(contacts) lowering once."""
+    re-sweeps) pay the O(contacts) lowering once.
 
-    dep_s: np.ndarray
-    arr_s: np.ndarray
-    tgt_s: np.ndarray
+    Contacts are in (departure, arrival, target) order; ``src_s`` is
+    each one's source node.  A *group* is one distinct (departure,
+    arrival, target) — the pushes one OR merges — and a *run* the
+    groups of one departure date that share an arrival date.  Date
+    ``dates[d]`` departs contacts ``date_lo[d]:date_hi[d]`` and runs
+    ``run_lo[d]:run_hi[d]``; run ``r`` holds groups
+    ``run_ptr[r]:run_ptr[r + 1]`` and arrives at ``run_arr[r]``; group
+    ``g`` starts ``group_offset[g]`` contacts into its departure date
+    and lands on node ``group_tgt[g]``.
+    """
+
     src_s: np.ndarray
-    group_starts_all: np.ndarray
     dates: np.ndarray
     date_lo: np.ndarray
     date_hi: np.ndarray
-    group_lo: np.ndarray
-    group_hi: np.ndarray
+    run_lo: np.ndarray
+    run_hi: np.ndarray
+    run_ptr: np.ndarray
+    run_arr: np.ndarray
+    group_offset: np.ndarray
+    group_tgt: np.ndarray
 
 
 def _radix_order(keys: Sequence[np.ndarray]) -> np.ndarray:
@@ -163,23 +223,31 @@ def _bitset_lowering(plan: "SweepPlan") -> _BitsetLowering:
     dep_s = plan.dep[order]
     arr_s = plan.arr[order]
     tgt_s = tgt_flat[order]
-    src_s = src_of_edge[edge_of_contact[order]]
-    # Group starts: one merge group per distinct (departure, arrival,
-    # target), sliced per date below.  The date axis: every departure,
-    # every arrival (one per distinct departure and arrival), the seed.
+    # Boundaries of departure dates, of (departure, arrival) pairs and
+    # of (departure, arrival, target) groups.  The date axis: every
+    # departure, every arrival (one per distinct pair), the seed.
     new_dep, new_pair, change = np.ones((3, len(order)), dtype=bool)
     new_dep[1:] = dep_s[1:] != dep_s[:-1]
     new_pair[1:] = new_dep[1:] | (arr_s[1:] != arr_s[:-1])
     change[1:] = new_pair[1:] | (tgt_s[1:] != tgt_s[:-1])
-    group_starts_all = np.flatnonzero(change)
-    dates = np.unique(np.concatenate((dep_s[new_dep], arr_s[new_pair], [plan.start_time])))
+    group_starts = np.flatnonzero(change)
+    run_ptr = np.append(np.flatnonzero(new_pair[group_starts]), len(group_starts))
+    run_starts = group_starts[run_ptr[:-1]]
+    dep_starts = np.flatnonzero(new_dep)
+    dates = np.unique(np.concatenate((dep_s[dep_starts], arr_s[run_starts], [plan.start_time])))
     date_lo = np.searchsorted(dep_s, dates, side="left")
     date_hi = np.searchsorted(dep_s, dates, side="right")
-    group_lo = np.searchsorted(group_starts_all, date_lo, side="left")
-    group_hi = np.searchsorted(group_starts_all, date_hi, side="left")
     lowered = _BitsetLowering(
-        dep_s, arr_s, tgt_s, src_s, group_starts_all,
-        dates, date_lo, date_hi, group_lo, group_hi,
+        src_s=src_of_edge[edge_of_contact[order]],
+        dates=dates,
+        date_lo=date_lo,
+        date_hi=date_hi,
+        run_lo=np.searchsorted(run_starts, date_lo, side="left"),
+        run_hi=np.searchsorted(run_starts, date_hi, side="left"),
+        run_ptr=run_ptr,
+        run_arr=arr_s[run_starts],
+        group_offset=group_starts - dep_starts[np.cumsum(new_dep[group_starts]) - 1],
+        group_tgt=tgt_s[group_starts],
     )
     object.__setattr__(plan, "_lowering", lowered)
     return lowered
@@ -189,10 +257,11 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
     """The arrival sweep of one source block: the date-bucketed uint64
     contact scan (see the module docstring).
 
-    Row ``r`` of the returned ``(len(sources), plan.n)`` int64 matrix is
-    the earliest-arrival row of source ``sources[r]`` — a source's
-    arrival dates never depend on which other sources share the pass,
-    so blocks stack into the full matrix.
+    Row ``r`` of the returned ``(len(sources), plan.n)`` matrix, in
+    :func:`offset_dtype`, holds the earliest-arrival offsets from
+    ``plan.start_time`` of source ``sources[r]`` — the sentinel where
+    no journey arrives.  A source's arrivals never depend on which
+    other sources share the pass, so blocks stack into the full matrix.
 
     The sweep walks the lowering's date axis in increasing order.  At
     each date the pending bucket — a full-width ``(n, words)`` uint64
@@ -203,15 +272,20 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
     bucket's under no-wait, and under ``wait[w]`` the OR of the buckets
     of ``[t - w, t]`` (an arrival *event*, re-arrivals included, keeps a
     bit eligible for ``w`` more dates, exactly the bignum sweep's
-    full-mask push discipline).  Each contact is touched once per sweep.
+    full-mask push discipline).  Each contact is touched once per sweep,
+    and each run ORs its merged groups into its arrival date's bucket.
     """
     sources = tuple(sources)
     b = len(sources)
     n = plan.n
-    arrival = np.full((b, n), UNREACHED, dtype=np.int64)
+    dtype = offset_dtype(plan)
+    unreached = int(np.iinfo(dtype).max)
     if b == 0 or n == 0:
-        return arrival
+        return np.full((b, n), unreached, dtype=dtype)
     words = (b + 63) >> 6
+    #: arrival[j, r]: source row r's offset at node j — node-major, so a
+    #: date stamps whole rows, and padded to the unpacked bit width.
+    arrival = np.full((n, words << 6), unreached, dtype=dtype)
     start = plan.start_time
     horizon = plan.horizon
     max_wait = plan.max_wait
@@ -221,10 +295,11 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
 
     # The source-independent lowering — flattened, sorted, grouped
     # contacts plus the date axis — cached on the plan object.
-    (
-        _dep_s, arr_s, tgt_s, src_s, group_starts_all,
-        dates, date_lo, date_hi, group_lo, group_hi,
-    ) = _bitset_lowering(plan)
+    lowered = _bitset_lowering(plan)
+    src_s, group_offset, group_tgt = lowered.src_s, lowered.group_offset, lowered.group_tgt
+    date_lo, date_hi = lowered.date_lo.tolist(), lowered.date_hi.tolist()
+    run_lo, run_hi = lowered.run_lo.tolist(), lowered.run_hi.tolist()
+    run_ptr, run_arr = lowered.run_ptr.tolist(), lowered.run_arr.tolist()
 
     #: bit i of node_mask[j] — source i's earliest arrival at j is stamped.
     node_mask = np.zeros((n, words), dtype=np.uint64)
@@ -243,28 +318,29 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
     #: ``date in [t - max_wait, t]``, oldest first.
     retained: deque[tuple[int, np.ndarray]] = deque()
 
-    for di, t in enumerate(dates.tolist()):
+    for di, t in enumerate(lowered.dates.tolist()):
         bucket = buckets.pop(t, None)
         if bucket is not None:
-            active = np.flatnonzero(bucket.any(axis=1))
-            masks = bucket[active]
-            known = node_mask[active]
-            new = masks & ~known
-            if new.any():
-                node_mask[active] = known | new
+            new = bucket & ~node_mask
+            hit = new.any(axis=1).nonzero()[0]
+            if hit.size:
+                node_mask |= new
                 # Newly-set bits, little-endian throughout, so unpacked
-                # column s is exactly source row s of the block.
+                # column s is exactly source row s of the block.  Each
+                # (node, source) bit is new exactly once, so taking
+                # ``unreached - offset`` off where it is set leaves the
+                # offset.
                 bits = np.unpackbits(
-                    new.astype("<u8", copy=False).view(np.uint8),
+                    new.take(hit, axis=0).astype("<u8", copy=False).view(np.uint8),
                     axis=1,
                     bitorder="little",
                 )
-                hit_rows, hit_sources = np.nonzero(bits[:, :b])
-                arrival[hit_sources, active[hit_rows]] = t
+                step = dtype.type(unreached - (t - start))
+                arrival[hit] = arrival.take(hit, axis=0) - bits * step
         if t >= horizon:
             continue
-        lo = int(date_lo[di])
-        hi = int(date_hi[di])
+        lo = date_lo[di]
+        hi = date_hi[di]
         if not wait_like and max_wait > 0:
             if bucket is not None:
                 retained.append((t, bucket))
@@ -276,7 +352,7 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
         # Which source rows may depart on this date's contacts.
         srcs = src_s[lo:hi]
         if wait_like:
-            eligible = node_mask[srcs]
+            eligible = node_mask.take(srcs, axis=0)
         elif max_wait == 0:
             if bucket is None:
                 continue
@@ -290,28 +366,25 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
                 eligible |= held[srcs]
 
         # Merge pushes sharing an (arrival date, target) with ONE
-        # or-reduce over the pre-sorted groups, drop the empty ones, and
-        # scatter each arrival date's rows into its bucket.
-        gs = group_starts_all[group_lo[di] : group_hi[di]]
-        merged = np.bitwise_or.reduceat(eligible, gs - lo, axis=0)
-        keep = np.flatnonzero(merged.any(axis=1))
-        if keep.size == 0:
-            continue
-        merged = merged[keep]
-        group_arr = arr_s[gs[keep]]
-        group_tgt = tgt_s[gs[keep]]
-        date_bounds = np.append(
-            np.flatnonzero(np.r_[True, group_arr[1:] != group_arr[:-1]]),
-            len(group_arr),
+        # or-reduce over the pre-sorted groups, then OR each run into
+        # its arrival date's bucket (empty groups OR nothing).
+        r_lo, r_hi = run_lo[di], run_hi[di]
+        g_lo = run_ptr[r_lo]
+        merged = np.bitwise_or.reduceat(
+            eligible, group_offset[g_lo : run_ptr[r_hi]], axis=0
         )
-        for a, z in zip(date_bounds[:-1], date_bounds[1:]):
-            date = int(group_arr[a])
-            bucket_d = buckets.get(date)
+        for r in range(r_lo, r_hi):
+            a, z = run_ptr[r], run_ptr[r + 1]
+            targets, pushed = group_tgt[a:z], merged[a - g_lo : z - g_lo]
+            bucket_d = buckets.get(run_arr[r])
+            # A run's targets are distinct, so a fresh bucket can take
+            # its rows by assignment.
             if bucket_d is None:
-                bucket_d = np.zeros((n, words), dtype=np.uint64)
-                buckets[date] = bucket_d
-            bucket_d[group_tgt[a:z]] |= merged[a:z]
-    return arrival
+                buckets[run_arr[r]] = bucket_d = np.zeros((n, words), dtype=np.uint64)
+                bucket_d[targets] = pushed
+            else:
+                bucket_d[targets] |= pushed
+    return np.ascontiguousarray(arrival[:, :b].T)
 
 
 # -- the bignum oracle ---------------------------------------------------------

@@ -5,8 +5,9 @@ blocks of one plain-data :class:`~repro.core.parallel.SweepPlan` in
 local *processes*.  This module ships the same plan across *machines*:
 a **worker** (``python -m repro worker``) is a long-lived process
 speaking the service's JSON-lines protocol whose one real operation is
-``sweep`` — plan spec plus a source block in, the block's sub-matrix
-out (both base64-packed int64, see :mod:`repro.service.wire`) — and
+``sweep`` — plan spec plus a source block in, the block's arrival
+offsets out (base64-packed: the plan as int64, the offsets in the
+kernel's compact dtype, see :mod:`repro.service.wire`) — and
 the :class:`ClusterExecutor` is the parent-side scheduler that splits
 the source set into blocks, streams them to the configured workers over
 asyncio, and stacks the returned sub-matrices into the full matrix.
@@ -41,11 +42,11 @@ honest:
 
 The correctness contract is absolute, not best-effort: **any** job
 failure — a worker that refuses the connection, disconnects mid-frame,
-times out, answers with a structured error, or returns a malformed or
-mis-shaped frame — is transparently *re-run locally* with the very
-:func:`~repro.core.parallel.sweep_block` the worker would have used, so
-the stacked matrix is always element-for-element equal to the serial
-sweep.  A cluster can therefore lose every worker and still answer;
+times out, answers with a structured error, or returns a malformed,
+mis-shaped or mis-typed frame — is transparently *re-run locally* with
+the very :func:`~repro.core.parallel.sweep_block` the worker would have
+used, so the stacked matrix is always element-for-element equal to the
+serial sweep.  A cluster can therefore lose every worker and still answer;
 what degrades is latency, never the answer.  The fault-injecting
 differential harness in ``tests/properties/test_property_cluster.py``
 kills, hangs, corrupts, plan-evicts, and crashes workers mid-batch —
@@ -75,6 +76,7 @@ from repro.core.parallel import (
     partition_sources,
     sweep_block,
 )
+from repro.core.sweep_kernel import offset_dtype
 from repro.errors import PlanMissError, ServiceError
 from repro.service.client import ServiceClient
 from repro.service.server import guarded_response, handle_json_lines
@@ -85,12 +87,13 @@ from repro.service.wire import (
     plan_to_spec,
 )
 
-#: Per-frame byte budget on worker connections.  Plans and sub-matrices
-#: are single JSON lines, so the limit must hold the *bigger* of a
-#: packed plan and a packed block reply — a block of ``b`` sources over
-#: ``n`` nodes packs ``8bn`` bytes of int64, ~4/3 that after base64
-#: (e.g. ~85 MB for one of two blocks of a 4000-node sweep).  1 GiB
-#: keeps the limit a runaway-frame guard, not a graph-size ceiling.
+#: Per-frame byte budget on worker connections.  Plans and offset
+#: matrices are single JSON lines, so the limit must hold the *bigger*
+#: of a packed plan and a packed block reply — a block of ``b`` sources
+#: over ``n`` nodes packs ``bn`` bytes of uint8 offsets on a short
+#: window (up to ``8bn`` on an enormous one), ~4/3 that after base64.
+#: 1 GiB keeps the limit a runaway-frame guard, not a graph-size
+#: ceiling.
 WIRE_LIMIT: int = 2**30
 
 #: Default seconds the executor waits for one block job before re-running
@@ -441,8 +444,8 @@ class ClusterExecutor:
     # -- the distributed sweep -------------------------------------------------
 
     def sweep(self, plan: SweepPlan) -> np.ndarray:
-        """The full ``(n, n)`` matrix of one lowered plan — element for
-        element equal to the in-process sweep.
+        """The full ``(n, n)`` offset matrix of one lowered plan —
+        element for element equal to the in-process sweep.
 
         Sweeps in-process, shipping no job, when the fleet is empty or
         the plan has fewer than ``min_nodes`` sources (empty plans
@@ -591,6 +594,11 @@ class ClusterExecutor:
             raise ServiceError(
                 f"worker {host}:{port} returned shape {matrix.shape}, "
                 f"expected {(len(block), plan.n)}"
+            )
+        if matrix.dtype != offset_dtype(plan):
+            raise ServiceError(
+                f"worker {host}:{port} returned {matrix.dtype} offsets, "
+                f"expected {offset_dtype(plan)}"
             )
         return matrix
 

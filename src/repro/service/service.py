@@ -11,10 +11,11 @@ Reads and writes interleave freely:
 * a *query* first consults the cache at the graph's current version; on
   a miss it computes through the engine and stores the result.
   ``reach``, ``arrival``, and ``growth`` all derive from the batched
-  arrival sweep, whose matrix is cached once per ``(version, window,
-  semantics)`` — point queries are array lookups and the growth curve
-  one sort on top; ``classify`` runs its checkers through the engine
-  and is cached at the result level;
+  arrival sweep, whose matrix of compact arrival offsets is cached once
+  per ``(version, window, semantics)`` — point queries are array
+  lookups and the growth curve one ``bincount`` on top; ``classify``
+  runs its checkers through the engine and is cached at the result
+  level;
 * a *mutation* (``add_edge``, ``remove_edge``, ``set_presence``) bumps
   :attr:`TimeVaryingGraph.version` through the graph's own mutators and
   then purges exactly the stale cache entries.  The engine notices the
@@ -36,11 +37,12 @@ import numpy as np
 
 from repro.analysis.classes import classify as classify_graph
 from repro.analysis.evolution import growth_curve_from_arrivals
-from repro.core.engine import UNREACHED, TemporalEngine
+from repro.core.engine import TemporalEngine
 from repro.core.intervals import Interval
 from repro.core.latency import LatencyFunction
 from repro.core.presence import PresenceFunction
 from repro.core.semantics import WAIT, WaitingSemantics
+from repro.core.sweep_kernel import sentinel
 from repro.core.time_domain import require_window
 from repro.core.tvg import TimeVaryingGraph
 from repro.errors import ServiceError
@@ -68,7 +70,7 @@ class TVGService:
     in-process).  Answers are identical on every executor, so cache
     keys and hit behaviour don't change.
 
-    The service also keeps, per window, the newest arrival matrix it
+    The service also keeps, per window, the newest offset matrix it
     computed — its *seed* — across mutations.  A later miss patches the
     seed through the graph's delta chain, re-sweeping only the source
     rows whose answers can have changed, and sweeps in full only when
@@ -88,7 +90,7 @@ class TVGService:
         self.engine = TemporalEngine(graph, window, executor)
         self.cache = QueryCache(max_entries=cache_size)
         self.tasks = TaskTable(max_tasks=max_tasks)
-        # Matrix query -> the newest (version, index, matrix) computed
+        # Matrix query -> the newest (version, index, offsets) computed
         # for it, oldest computation first.
         self._seeds: OrderedDict[tuple, tuple[int, dict, np.ndarray]] = OrderedDict()
         self.seeds_retained = 0
@@ -112,7 +114,8 @@ class TVGService:
     def _arrival_matrix(
         self, start: int, horizon: int, semantics: WaitingSemantics
     ) -> tuple[dict[Hashable, int], np.ndarray]:
-        """The sweep's matrix plus a node->row index, cached per window.
+        """The sweep's offset matrix plus a node->row index, cached per
+        window.
 
         Every point query at the same ``(version, window, semantics)``
         shares this one entry, so a burst of ``reach``/``arrival``
@@ -152,7 +155,7 @@ class TVGService:
                 result = {node: i for i, node in enumerate(nodes)}, merged
         if result is None:
             self.full_sweeps += 1
-            nodes, full = self.engine.arrival_matrix(start, semantics, horizon=horizon)
+            nodes, full = self.engine.arrival_offsets(start, semantics, horizon=horizon)
             result = {node: i for i, node in enumerate(nodes)}, full
         self._seeds[query] = (version, *result)
         if len(self._seeds) > MAX_SEEDS:
@@ -176,12 +179,12 @@ class TVGService:
         ``start`` on the diagonal.
         """
         self.queries_served += 1
-        index, matrix = self._arrival_matrix(start, horizon, semantics)
+        index, offsets = self._arrival_matrix(start, horizon, semantics)
         try:
-            value = int(matrix[index[source], index[target]])
+            offset = int(offsets[index[source], index[target]])
         except KeyError as exc:
             raise ServiceError(f"unknown node {exc.args[0]!r}") from None
-        return None if value == UNREACHED else value
+        return None if offset == sentinel(offsets) else start + offset
 
     def reach(
         self,
@@ -210,8 +213,8 @@ class TVGService:
         require_window(start, end)
 
         def compute():
-            _index, arrival = self._arrival_matrix(start, end, semantics)
-            return growth_curve_from_arrivals(arrival, start, end)
+            _index, offsets = self._arrival_matrix(start, end, semantics)
+            return growth_curve_from_arrivals(offsets, start, end)
 
         return self._cached(("growth", start, end, str(semantics)), compute)
 

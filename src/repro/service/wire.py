@@ -17,8 +17,11 @@ semantics need a round-trippable plain-data form:
   ``k`` ints costs ~``8k/0.75`` bytes on the wire instead of a JSON
   list of ``k`` numbers, and decodes with one ``frombuffer`` per array
   instead of a million ``int()`` parses;
-* int64 matrix — ``{"kind": "int64_matrix"}``, the sub-matrix a worker
-  returns for its source block (same base64 packing, row-major).
+* offset matrix — ``{"kind": "offset_matrix", "dtype": ...}``, the
+  arrival offsets a worker returns for its source block, in the
+  kernel's compact unsigned dtype (one of
+  :data:`~repro.core.sweep_kernel.OFFSET_DTYPES`, named by
+  ``np.dtype.name``), packed the same way, little-endian and row-major.
 
 Black-box :class:`~repro.core.presence.FunctionPresence` and callable
 latencies have no finite description, so they are rejected with a
@@ -50,6 +53,7 @@ from repro.core.presence import (
 )
 from repro.core.semantics import WaitingSemantics
 from repro.core.semantics import parse_semantics as parse_semantics_string
+from repro.core.sweep_kernel import OFFSET_DTYPES
 from repro.errors import SemanticsError, ServiceError
 
 
@@ -144,33 +148,34 @@ def parse_semantics(text: str) -> WaitingSemantics:
         raise ServiceError(str(exc)) from None
 
 
-# -- packed int64 payloads (sweep plans and sub-matrices) ----------------------
+# -- packed payloads (sweep plans and offset matrices) -------------------------
 
-#: Every packed array crosses the wire as little-endian int64, whatever
-#: the host byte order — ``frombuffer`` on the far side is then exact.
-_WIRE_DTYPE = "<i8"
+#: Every packed array crosses the wire little-endian, whatever the host
+#: byte order — ``frombuffer`` on the far side is then exact.  Plan
+#: arrays are int64.
+_PLAN_DTYPE = np.dtype(np.int64)
 
 
-def _pack_int64(values: Sequence[int] | np.ndarray) -> str:
-    """Base64 of the values as a little-endian int64 array."""
+def _pack(values: Sequence[int] | np.ndarray, dtype: np.dtype) -> str:
+    """Base64 of the values as a little-endian ``dtype`` array."""
     try:
-        array = np.ascontiguousarray(values, dtype=_WIRE_DTYPE)
+        array = np.ascontiguousarray(values, dtype=dtype.newbyteorder("<"))
     except (OverflowError, ValueError, TypeError) as exc:
-        raise ServiceError(f"values do not fit the wire's int64 form: {exc}") from None
+        raise ServiceError(f"values do not fit the wire's {dtype} form: {exc}") from None
     return base64.b64encode(array.tobytes()).decode("ascii")
 
 
-def _unpack_int64(text: Any, what: str) -> np.ndarray:
-    """The inverse of :func:`_pack_int64` (raises :class:`ServiceError`)."""
+def _unpack(text: Any, what: str, dtype: np.dtype) -> np.ndarray:
+    """The inverse of :func:`_pack` (raises :class:`ServiceError`)."""
     if not isinstance(text, str):
         raise ServiceError(f"{what} must be a base64 string, not {type(text).__name__}")
     try:
         raw = base64.b64decode(text.encode("ascii"), validate=True)
     except Exception as exc:
         raise ServiceError(f"{what} is not valid base64: {exc}") from None
-    if len(raw) % 8:
-        raise ServiceError(f"{what} is not a whole number of int64 values")
-    return np.frombuffer(raw, dtype=_WIRE_DTYPE)
+    if len(raw) % dtype.itemsize:
+        raise ServiceError(f"{what} is not a whole number of {dtype} values")
+    return np.frombuffer(raw, dtype=dtype.newbyteorder("<"))
 
 
 def _check_csr(ptr: np.ndarray, rows: int, total: int, what: str) -> None:
@@ -197,7 +202,7 @@ def plan_to_spec(plan: SweepPlan) -> dict[str, Any]:
         "max_wait": plan.max_wait,
     }
     for name in SweepPlan.ARRAYS:
-        spec[name] = _pack_int64(getattr(plan, name))
+        spec[name] = _pack(getattr(plan, name), _PLAN_DTYPE)
     return spec
 
 
@@ -226,7 +231,9 @@ def plan_from_spec(spec: dict[str, Any]) -> SweepPlan:
                 f"got {value!r}"
             )
     n, start, horizon, max_wait = (spec[name] for name in header)
-    arrays = {name: _unpack_int64(spec.get(name), name) for name in SweepPlan.ARRAYS}
+    arrays = {
+        name: _unpack(spec.get(name), name, _PLAN_DTYPE) for name in SweepPlan.ARRAYS
+    }
     edge_count = len(arrays["target_idx"])
     _check_csr(arrays["out_ptr"], n, len(arrays["out_edge_idx"]), "out_ptr")
     _check_csr(arrays["edge_ptr"], edge_count, len(arrays["dep"]), "edge_ptr")
@@ -248,22 +255,31 @@ def plan_from_spec(spec: dict[str, Any]) -> SweepPlan:
 
 
 def matrix_to_spec(matrix: np.ndarray) -> dict[str, Any]:
-    """The JSON-able description of one int64 sub-matrix (row-major)."""
-    array = np.ascontiguousarray(matrix, dtype=np.int64)
-    if array.ndim != 2:
-        raise ServiceError(f"expected a 2-d matrix, got shape {array.shape}")
+    """The JSON-able description of one offset matrix (row-major, in
+    its own dtype, which must be one of the kernel's offset dtypes)."""
+    if matrix.ndim != 2:
+        raise ServiceError(f"expected a 2-d matrix, got shape {matrix.shape}")
+    if matrix.dtype not in OFFSET_DTYPES:
+        raise ServiceError(f"{matrix.dtype} is not an arrival-offset dtype")
     return {
-        "kind": "int64_matrix",
-        "rows": int(array.shape[0]),
-        "cols": int(array.shape[1]),
-        "data": _pack_int64(array.reshape(-1)),
+        "kind": "offset_matrix",
+        "dtype": matrix.dtype.name,
+        "rows": int(matrix.shape[0]),
+        "cols": int(matrix.shape[1]),
+        "data": _pack(matrix.reshape(-1), matrix.dtype),
     }
 
 
 def matrix_from_spec(spec: dict[str, Any]) -> np.ndarray:
-    """Rebuild an int64 matrix from its spec (raises :class:`ServiceError`)."""
-    if not isinstance(spec, dict) or spec.get("kind") != "int64_matrix":
-        raise ServiceError(f"malformed matrix spec {spec!r}")
+    """Rebuild an offset matrix from its spec (raises
+    :class:`ServiceError` for any other kind, an unknown dtype, or data
+    that is not exactly ``rows x cols`` values of it)."""
+    if not isinstance(spec, dict) or spec.get("kind") != "offset_matrix":
+        raise ServiceError(f"malformed matrix spec {spec!r:.200}")
+    name = spec.get("dtype")
+    dtype = next((t for t in OFFSET_DTYPES if t.name == name), None)
+    if dtype is None:
+        raise ServiceError(f"unknown matrix dtype {name!r:.40}")
     try:
         rows = int(spec["rows"])
         cols = int(spec["cols"])
@@ -271,9 +287,9 @@ def matrix_from_spec(spec: dict[str, Any]) -> np.ndarray:
         raise ServiceError(f"malformed matrix header: {exc}") from None
     if rows < 0 or cols < 0:
         raise ServiceError("matrix dimensions must be >= 0")
-    flat = _unpack_int64(spec.get("data"), "matrix data")
+    flat = _unpack(spec.get("data"), "matrix data", dtype)
     if len(flat) != rows * cols:
         raise ServiceError(
-            f"matrix data holds {len(flat)} values, expected {rows}x{cols}"
+            f"matrix data holds {len(flat)} {dtype} values, expected {rows}x{cols}"
         )
-    return flat.reshape(rows, cols).astype(np.int64, copy=True)
+    return flat.reshape(rows, cols).astype(dtype)

@@ -173,6 +173,28 @@ class TestGrowthDerive:
             self.check(matrix, start, end)
         self.check([[7, -3], [-3, 2]], 0, 8)
 
+    def test_offsets_count_like_their_dates(self):
+        """The compact form: offsets from ``start`` in each unsigned
+        dtype, the dtype's max unreached, count like their dates."""
+        from lowering_helpers import reference_growth_curve
+
+        from repro.analysis.evolution import growth_curve_from_arrivals
+        from repro.core.sweep_kernel import offsets_to_dates
+
+        rng = np.random.default_rng(23)
+        for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+            for _ in range(50):
+                n = int(rng.integers(0, 6))
+                start = int(rng.integers(-20, 20))
+                end = start + int(rng.integers(1, 12))
+                offsets = rng.integers(0, end - start + 3, (n, n)).astype(dtype)
+                offsets[rng.random((n, n)) < 0.3] = np.iinfo(dtype).max
+                np.fill_diagonal(offsets, 0)
+                dates = offsets_to_dates(offsets, start)
+                assert growth_curve_from_arrivals(offsets, start, end) == (
+                    reference_growth_curve(dates, start, end)
+                )
+
     def test_random_matrices(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -182,3 +204,38 @@ class TestGrowthDerive:
             matrix = rng.integers(start - 3, end + 3, (n, n))
             matrix[rng.random((n, n)) < 0.3] = UNREACHED
             self.check(matrix, start, end)
+
+
+class TestWindowWiderThanItsOffsets:
+    """Contacts only in the first 100 dates of a [0, 300) window: the
+    offsets fit uint8 while ``end - start`` is 300, so an unclipped
+    count would take every unreached pair (offset 255) as joined."""
+
+    @staticmethod
+    def graph():
+        from repro.core.presence import interval_presence
+        from repro.core.time_domain import Lifetime
+        from repro.core.tvg import TimeVaryingGraph
+
+        graph = TimeVaryingGraph(lifetime=Lifetime(0, 300), name="early")
+        graph.add_nodes(range(5))
+        for source, target, when in ((0, 1, 3), (1, 2, 40), (3, 0, 90), (2, 4, 10)):
+            graph.add_edge(
+                source, target, presence=interval_presence([(when, when + 2)])
+            )
+        return graph
+
+    @pytest.mark.parametrize("semantics", [WAIT, NO_WAIT])
+    def test_growth_equals_the_interpretive_curve(self, semantics):
+        from repro.core.engine import TemporalEngine
+        from repro.service.service import TVGService
+
+        graph = self.graph()
+        engine = TemporalEngine(graph)
+        _nodes, offsets = engine.arrival_offsets(0, semantics, horizon=300)
+        assert offsets.dtype == np.uint8
+        assert (offsets == 255).any()  # some pairs stay unreached
+        expected = reachability_growth(graph, 0, 300, semantics)
+        assert expected[-1][1] < 1.0
+        assert reachability_growth(graph, 0, 300, semantics, engine=engine) == expected
+        assert TVGService(graph).growth(0, 300, semantics) == expected

@@ -159,7 +159,7 @@ class TestDistributedEqualsSerial:
 
 class TestFaultRecovery:
     @pytest.mark.parametrize(
-        "mode", ["kill", "corrupt", "misshape", "stale-plan-version"]
+        "mode", ["kill", "corrupt", "misshape", "retype", "stale-plan-version"]
     )
     def test_faulty_worker_never_changes_the_answer(self, pool, mode):
         g = random_graph()
@@ -197,6 +197,26 @@ class TestFaultRecovery:
         assert cluster.stale_results_rejected == faulty.jobs_seen
         assert cluster.jobs_recovered >= 1
         assert cluster.stats()["stale_results_rejected"] >= 1
+
+    @pytest.mark.parametrize("mode", ["misshape", "retype"])
+    def test_well_fingerprinted_wrong_block_is_reswept(self, mode):
+        """A frame under the job's own fingerprint, well-formed and in
+        an offset dtype, but one row short (``misshape``) or in another
+        dtype than the plan's (``retype``: the exact offsets, recast).
+        Only the shape or dtype check can refuse it; every such block
+        counts as a failed job and is re-swept locally, exactly."""
+        g = random_graph()
+        with FaultyWorker(mode) as faulty:
+            cluster = ClusterExecutor([faulty.address])
+            _nodes, distributed = TemporalEngine(g, executor=cluster).arrival_offsets(
+                0, WAIT, horizon=HORIZON
+            )
+            assert faulty.jobs_seen >= 1
+        _same, serial = TemporalEngine(g).arrival_offsets(0, WAIT, horizon=HORIZON)
+        assert distributed.dtype == serial.dtype
+        assert np.array_equal(distributed, serial)
+        assert cluster.stale_results_rejected == 0  # the fingerprint held
+        assert cluster.jobs_recovered == cluster.jobs_shipped == faulty.jobs_seen
 
     def test_honest_workers_pass_the_fingerprint_check(self, pool):
         g = random_graph()

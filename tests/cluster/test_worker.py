@@ -10,7 +10,7 @@ structured error frame, never a crash.
 
 import numpy as np
 import pytest
-from plan_helpers import make_plan
+from plan_helpers import make_plan, swept_dates
 
 from repro.core.engine import TemporalEngine
 from repro.core.generators import periodic_random_tvg
@@ -18,9 +18,9 @@ from repro.core.parallel import (
     MIN_PARALLEL_NODES,
     build_sweep_plan,
     partition_sources,
-    sweep_block,
 )
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
+from repro.core.sweep_kernel import offset_dtype, offsets_to_dates
 from repro.errors import PlanMissError, ServiceError
 from repro.service.cluster import (
     ClusterExecutor,
@@ -43,6 +43,13 @@ def plan_and_serial(semantics=WAIT, n=12, seed=3):
     return plan, serial
 
 
+def decoded(result, plan):
+    """A worker's offset frame as int64 dates, checking its dtype."""
+    offsets = matrix_from_spec(result)
+    assert offsets.dtype == offset_dtype(plan)
+    return offsets_to_dates(offsets, plan.start_time)
+
+
 class TestDispatcher:
     @pytest.mark.parametrize("semantics", [NO_WAIT, WAIT, bounded_wait(2)])
     def test_sweep_equals_local_block_sweep(self, semantics):
@@ -51,7 +58,7 @@ class TestDispatcher:
             result = dispatch_worker(
                 "sweep", {"plan": plan_to_spec(plan), "sources": list(block)}
             )
-            assert np.array_equal(matrix_from_spec(result), serial[list(block)])
+            assert np.array_equal(decoded(result, plan), serial[list(block)])
 
     def test_ping(self):
         assert dispatch_worker("ping", {}) == "pong"
@@ -86,7 +93,7 @@ class TestDispatcher:
             {"op": "sweep", "id": 3, "plan": plan_to_spec(plan), "sources": [0, 1]}
         )
         assert response["id"] == 3 and response["ok"]
-        assert np.array_equal(matrix_from_spec(response["result"]), serial[:2])
+        assert np.array_equal(decoded(response["result"], plan), serial[:2])
 
 
 class TestPlanCacheProtocol:
@@ -103,7 +110,7 @@ class TestPlanCacheProtocol:
         result = dispatch_worker(
             "sweep", {"plan_key": plan.fingerprint, "sources": [1, 2]}, plans
         )
-        assert np.array_equal(matrix_from_spec(result), serial[1:3])
+        assert np.array_equal(decoded(result, plan), serial[1:3])
         # Both routes echo the fingerprint of the job actually computed.
         assert first["fingerprint"] == job_fingerprint(plan, [0])
         assert result["fingerprint"] == job_fingerprint(plan, [1, 2])
@@ -269,5 +276,5 @@ class TestExecutorWithoutWorkers:
 
     def test_block_rows_match_serial_rows(self):
         plan, serial = plan_and_serial(bounded_wait(1))
-        rows = sweep_block(plan, (4, 1, 7))
+        rows = swept_dates(plan, (4, 1, 7))
         assert np.array_equal(rows, serial[[4, 1, 7]])

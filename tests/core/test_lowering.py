@@ -15,9 +15,9 @@ import tracemalloc
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from lowering_helpers import reference_lowering
-from plan_helpers import make_plan
+from plan_helpers import make_plan, swept_dates
 
-from repro.core.sweep_kernel import _bitset_lowering, sweep_block, sweep_block_bignum
+from repro.core.sweep_kernel import _bitset_lowering, sweep_block_bignum
 
 BOUND = 2**62
 
@@ -54,7 +54,7 @@ class TestWideKeys:
             assert_lowers_like_reference(plan)
             sources = range(plan.n)
             assert np.array_equal(
-                sweep_block(plan, sources), sweep_block_bignum(plan, sources)
+                swept_dates(plan, sources), sweep_block_bignum(plan, sources)
             )
 
     def test_dates_near_both_bounds(self):
@@ -68,7 +68,7 @@ class TestWideKeys:
                 plan = chain_plan(start, latency, max_wait=max_wait)
                 assert_lowers_like_reference(plan)
                 assert np.array_equal(
-                    sweep_block(plan, range(plan.n)),
+                    swept_dates(plan, range(plan.n)),
                     sweep_block_bignum(plan, range(plan.n)),
                 )
 
@@ -93,7 +93,7 @@ class TestWideKeys:
         )
         assert_lowers_like_reference(plan)
         block = sorted(set(sources.tolist()))[:40]
-        assert np.array_equal(sweep_block(plan, block), sweep_block_bignum(plan, block))
+        assert np.array_equal(swept_dates(plan, block), sweep_block_bignum(plan, block))
 
     def test_nothing_is_sized_by_the_date_span(self):
         plan = make_plan(

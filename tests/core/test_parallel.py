@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from plan_helpers import make_plan
+from plan_helpers import make_plan, swept_dates
 
 from repro.analysis.reachability import reachability_matrix, reachability_ratio
 from repro.core import parallel
@@ -32,6 +32,7 @@ from repro.core.parallel import (
 )
 from repro.core.presence import function_presence, periodic_presence
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
+from repro.core.sweep_kernel import offset_dtype
 from repro.core.time_domain import Lifetime
 from repro.core.tvg import TimeVaryingGraph
 
@@ -173,8 +174,9 @@ class TestPartition:
     def test_empty_source_set_never_opens_a_pool(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         for count in (1, 8):
-            matrix = ProcessShards(count).sweep(edgeless_plan(0))
-            assert matrix.shape == (0, 0) and matrix.dtype == np.int64
+            plan = edgeless_plan(0)
+            matrix = ProcessShards(count).sweep(plan)
+            assert matrix.shape == (0, 0) and matrix.dtype == offset_dtype(plan)
 
 
 class TestSweepPlan:
@@ -254,7 +256,7 @@ class TestBlockSweepEquality:
         _nodes, serial = engine.arrival_matrix(0, semantics, horizon=HORIZON)
         nodes, plan = build_sweep_plan(engine, 0, semantics, HORIZON)
         blocks = partition_sources(plan.n, shards)
-        stacked = np.vstack([sweep_block(plan, block) for block in blocks])
+        stacked = np.vstack([swept_dates(plan, block) for block in blocks])
         assert np.array_equal(stacked, serial)
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
@@ -264,7 +266,7 @@ class TestBlockSweepEquality:
         _nodes, serial = engine.arrival_matrix(0, semantics)
         _same, plan = build_sweep_plan(engine, 0, semantics, HORIZON)
         stacked = np.vstack(
-            [sweep_block(plan, block) for block in partition_sources(plan.n, 4)]
+            [swept_dates(plan, block) for block in partition_sources(plan.n, 4)]
         )
         assert np.array_equal(stacked, serial)
         for predicate in predicates:
@@ -275,13 +277,13 @@ class TestBlockSweepEquality:
         engine = TemporalEngine(g)
         _nodes, serial = engine.arrival_matrix(2, WAIT, horizon=HORIZON)
         _same, plan = build_sweep_plan(engine, 2, WAIT, HORIZON)
-        assert np.array_equal(sweep_block(plan, range(plan.n)), serial)
+        assert np.array_equal(swept_dates(plan, range(plan.n)), serial)
 
     def test_start_at_horizon_leaves_only_the_diagonal(self):
         g = random_graph()
         engine = TemporalEngine(g)
         _nodes, plan = build_sweep_plan(engine, 9, WAIT, 9)
-        block = sweep_block(plan, range(plan.n))
+        block = swept_dates(plan, range(plan.n))
         expected = np.full((plan.n, plan.n), UNREACHED, dtype=np.int64)
         np.fill_diagonal(expected, 9)
         assert np.array_equal(block, expected)
@@ -314,7 +316,7 @@ class TestEngineFallbacks:
         g = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="empty")
         _nodes, plan = build_sweep_plan(TemporalEngine(g), 0, WAIT, HORIZON)
         matrix = ProcessShards(4).sweep(plan)
-        assert matrix.shape == (0, 0) and matrix.dtype == np.int64
+        assert matrix.shape == (0, 0) and matrix.dtype == offset_dtype(plan)
 
     def test_refused_pool_sweeps_in_process(self, monkeypatch):
         """A host that forbids subprocesses still gets the answer."""

@@ -24,6 +24,7 @@ from repro.core.semantics import WAIT, bounded_wait
 from repro.core.sweep_kernel import (
     SweepStats,
     _bitset_lowering,
+    offsets_to_dates,
     sweep_block,
     sweep_block_bignum,
 )
@@ -108,8 +109,8 @@ class TestLoweringMemo:
         real = sweep_kernel._BitsetLowering
         lowered = []
 
-        def counted(*fields):
-            lowered.append(real(*fields))
+        def counted(*fields, **named):
+            lowered.append(real(*fields, **named))
             return lowered[-1]
 
         monkeypatch.setattr(sweep_kernel, "_BitsetLowering", counted)
@@ -140,7 +141,10 @@ class TestLoweringMemo:
                 )
         finally:
             sys.setswitchinterval(interval)
-        assert all(np.array_equal(result, expected) for result in results)
+        assert all(
+            np.array_equal(offsets_to_dates(result, plan.start_time), expected)
+            for result in results
+        )
 
 
 class TestEngineKernelThreading:

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.core.sweep_kernel import OFFSET_DTYPES, merge_rows, offset_dtype, sweep_block
 from repro.service.cluster import job_fingerprint
 from repro.service.wire import matrix_to_spec, plan_from_spec
 
@@ -32,15 +33,23 @@ class FaultyWorker:
       only 10 s, so default-config chaos always manifested as EOF and
       the timeout-recovery branch went unexercised);
     * ``"corrupt"``  — answer with a line that is not JSON;
-    * ``"misshape"`` — answer ``ok: true`` with a well-formed matrix
-      spec of the wrong dimensions;
+    * ``"misshape"`` — answer ``ok: true`` with a well-formed offset
+      matrix in the plan's offset dtype, under the job's own
+      fingerprint, but one row short — only the executor's shape check
+      can refuse it;
+    * ``"retype"`` — answer ``ok: true`` with the block's exact offsets,
+      under the job's own fingerprint, but recast to the next wider
+      offset dtype (uint8 past uint64) — only the executor's dtype check
+      can refuse it;
     * ``"stale-plan-version"`` — answer ``ok: true`` with a matrix of
       the *correct* shape but computed "from" a stale plan: the echoed
-      job fingerprint hashes a doctored copy of the plan.  Full-plan and
-      fingerprint-only jobs alike get such a frame (the double keeps
-      the plans it was shipped).  Before fingerprint checking this was
-      the silent-corruption hole — a shape check alone accepts the
-      frame and stacks wrong numbers into the answer;
+      job fingerprint hashes a doctored copy of the plan.  Before
+      fingerprint checking this was the silent-corruption hole — a
+      shape check alone accepts the frame and stacks wrong numbers into
+      the answer.
+
+    The last three answer full-plan and fingerprint-only jobs alike
+    (the double keeps the plans it was shipped).
     * ``"plan-evicted"`` — answer *every* sweep job with a structured
       plan-miss frame, even one that just shipped the full plan.  The
       executor owes exactly one re-ship; a worker that claims eviction
@@ -63,7 +72,7 @@ class FaultyWorker:
         self.port = self._sock.getsockname()[1]
         self.address = f"127.0.0.1:{self.port}"
         self.jobs_seen = 0
-        self._plans: dict = {}  # fingerprint -> plan, for stale-plan-version
+        self._plans: dict = {}  # fingerprint -> plan, for the answering modes
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._serve, name="faulty-worker", daemon=True
@@ -104,20 +113,7 @@ class FaultyWorker:
                 self._stop.wait()
             elif mode == "corrupt":
                 conn.sendall(b"{this is not json\n")
-            elif mode == "misshape":
-                request = json.loads(data)
-                response = {
-                    "id": request.get("id"),
-                    "ok": True,
-                    "result": {
-                        "kind": "int64_matrix",
-                        "rows": 1,
-                        "cols": 1,
-                        "data": "AAAAAAAAAAA=",  # one packed int64 zero
-                    },
-                }
-                conn.sendall(json.dumps(response).encode() + b"\n")
-            elif mode == "stale-plan-version":
+            elif mode in ("misshape", "retype", "stale-plan-version"):
                 request = json.loads(data)
                 if request.get("plan") is not None:
                     plan = plan_from_spec(request["plan"])
@@ -125,14 +121,22 @@ class FaultyWorker:
                 else:
                     plan = self._plans[request["plan_key"]]
                 sources = request["sources"]
-                # Right shape, wrong contents: zeros for the block, and
-                # a job fingerprint honestly computed — but from a plan
-                # one start date behind the one the executor shipped.
-                stale = replace(plan, start_time=plan.start_time - 1)
-                result = matrix_to_spec(
-                    np.zeros((len(sources), plan.n), dtype=np.int64)
-                )
-                result["fingerprint"] = job_fingerprint(stale, sources)
+                fingerprint = job_fingerprint(plan, sources)
+                dtype = offset_dtype(plan)
+                if mode == "misshape":
+                    block = np.zeros((len(sources) - 1, plan.n), dtype=dtype)
+                elif mode == "retype":
+                    block = sweep_block(plan, sources)
+                    wider = OFFSET_DTYPES[(OFFSET_DTYPES.index(dtype) + 1) % 4]
+                    block = merge_rows(block, [], np.empty((0, plan.n), wider))
+                else:
+                    # Right shape, wrong contents: zeros for the block,
+                    # and a job fingerprint honestly computed — but from
+                    # a plan one start date behind the one shipped.
+                    block = np.zeros((len(sources), plan.n), dtype=dtype)
+                    stale = replace(plan, start_time=plan.start_time - 1)
+                    fingerprint = job_fingerprint(stale, sources)
+                result = {**matrix_to_spec(block), "fingerprint": fingerprint}
                 response = {"id": request.get("id"), "ok": True, "result": result}
                 conn.sendall(json.dumps(response).encode() + b"\n")
             elif mode == "plan-evicted":

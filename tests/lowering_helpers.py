@@ -8,8 +8,8 @@ replaced, kept as the oracle the property tests and
   call per edge and the adjacency read off ``graph.out_edges``
   (:class:`~repro.core.index.CompiledTVG`);
 * ``reference_lowering`` — the kernel's lowering by one three-key
-  ``lexsort`` and an ``np.unique`` date axis
-  (:func:`~repro.core.sweep_kernel._bitset_lowering`);
+  ``lexsort``, an ``np.unique`` date axis and a loop over the groups
+  for the runs (:func:`~repro.core.sweep_kernel._bitset_lowering`);
 * ``reference_growth_curve`` — the growth curve by sorting the
   off-diagonal arrivals and binary-searching each date
   (:func:`~repro.analysis.evolution.growth_curve_from_arrivals`).
@@ -87,7 +87,8 @@ def index_mismatches(index, reference: dict[str, np.ndarray]) -> list[str]:
 
 
 def reference_lowering(plan) -> _BitsetLowering:
-    """The kernel lowering of ``plan`` by ``lexsort`` and ``np.unique``."""
+    """The kernel lowering of ``plan`` by ``lexsort`` and ``np.unique``,
+    its runs found by a loop over the groups."""
     n = plan.n
     edge_count = len(plan.target_idx)
     src_of_edge = np.empty(edge_count, dtype=np.int64)
@@ -102,7 +103,6 @@ def reference_lowering(plan) -> _BitsetLowering:
     dep_s = plan.dep[order]
     arr_s = plan.arr[order]
     tgt_s = tgt_flat[order]
-    src_s = src_of_edge[edge_of_contact[order]]
     change = np.ones(len(order), dtype=bool)
     change[1:] = (
         (dep_s[1:] != dep_s[:-1])
@@ -115,10 +115,20 @@ def reference_lowering(plan) -> _BitsetLowering:
     )
     date_lo = np.searchsorted(dep_s, dates, side="left")
     date_hi = np.searchsorted(dep_s, dates, side="right")
+    pairs = [(int(dep_s[g]), int(arr_s[g])) for g in group_starts]
+    run_ptr = [g for g in range(len(pairs)) if g == 0 or pairs[g] != pairs[g - 1]]
+    run_dep = np.asarray([pairs[g][0] for g in run_ptr], dtype=np.int64)
     return _BitsetLowering(
-        dep_s, arr_s, tgt_s, src_s, group_starts, dates, date_lo, date_hi,
-        np.searchsorted(group_starts, date_lo, side="left"),
-        np.searchsorted(group_starts, date_hi, side="left"),
+        src_s=src_of_edge[edge_of_contact[order]],
+        dates=dates,
+        date_lo=date_lo,
+        date_hi=date_hi,
+        run_lo=np.searchsorted(run_dep, dates, side="left"),
+        run_hi=np.searchsorted(run_dep, dates, side="right"),
+        run_ptr=np.asarray(run_ptr + [len(pairs)], dtype=np.int64),
+        run_arr=np.asarray([pairs[g][1] for g in run_ptr], dtype=np.int64),
+        group_offset=group_starts - date_lo[np.searchsorted(dates, dep_s[group_starts])],
+        group_tgt=tgt_s[group_starts],
     )
 
 

@@ -4,7 +4,9 @@
 ragged per-node / per-edge sequences a reader can write down and packs
 them into the plan's flat CSR arrays.  ``reference_sweep_plan`` is the
 per-edge lowering loop ``build_sweep_plan`` replaced, kept as the
-oracle the vectorized build is checked against.
+oracle the vectorized build is checked against.  ``swept_dates`` reads
+the kernel's compact offsets back as the int64 dates the oracles answer
+in.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from repro.core.parallel import SweepPlan
 from repro.core.semantics import WaitingSemantics
+from repro.core.sweep_kernel import offsets_to_dates, sweep_block
 
 
 def _packed(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -24,6 +27,11 @@ def _packed(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
         (v for seq in seqs for v in seq), dtype=np.int64, count=int(ptr[-1])
     )
     return ptr, flat
+
+
+def swept_dates(plan: SweepPlan, sources: Sequence[int]) -> np.ndarray:
+    """``sweep_block(plan, sources)`` as int64 dates with ``UNREACHED``."""
+    return offsets_to_dates(sweep_block(plan, sources), plan.start_time)
 
 
 def make_plan(

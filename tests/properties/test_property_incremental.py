@@ -25,6 +25,7 @@ kernel.  Two layers attack it:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -36,12 +37,13 @@ from repro.core.engine import TemporalEngine
 from repro.core.latency import constant_latency
 from repro.core.parallel import build_sweep_plan
 from repro.core.presence import (
+    always,
     function_presence,
     interval_presence,
     periodic_presence,
 )
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
-from repro.core.sweep_kernel import sweep_block_bignum
+from repro.core.sweep_kernel import offsets_to_dates, sweep_block_bignum
 from repro.core.time_domain import Lifetime
 from repro.core.tvg import TimeVaryingGraph
 from repro.service.service import TVGService
@@ -124,7 +126,13 @@ class IncrementalDifferentialMachine(RuleBasedStateMachine):
 
     # -- mutations (mirrored independently onto the shadow) --------------------
 
-    @rule(endpoints=endpoints_strategy, presence=presences(), latency=st.integers(1, 3))
+    # A 300-date latency widens the window's offsets from uint8 to
+    # uint16, so seeds and their patches change dtype mid-schedule.
+    @rule(
+        endpoints=endpoints_strategy,
+        presence=presences(),
+        latency=st.sampled_from([1, 2, 3, 300]),
+    )
     def add_edge(self, endpoints, presence, latency):
         source, target = endpoints
         key = f"k{self.counter}"
@@ -176,10 +184,10 @@ class IncrementalDifferentialMachine(RuleBasedStateMachine):
 
     @rule(start=st.integers(0, HORIZON - 1), semantics=semantics_strategy)
     def query_matrix(self, start, semantics):
-        index, matrix = self.service._arrival_matrix(start, HORIZON, semantics)
+        index, offsets = self.service._arrival_matrix(start, HORIZON, semantics)
         nodes, scratch = scratch_matrix(self.shadow, start, semantics)
         assert list(index) == nodes
-        assert np.array_equal(matrix, scratch), (
+        assert np.array_equal(offsets_to_dates(offsets, start), scratch), (
             f"incremental matrix diverged from scratch at start={start} "
             f"under {semantics}"
         )
@@ -267,7 +275,7 @@ class TestEngineIncrementalEqualsScratch:
         graph = graph.copy()  # hypothesis reuses drawn graphs across examples
         engine = TemporalEngine(graph)
         v0 = graph.version
-        nodes0, m0 = engine.arrival_matrix(start, semantics, horizon=HORIZON)
+        nodes0, m0 = engine.arrival_offsets(start, semantics, horizon=HORIZON)
         _apply(graph, batch)
         deltas = graph.deltas_since(v0)
         result = engine.arrival_matrix_incremental(
@@ -277,7 +285,7 @@ class TestEngineIncrementalEqualsScratch:
         assert result is not None  # no node was added, chain is complete
         nodes_i, merged, reswept = result
         assert nodes_i == nodes_f
-        assert np.array_equal(merged, scratch)
+        assert np.array_equal(offsets_to_dates(merged, start), scratch)
         assert 0 <= reswept <= len(nodes_i)
 
     @given(graph=graphs(), batch=mutation_batches(), semantics=semantics_strategy)
@@ -289,7 +297,7 @@ class TestEngineIncrementalEqualsScratch:
         graph = graph.copy()
         engine = TemporalEngine(graph)
         v0 = graph.version
-        nodes0, m0 = engine.arrival_matrix(0, semantics, horizon=HORIZON)
+        nodes0, m0 = engine.arrival_offsets(0, semantics, horizon=HORIZON)
         _apply(graph, batch)
         result = engine.arrival_matrix_incremental(
             0, (nodes0, m0), graph.deltas_since(v0), semantics, HORIZON
@@ -300,7 +308,8 @@ class TestEngineIncrementalEqualsScratch:
             0, semantics, horizon=HORIZON
         )
         unchanged = np.all(merged == m0, axis=1)
-        assert np.array_equal(merged[unchanged], scratch[unchanged])
+        merged_dates = offsets_to_dates(merged, 0)
+        assert np.array_equal(merged_dates[unchanged], scratch[unchanged])
 
     def test_node_addition_defeats_the_incremental_path(self):
         g = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON))
@@ -308,11 +317,46 @@ class TestEngineIncrementalEqualsScratch:
         g.add_edge("a", "b", key="ab")
         engine = TemporalEngine(g)
         v0 = g.version
-        nodes0, m0 = engine.arrival_matrix(0, WAIT, horizon=HORIZON)
+        nodes0, m0 = engine.arrival_offsets(0, WAIT, horizon=HORIZON)
         g.add_edge("b", "z", key="bz")  # z is a NEW node
         assert engine.arrival_matrix_incremental(
             0, (nodes0, m0), g.deltas_since(v0), WAIT, HORIZON
         ) is None
+
+
+    @pytest.mark.parametrize("semantics", [WAIT, NO_WAIT, bounded_wait(2)])
+    def test_patch_across_offset_dtypes(self, semantics):
+        """An edge whose 300-date latency passes 254 makes a uint8
+        seed's next plan uint16, and removing it narrows the plan back:
+        each patch is recast to its plan's dtype and equals a
+        from-scratch sweep."""
+        graph = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON))
+        graph.add_nodes("abcde")
+        for (source, target), residue in ("ab", 0), ("bc", 1), ("cd", 0), ("ea", 1):
+            graph.add_edge(
+                source, target, presence=periodic_presence([residue], 2),
+                key=source + target,
+            )
+        engine = TemporalEngine(graph)
+        nodes, seed = engine.arrival_offsets(0, semantics, horizon=HORIZON)
+        assert seed.dtype == np.uint8
+        steps = (
+            (lambda: graph.add_edge(
+                "b", "e", presence=always(), latency=constant_latency(300), key="slow"
+            ), np.uint16),
+            (lambda: graph.remove_edge("slow"), np.uint8),
+        )
+        for mutate, dtype in steps:
+            version = graph.version
+            mutate()
+            result = engine.arrival_matrix_incremental(
+                0, (nodes, seed), graph.deltas_since(version), semantics, HORIZON
+            )
+            assert result is not None
+            nodes, seed, reswept = result
+            assert seed.dtype == dtype and 0 < reswept < len(nodes)
+            _same, scratch = scratch_matrix(graph, 0, semantics)
+            assert np.array_equal(offsets_to_dates(seed, 0), scratch)
 
 
 class TestServiceIncrementalPlumbing:

@@ -8,6 +8,9 @@ form plus black-box predicates), all three waiting semantics, any start
 date, any source block (including duplicated and out-of-order sources)
 — and both must agree with the interpretive journey search in
 :mod:`repro.core.traversal`, which shares no code with either kernel.
+The bitset kernel answers in compact offsets from the start date, so
+its output is compared after ``offsets_to_dates`` (``swept_dates``),
+on windows and latencies whose offsets need uint8, uint16 and uint64.
 
 The handcrafted cases pin the regimes Hypothesis rarely reaches:
 UNREACHED-magnitude dates (the kernels must not overflow int64 when
@@ -18,23 +21,31 @@ unbounded waiting exactly).
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from plan_helpers import make_plan
+from plan_helpers import make_plan, swept_dates
 
 from repro.core.engine import TemporalEngine
 from repro.core.latency import constant_latency
 from repro.core.parallel import SweepPlan, build_sweep_plan, partition_sources
 from repro.core.presence import (
+    always,
     function_presence,
     interval_presence,
     periodic_presence,
 )
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
-from repro.core.sweep_kernel import UNREACHED, sweep_block, sweep_block_bignum
+from repro.core.sweep_kernel import (
+    UNREACHED,
+    offset_dtype,
+    sweep_block,
+    sweep_block_bignum,
+)
 from repro.core.time_domain import Lifetime
 from repro.core.traversal import earliest_arrivals
 from repro.core.tvg import TimeVaryingGraph
 
 HORIZON = 12
+#: A window wide enough that offsets pass 254, so plans need uint16.
+WIDE_HORIZON = 300
 
 DETERMINISTIC = settings(deadline=None, derandomize=True, print_blob=True)
 
@@ -74,9 +85,9 @@ def presences(draw):
 
 
 @st.composite
-def tvgs(draw):
+def tvgs(draw, horizon=HORIZON, latencies=st.integers(1, 3)):
     n = draw(st.integers(2, 6))
-    graph = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="random")
+    graph = TimeVaryingGraph(lifetime=Lifetime(0, horizon), name="random")
     graph.add_nodes(range(n))
     edge_count = draw(st.integers(1, 9))
     for _ in range(edge_count):
@@ -88,8 +99,22 @@ def tvgs(draw):
             u,
             v,
             presence=draw(presences()),
-            latency=constant_latency(draw(st.integers(1, 3))),
+            latency=constant_latency(draw(latencies)),
         )
+    return graph
+
+
+@st.composite
+def wide_tvgs(draw):
+    """Graphs over ``[0, WIDE_HORIZON)`` with short and long latencies,
+    plus one always-present edge out of node 0 whose latency alone puts
+    an arrival offset past 254: every plan's offsets need uint16."""
+    graph = draw(
+        tvgs(WIDE_HORIZON, st.one_of(st.integers(1, 3), st.integers(200, 400)))
+    )
+    graph.add_edge(
+        0, 1, presence=always(), latency=constant_latency(draw(st.integers(255, 400)))
+    )
     return graph
 
 
@@ -102,7 +127,7 @@ class TestBitsetEqualsBignum:
         )
         sources = tuple(range(plan.n))
         assert np.array_equal(
-            sweep_block(plan, sources), sweep_block_bignum(plan, sources)
+            swept_dates(plan, sources), sweep_block_bignum(plan, sources)
         )
 
     @given(tvgs(), semantics_strategy, st.integers(2, 4))
@@ -114,7 +139,7 @@ class TestBitsetEqualsBignum:
         serial = sweep_block_bignum(plan, tuple(range(plan.n)))
         stacked = np.vstack(
             [
-                sweep_block(plan, block)
+                swept_dates(plan, block)
                 for block in partition_sources(plan.n, shards)
             ]
         )
@@ -134,8 +159,52 @@ class TestBitsetEqualsBignum:
             )
         )
         assert np.array_equal(
-            sweep_block(plan, sources), sweep_block_bignum(plan, sources)
+            swept_dates(plan, sources), sweep_block_bignum(plan, sources)
         )
+
+
+class TestWideOffsets:
+    """Windows and latencies whose offsets need more than one byte."""
+
+    @given(wide_tvgs(), semantics_strategy, st.integers(0, 3))
+    @settings(DETERMINISTIC, max_examples=30)
+    def test_uint16_offsets_match_both_oracles(self, graph, semantics, start):
+        engine = TemporalEngine(graph)
+        nodes, plan = build_sweep_plan(engine, start, semantics, WIDE_HORIZON)
+        offsets = sweep_block(plan, range(plan.n))
+        assert offsets.dtype == offset_dtype(plan) == np.uint16
+        dates = swept_dates(plan, range(plan.n))
+        assert np.array_equal(dates, sweep_block_bignum(plan, range(plan.n)))
+        for i, source in enumerate(nodes):
+            oracle = earliest_arrivals(graph, source, start, semantics, WIDE_HORIZON)
+            assert dates[i].tolist() == [oracle.get(node, UNREACHED) for node in nodes]
+
+    @given(wide_tvgs(), semantics_strategy, st.integers(2, 4))
+    @settings(DETERMINISTIC, max_examples=20)
+    def test_uint16_blocks_stack(self, graph, semantics, shards):
+        _nodes, plan = build_sweep_plan(TemporalEngine(graph), 0, semantics, WIDE_HORIZON)
+        stacked = np.vstack(
+            [sweep_block(plan, block) for block in partition_sources(plan.n, shards)]
+        )
+        assert np.array_equal(stacked, sweep_block(plan, range(plan.n)))
+
+    def test_each_dtype_bound(self):
+        """A largest offset just under a dtype's max keeps that dtype;
+        one equal to it (the sentinel) takes the next, up to uint64 (a
+        2**61 latency).  The offsets read back exactly."""
+        for largest, dtype in (
+            (254, np.uint8), (255, np.uint16), (2**16 - 2, np.uint16),
+            (2**16 - 1, np.uint32), (2**32 - 2, np.uint32),
+            (2**32 - 1, np.uint64), (2**61 + 5, np.uint64),
+        ):
+            for max_wait in (None, 0, 2):
+                plan = _plan_for_dates(0, max_wait, largest - 5)
+                offsets = sweep_block(plan, range(plan.n))
+                assert offsets.dtype == offset_dtype(plan) == dtype, largest
+                assert np.array_equal(
+                    swept_dates(plan, range(plan.n)),
+                    sweep_block_bignum(plan, range(plan.n)),
+                )
 
 
 class TestKernelsMatchInterpretiveOracle:
@@ -155,10 +224,13 @@ class TestKernelsMatchInterpretiveOracle:
             assert bitset[i].tolist() == expected
 
 
-def _plan_for_dates(base: int, max_wait: int | None = None) -> SweepPlan:
+def _plan_for_dates(
+    base: int, max_wait: int | None = None, last_latency: int = 1
+) -> SweepPlan:
     """A 4-node line+shortcut plan with every date near ``base`` — built
     directly so the magnitude (e.g. near ``UNREACHED``) exercises only
-    the kernels, not the graph layer."""
+    the kernels, not the graph layer.  The last hop takes
+    ``last_latency``, so its arrival offset is ``5 + last_latency``."""
     return make_plan(
         n=4,
         out_edges=((0, 1), (2,), (3,), ()),
@@ -173,7 +245,7 @@ def _plan_for_dates(base: int, max_wait: int | None = None) -> SweepPlan:
             (base + 1, base + 2),
             (base + 4,),
             (base + 3, base + 5),
-            (base + 6,),
+            (base + 5 + last_latency,),
         ),
         start_time=base,
         horizon=base + 8,
@@ -189,7 +261,7 @@ class TestHandcraftedRegimes:
         for max_wait in (None, 0, 1, 3):
             plan = _plan_for_dates(base, max_wait)
             sources = (0, 1, 2, 3)
-            bitset = sweep_block(plan, sources)
+            bitset = swept_dates(plan, sources)
             bignum = sweep_block_bignum(plan, sources)
             assert np.array_equal(bitset, bignum), f"max_wait={max_wait}"
             assert bitset[0, 0] == base  # the trivial journey survives

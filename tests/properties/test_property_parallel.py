@@ -13,6 +13,7 @@ the end-to-end multi-process runs under the ``slow`` marker.
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from plan_helpers import swept_dates
 
 from repro.analysis.reachability import reachability_matrix, reachability_ratio
 from repro.core.engine import TemporalEngine
@@ -107,7 +108,7 @@ class TestShardedEqualsSerial:
         _nodes, serial = engine.arrival_matrix(start, semantics, horizon=HORIZON)
         _same, plan = build_sweep_plan(engine, start, semantics, HORIZON)
         blocks = partition_sources(plan.n, shards)
-        stacked = np.vstack([sweep_block(plan, block) for block in blocks])
+        stacked = np.vstack([swept_dates(plan, block) for block in blocks])
         assert np.array_equal(stacked, serial)
 
     @given(tvgs(), semantics_strategy, st.integers(2, 4))
@@ -122,7 +123,7 @@ class TestShardedEqualsSerial:
             TemporalEngine(graph), 0, semantics, HORIZON
         )
         stacked = np.vstack(
-            [sweep_block(plan, b) for b in partition_sources(plan.n, shards)]
+            [swept_dates(plan, b) for b in partition_sources(plan.n, shards)]
         )
         assert np.array_equal(stacked, serial)
 

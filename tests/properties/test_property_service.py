@@ -286,3 +286,30 @@ ServiceDifferentialMachine.TestCase.settings = settings(
 )
 
 TestServiceDifferential = ServiceDifferentialMachine.TestCase
+
+
+class TestArrivalFromALaterStart:
+    """The seeds hold offsets from the window's start, so the service
+    must add the start back: one explicit case with ``start > 0``."""
+
+    def test_arrival_answers_start_plus_offset(self):
+        graph = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="later")
+        graph.add_nodes("abcd")
+        graph.add_edge("a", "b", presence=interval_presence([(5, 6)]), key="ab")
+        graph.add_edge(
+            "b", "c", presence=interval_presence([(7, 8)]),
+            latency=constant_latency(2), key="bc",
+        )
+        service = TVGService(graph)
+        start = 4
+        assert service.arrival("a", "b", start, HORIZON, WAIT) == 6
+        assert service.arrival("a", "c", start, HORIZON, WAIT) == 9
+        assert service.arrival("a", "a", start, HORIZON, WAIT) == start
+        assert service.arrival("a", "d", start, HORIZON, WAIT) is None
+        assert service.arrival("c", "a", start, HORIZON, WAIT) is None
+        for source in graph.nodes:
+            oracle = earliest_arrivals(graph, source, start, WAIT, HORIZON)
+            for target in graph.nodes:
+                assert service.arrival(source, target, start, HORIZON, WAIT) == (
+                    oracle.get(target)
+                )

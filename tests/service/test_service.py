@@ -82,14 +82,14 @@ class TestCachingAcrossMutations:
         """growth and reach/arrival on the same (window, semantics)
         must run ONE arrival sweep between them, not one each."""
         calls = 0
-        original = line_service.engine.arrival_matrix
+        original = line_service.engine.arrival_offsets
 
         def counting(*args, **kwargs):
             nonlocal calls
             calls += 1
             return original(*args, **kwargs)
 
-        line_service.engine.arrival_matrix = counting
+        line_service.engine.arrival_offsets = counting
         line_service.growth(0, 10, WAIT)
         line_service.reach("a", "c", 0, 10, WAIT)
         line_service.arrival("b", "c", 0, 10, WAIT)

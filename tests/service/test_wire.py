@@ -8,7 +8,7 @@ import pytest
 from plan_helpers import make_plan
 
 from repro.core.latency import constant_latency, function_latency
-from repro.core.parallel import SweepPlan
+from repro.core.parallel import SweepPlan, sweep_block
 from repro.core.presence import (
     always,
     at_times,
@@ -210,26 +210,68 @@ class TestSweepPlanSpecs:
 
 
 class TestMatrixSpecs:
-    def test_round_trip_through_json(self):
-        matrix = np.arange(12, dtype=np.int64).reshape(3, 4) - 5
+    @pytest.mark.parametrize("dtype", ["uint8", "uint16", "uint32", "uint64"])
+    def test_round_trip_through_json(self, dtype):
+        info = np.iinfo(dtype)
+        matrix = np.array(
+            [[0, 1, info.max - 1], [info.max, 7, info.max]], dtype=dtype
+        )
         spec = json.loads(json.dumps(matrix_to_spec(matrix)))
-        assert np.array_equal(matrix_from_spec(spec), matrix)
+        assert spec["dtype"] == dtype
+        back = matrix_from_spec(spec)
+        assert back.dtype == matrix.dtype and np.array_equal(back, matrix)
+
+    def test_uint64_offsets_of_a_huge_latency_round_trip(self):
+        plan = make_plan(
+            n=2, out_edges=[[0], []], target_idx=[1], contacts=[[0, 1]],
+            arrivals=[[2**61, 2**61 + 1]], start_time=0, horizon=2, max_wait=None,
+        )
+        offsets = sweep_block(plan, range(plan.n))
+        assert offsets.dtype == np.uint64 and offsets[0, 1] == 2**61
+        back = matrix_from_spec(json.loads(json.dumps(matrix_to_spec(offsets))))
+        assert back.dtype == np.uint64 and np.array_equal(back, offsets)
 
     def test_empty_matrix_round_trips(self):
-        matrix = np.zeros((0, 7), dtype=np.int64)
-        assert matrix_from_spec(matrix_to_spec(matrix)).shape == (0, 7)
+        matrix = np.zeros((0, 7), dtype=np.uint8)
+        back = matrix_from_spec(matrix_to_spec(matrix))
+        assert back.shape == (0, 7) and back.dtype == np.uint8
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.bool_, np.int8])
+    def test_only_offset_dtypes_are_encoded(self, dtype):
+        with pytest.raises(ServiceError):
+            matrix_to_spec(np.zeros((2, 2), dtype=dtype))
 
     @pytest.mark.parametrize(
         "corruption",
         [
             {"kind": "sweep_plan"},
+            {"kind": "int64_matrix"},  # the old int64 frame's kind
             {"rows": 99},            # data no longer matches rows*cols
             {"rows": -1},
             {"data": "AAAA"},
             {"data": None},
+            {"dtype": "int64"},
+            {"dtype": "uint128"},
+            {"dtype": None},
+            {"dtype": ["uint16"]},
+            # 4 uint16 values' bytes under a uint32 header: the byte
+            # count is not rows x cols x itemsize.
+            {"dtype": "uint32"},
+            # An odd byte count under a uint16 header.
+            {"data": base64.b64encode(bytes(7)).decode("ascii")},
         ],
     )
     def test_malformed_specs_rejected(self, corruption):
-        spec = {**matrix_to_spec(np.zeros((2, 2), dtype=np.int64)), **corruption}
+        spec = {**matrix_to_spec(np.zeros((2, 2), dtype=np.uint16)), **corruption}
         with pytest.raises(ServiceError):
             matrix_from_spec(spec)
+
+    def test_the_old_int64_frame_is_refused(self):
+        legacy = {
+            "kind": "int64_matrix",
+            "rows": 1,
+            "cols": 1,
+            "data": base64.b64encode(np.zeros(1, dtype="<i8").tobytes()).decode(),
+        }
+        with pytest.raises(ServiceError):
+            matrix_from_spec(legacy)
