@@ -22,7 +22,13 @@ Two claims are checked:
 Both paths run on the same engine and the same kernel, and both answer
 in the kernel's compact offset form (the seed and the full re-sweep come
 from ``arrival_offsets``); plans compile once and best-of-``REPEATS``
-timing amortizes warmup, so the timings isolate swept-row volume.  Emits ``BENCH_incremental.json``
+timing amortizes warmup, so the timings isolate swept-row volume.
+
+The ``miss_*`` cases, recorded but not gated, time both paths as a
+service miss runs them: before each repeat the plan memo is put back
+to what it held at the seed, so every repeat splices a fresh plan that
+no sweep has lowered, and the cone lowers only its own closure while
+the full re-sweep lowers every contact.  Emits ``BENCH_incremental.json``
 next to this file.
 
 Run standalone (``python benchmarks/bench_incremental.py``) or through
@@ -131,6 +137,7 @@ def run_benchmark() -> dict:
 
     for label, semantics in (("wait", WAIT), ("nowait", NO_WAIT)):
         nodes0, m0 = engine.arrival_offsets(0, semantics, horizon=HORIZON)
+        memo0 = dict(engine._plan_memo)
         version0 = graph.version
         dirty_keys = churn(graph, rng)
         deltas = graph.deltas_since(version0)
@@ -157,6 +164,37 @@ def run_benchmark() -> dict:
             "dirty_fraction": len(dirty_keys) / graph.edge_count,
             "rows_reswept": int(reswept),
             "rows_total": graph.node_count,
+            "full_seconds": full_seconds,
+            "incremental_seconds": incremental_seconds,
+            "speedup": full_seconds / incremental_seconds,
+        }
+
+        def as_a_miss(path):
+            def run():
+                engine._plan_memo.clear()
+                engine._plan_memo.update(memo0)
+                return path()
+
+            return run
+
+        scratch, full_seconds = _best_of(
+            as_a_miss(lambda: engine.arrival_offsets(0, semantics, horizon=HORIZON)[1])
+        )
+        incremental, incremental_seconds = _best_of(
+            as_a_miss(lambda: engine.arrival_matrix_incremental(
+                0, (nodes0, m0), deltas, semantics, HORIZON
+            ))
+        )
+        assert incremental is not None, "presence-only chain must be patchable"
+        _nodes, merged, reswept = incremental
+        assert np.array_equal(merged, scratch), (
+            f"incremental miss diverged from scratch under {label}"
+        )
+        assert 0 < reswept <= CLUSTER_NODES, (
+            f"cone escaped the churned community: {reswept} rows re-swept"
+        )
+        results["cases"][f"miss_{label}"] = {
+            **results["cases"][f"resweep_{label}"],
             "full_seconds": full_seconds,
             "incremental_seconds": incremental_seconds,
             "speedup": full_seconds / incremental_seconds,

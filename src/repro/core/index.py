@@ -374,7 +374,7 @@ class CompiledTVG:
             node: i for i, node in enumerate(self.nodes)
         }
         edges = self.edge_list = graph.edges
-        #: Edge key -> index, built by the first :meth:`apply_deltas`.
+        #: Edge key -> index, built by the first :meth:`edge_position`.
         self._edge_pos: dict[str, int] | None = None
         self.edge_ptr, self.dates, self.opaque = _lower_edges(edges, window)
         #: Latency value when the edge's zeta is constant, else -1 (call it).
@@ -433,11 +433,9 @@ class CompiledTVG:
             delta.kind != "set_presence" or delta.edge_key is None for delta in deltas
         ):
             return False
-        if self._edge_pos is None:
-            self._edge_pos = {edge.key: i for i, edge in enumerate(self.edge_list)}
         touched: dict[int, None] = {}
         for delta in deltas:
-            pos = self._edge_pos.get(delta.edge_key)
+            pos = self.edge_position(delta.edge_key)
             if pos is None:
                 return False
             touched[pos] = None
@@ -453,6 +451,13 @@ class CompiledTVG:
         self.edge_list = tuple(edges)
         self.version = self.graph.version
         return True
+
+    def edge_position(self, key: str) -> int | None:
+        """The index of the edge keyed ``key``, or None; the key map is
+        built on first use."""
+        if self._edge_pos is None:
+            self._edge_pos = {edge.key: i for i, edge in enumerate(self.edge_list)}
+        return self._edge_pos.get(key)
 
     # -- the two kernel queries ------------------------------------------------
 

@@ -10,8 +10,9 @@ at-most-once-per-(edge, date) contract.  So :func:`build_sweep_plan`
 lowers in the parent, straight from the compiled index's flat contact
 CSR (a window mask plus ``arr = dep + latency[edge]``); only black-box
 edges (through the engine's :class:`~repro.core.index.LazyContactCache`)
-and callable latencies are visited one edge at a time.  The plan
-pickles and ships over the wire as its arrays
+and callable latencies are visited one edge at a time.  Across presence
+swaps it splices just the touched edges into the query's previous plan.
+The plan pickles and ships over the wire as its arrays
 (:mod:`repro.service.wire`).
 
 The sweep is partitionable by *source blocks*: the arrival dates
@@ -58,9 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
 #: in-process instead.
 MIN_PARALLEL_NODES: int = 8
 
-#: Lowered plans kept per engine (FIFO eviction, current version only);
-#: plans are O(edges x horizon) arrays, so a small handful bounds memory
-#: while still covering the query mix between two mutations.
+#: Lowered plans kept per engine (FIFO eviction, newest version only);
+#: plans are O(contacts) arrays, so a small handful bounds memory while
+#: still covering the query mix between two mutations.
 PLAN_MEMO_SIZE: int = 8
 
 
@@ -169,10 +170,14 @@ def build_sweep_plan(
     ordering alongside (the matrix axes).
 
     Plans are memoized on the engine by ``(version, start, horizon,
-    max_wait)``, so repeated sweeps of the same query (the incremental
-    path re-sweeping a cone right after the full sweep that seeded it,
-    sharded blocks, retries) share one lowering.  A plan for an older
-    version can never be asked for again, so building one drops them.
+    max_wait)``, so repeated sweeps of the same query (sharded blocks,
+    retries) share one lowering.  A plan for an older version can never
+    be asked for again, so building one drops them — but first, when
+    the memo still holds this query's plan from an older version and
+    only presence swaps happened since, the new plan is that one with
+    the touched edges' rows spliced in, as
+    :meth:`~repro.core.index.CompiledTVG.apply_deltas` splices the
+    index.
     """
     version = engine.graph.version
     key = (version, start_time, horizon, semantics.max_wait)
@@ -181,7 +186,61 @@ def build_sweep_plan(
     if hit is not None:
         nodes, plan = hit
         return list(nodes), plan
+    older = next((k for k in memo if k[1:] == key[1:]), None)
+    deltas = None if older is None else engine.graph.deltas_since(older[0])
     index = engine.index_for(min(start_time, horizon), horizon)
+    if deltas and all(delta.kind == "set_presence" for delta in deltas):
+        touched = {index.edge_position(delta.edge_key) for delta in deltas}
+        plan_ptr, dep, arr = _spliced_rows(
+            index, memo[older][1], touched, start_time, horizon
+        )
+    else:
+        plan_ptr, dep, arr = _window_rows(index, start_time, horizon)
+    plan = SweepPlan(
+        n=len(index.nodes),
+        out_ptr=index.out_ptr,
+        out_edge_idx=index.out_edge_idx,
+        target_idx=index.target_idx,
+        edge_ptr=plan_ptr,
+        dep=dep,
+        arr=arr,
+        start_time=start_time,
+        horizon=horizon,
+        max_wait=semantics.max_wait,
+    )
+    for stale in [k for k in memo if k[0] != version]:
+        del memo[stale]
+    if len(memo) >= PLAN_MEMO_SIZE:
+        memo.pop(next(iter(memo)))
+    memo[key] = (tuple(index.nodes), plan)
+    return list(index.nodes), plan
+
+
+def _spliced_rows(
+    index, previous: SweepPlan, touched: set[int], start_time: int, horizon: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(edge_ptr, dep, arr)`` of ``previous`` with the ``touched``
+    edges' rows replaced by their contacts in ``[start_time, horizon)``
+    now, read per contact through the index's own queries (black-box
+    dates through the cache, callable latencies evaluated again)."""
+    dep_rows, arr_rows = {}, {}
+    for ei in touched:
+        departures = index.departures(ei, start_time, horizon)
+        dep_rows[ei] = np.array(departures, dtype=np.int64)
+        arr_rows[ei] = np.array(
+            [index.arrival(ei, dep) for dep in departures], dtype=np.int64
+        )
+    plan_ptr, dep = splice_csr(previous.edge_ptr, previous.dep, dep_rows)
+    return plan_ptr, dep, splice_csr(previous.edge_ptr, previous.arr, arr_rows)[1]
+
+
+def _window_rows(
+    index, start_time: int, horizon: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(edge_ptr, dep, arr)`` of every edge's contacts in ``[start_time,
+    horizon)``: one mask over the index's flat dates, the black-box
+    edges' dates spliced in from the cache, ``arr = dep + latency``
+    with callable latencies evaluated per contact of their edge."""
     dates = index.dates
     keep = (dates >= start_time) & (dates < horizon)
     kept_before = np.zeros(len(dates) + 1, dtype=np.int64)
@@ -202,24 +261,7 @@ def build_sweep_plan(
         lo, hi = plan_ptr[ei], plan_ptr[ei + 1]
         zeta = index.edge_list[ei].latency
         arr[lo:hi] = [d + zeta(d) for d in dep[lo:hi].tolist()]
-    plan = SweepPlan(
-        n=len(index.nodes),
-        out_ptr=index.out_ptr,
-        out_edge_idx=index.out_edge_idx,
-        target_idx=index.target_idx,
-        edge_ptr=plan_ptr,
-        dep=dep,
-        arr=arr,
-        start_time=start_time,
-        horizon=horizon,
-        max_wait=semantics.max_wait,
-    )
-    for stale in [k for k in memo if k[0] != version]:
-        del memo[stale]
-    if len(memo) >= PLAN_MEMO_SIZE:
-        memo.pop(next(iter(memo)))
-    memo[key] = (tuple(index.nodes), plan)
-    return list(index.nodes), plan
+    return plan_ptr, dep, arr
 
 
 def partition_sources(
@@ -256,8 +298,7 @@ class SweepExecutor(Protocol):
 
 #: The worker's copy of the plan, installed once per process by the pool
 #: initializer — blocks are then the only per-task payload, so the plan
-#: (the big object: O(|E| x window) contacts) is never re-pickled per
-#: shard.
+#: (the big object: O(contacts) arrays) is never re-pickled per shard.
 _WORKER_PLAN: SweepPlan | None = None
 
 

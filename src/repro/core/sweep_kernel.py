@@ -9,7 +9,9 @@ node ``j``'s row: source ``i`` has mass pending at ``j``), pending
 states bucketed *by date* — latencies are positive, so a date's masks
 are final before any of its states expand — and each date processed as
 vectorized row ops, its pushes merged per ``(arrival date, target)`` by
-one ``np.bitwise_or.reduceat``.
+one ``np.bitwise_or.reduceat``.  A journey leaves only nodes it has
+reached, so a block swept on a plan no sweep has lowered yet lowers
+only the contacts its sources' static forward closure can ride.
 
 The kernel answers in one compact form: arrival *offsets* from the
 plan's ``start_time`` in :func:`offset_dtype`, the narrowest unsigned
@@ -201,11 +203,61 @@ def _radix_order(keys: Sequence[np.ndarray]) -> np.ndarray:
     return order
 
 
-def _bitset_lowering(plan: "SweepPlan") -> _BitsetLowering:
+def _csr_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(positions, owner)``: the positions ``ptr[r]:ptr[r + 1]`` of
+    each row ``r`` in ``rows``, concatenated in order, and for each the
+    index into ``rows`` it came from."""
+    lo = ptr[rows]
+    lengths = ptr[rows + 1] - lo
+    owner = np.repeat(np.arange(len(rows)), lengths)
+    ends = np.cumsum(lengths)
+    skip = np.repeat(ends - lengths - lo, lengths)
+    return np.arange(len(owner)) - skip, owner
+
+
+def _closure_edges(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray | None:
+    """The edges, ascending, whose contacts a sweep of ``sources`` can
+    ride: a journey leaves only nodes it has reached, so an edge with a
+    contact counts when its tail lies in the static forward closure of
+    ``sources`` over such edges.  None when that is every edge with a
+    contact.  Taken frontier by frontier, each node and edge once; a
+    node reached by several edges at once joins the next frontier once,
+    through the one position its ``slot`` kept (no sort)."""
+    live = plan.edge_ptr[1:] > plan.edge_ptr[:-1]
+    reached = np.zeros(plan.n, dtype=bool)
+    kept = np.zeros(len(live), dtype=bool)
+    slot = np.empty(plan.n, dtype=np.int64)
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    count = 0
+    while len(frontier):
+        reached[frontier] = True
+        count += len(frontier)
+        if count == plan.n:
+            return None
+        out = plan.out_edge_idx[_csr_rows(plan.out_ptr, frontier)[0]]
+        out = out[live[out]]
+        kept[out] = True
+        heads = plan.target_idx[out]
+        heads = heads[~reached[heads]]
+        positions = np.arange(len(heads))
+        slot[heads] = positions
+        frontier = heads[slot[heads] == positions]
+    edges = np.flatnonzero(kept)
+    return None if len(edges) == np.count_nonzero(live) else edges
+
+
+def _bitset_lowering(
+    plan: "SweepPlan", sources: Sequence[int] | None = None
+) -> _BitsetLowering:
     """The plan's :class:`_BitsetLowering`, computed on first use and
     stored on the plan itself, so it lives exactly as long as the plan
     (plans are immutable, so it never goes stale).  Two threads lowering
     one plan at once both compute the same value; either may be kept.
+
+    Given the ``sources`` of a sweep, a plan not lowered yet lowers only
+    the contacts of :func:`_closure_edges` — the rest can never carry
+    one of their bits — and that restricted lowering is returned but
+    never stored; a closure that reaches every contact lowers in full.
 
     Contacts are put in (departure, arrival, target) order by
     :func:`_radix_order`, and the date axis is read off the sorted
@@ -214,14 +266,21 @@ def _bitset_lowering(plan: "SweepPlan") -> _BitsetLowering:
     lowered = plan.__dict__.get("_lowering")
     if lowered is not None:
         return lowered
+    edges = None if sources is None else _closure_edges(plan, sources)
     edge_count = len(plan.target_idx)
     src_of_edge = np.empty(edge_count, dtype=np.int64)
     src_of_edge[plan.out_edge_idx] = np.repeat(np.arange(plan.n), np.diff(plan.out_ptr))
-    edge_of_contact = np.repeat(np.arange(edge_count), np.diff(plan.edge_ptr))
+    if edges is None:
+        edge_of_contact = np.repeat(np.arange(edge_count), np.diff(plan.edge_ptr))
+        dep, arr = plan.dep, plan.arr
+    else:
+        contact, owner = _csr_rows(plan.edge_ptr, edges)
+        edge_of_contact = edges[owner]
+        dep, arr = plan.dep[contact], plan.arr[contact]
     tgt_flat = plan.target_idx[edge_of_contact]
-    order = _radix_order((plan.dep, plan.arr, tgt_flat))
-    dep_s = plan.dep[order]
-    arr_s = plan.arr[order]
+    order = _radix_order((dep, arr, tgt_flat))
+    dep_s = dep[order]
+    arr_s = arr[order]
     tgt_s = tgt_flat[order]
     # Boundaries of departure dates, of (departure, arrival) pairs and
     # of (departure, arrival, target) groups.  The date axis: every
@@ -249,7 +308,8 @@ def _bitset_lowering(plan: "SweepPlan") -> _BitsetLowering:
         group_offset=group_starts - dep_starts[np.cumsum(new_dep[group_starts]) - 1],
         group_tgt=tgt_s[group_starts],
     )
-    object.__setattr__(plan, "_lowering", lowered)
+    if edges is None:
+        object.__setattr__(plan, "_lowering", lowered)
     return lowered
 
 
@@ -272,8 +332,10 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
     bucket's under no-wait, and under ``wait[w]`` the OR of the buckets
     of ``[t - w, t]`` (an arrival *event*, re-arrivals included, keeps a
     bit eligible for ``w`` more dates, exactly the bignum sweep's
-    full-mask push discipline).  Each contact is touched once per sweep,
-    and each run ORs its merged groups into its arrival date's bucket.
+    full-mask push discipline).  Each contact of the lowering — all of
+    them, or on a plan not lowered yet those of the block's closure —
+    is touched once per sweep, and each run ORs its merged groups into
+    its arrival date's bucket.
     """
     sources = tuple(sources)
     b = len(sources)
@@ -293,9 +355,9 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
     # waiting in disguise (latest is pinned at the horizon either way).
     wait_like = max_wait is None or start + max_wait + 1 >= horizon
 
-    # The source-independent lowering — flattened, sorted, grouped
-    # contacts plus the date axis — cached on the plan object.
-    lowered = _bitset_lowering(plan)
+    # The lowering — flattened, sorted, grouped contacts plus the date
+    # axis — cached on the plan object, or just the block's closure.
+    lowered = _bitset_lowering(plan, sources)
     src_s, group_offset, group_tgt = lowered.src_s, lowered.group_offset, lowered.group_tgt
     date_lo, date_hi = lowered.date_lo.tolist(), lowered.date_hi.tolist()
     run_lo, run_hi = lowered.run_lo.tolist(), lowered.run_hi.tolist()

@@ -10,6 +10,7 @@ and structural transforms in :mod:`repro.core.transforms`.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from repro.core.edges import Edge
@@ -77,8 +78,8 @@ class TimeVaryingGraph:
         self._key_counter = 0
         self._version = 0
         # One delta per version bump, consecutive by construction, so
-        # deltas_since can tell a complete chain from a truncated one by
-        # looking at the oldest retained entry alone.
+        # deltas_since reads a chain off the log's tail by its length
+        # alone.
         self._deltas: deque[MutationDelta] = deque(maxlen=DELTA_HISTORY)
 
     @property
@@ -113,13 +114,12 @@ class TimeVaryingGraph:
         the service's cached matrices) can be patched instead of
         rebuilt.
         """
-        if version > self._version:
+        behind = self._version - version
+        if behind < 0 or behind > len(self._deltas):
             return None
-        if version == self._version:
-            return ()
-        if not self._deltas or self._deltas[0].version > version + 1:
-            return None
-        return tuple(d for d in self._deltas if d.version > version)
+        # Logged versions are consecutive and end at the current one, so
+        # the chain is the log's last ``behind`` entries.
+        return tuple(islice(reversed(self._deltas), behind))[::-1]
 
     # -- nodes --------------------------------------------------------------------
 

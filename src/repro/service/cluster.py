@@ -107,10 +107,9 @@ DEFAULT_TIMEOUT: float = 30.0
 #: round-trips; 4 is a good latency/overhead balance on LAN fleets.
 DEFAULT_OVERSPLIT: int = 4
 
-#: Decoded plans a worker memoizes (LRU).  Plans are O(edges x horizon)
-#: int64 arrays, so a handful bounds worker memory while covering the
-#: live query mix of several executors; an eviction costs one plan
-#: re-ship.
+#: Decoded plans a worker memoizes (LRU).  Plans are O(contacts) int64
+#: arrays, so a handful bounds worker memory while covering the live
+#: query mix of several executors; an eviction costs one plan re-ship.
 WORKER_PLAN_CACHE_SIZE: int = 8
 
 #: Seconds between the scheduler's membership polls while a sweep is in

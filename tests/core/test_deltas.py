@@ -109,6 +109,46 @@ class TestDeltasSince:
         assert g.deltas_since(oldest - 1) is None
 
 
+def filtered_chain(graph, version):
+    """The reference ``deltas_since``: the whole log filtered by
+    version, after checking its oldest entry."""
+    if version > graph.version:
+        return None
+    if version == graph.version:
+        return ()
+    log = graph._deltas
+    if not log or log[0].version > version + 1:
+        return None
+    return tuple(d for d in log if d.version > version)
+
+
+class TestChainFromTheLogTail:
+    @pytest.mark.parametrize(
+        "mutations",
+        [0, 1, 5, *(DELTA_HISTORY + k for k in (-4, -3, -2, 7))],
+    )
+    def test_equals_the_filtering_reference(self, mutations):
+        """At the current version (``()``), from the future and past the
+        history (None), on both sides of the oldest retained delta, with
+        the log short of, at and past its ``maxlen`` (the graph's first
+        three deltas build it, so ``DELTA_HISTORY - 3`` swaps fill the
+        log exactly)."""
+        g = TimeVaryingGraph()
+        g.add_edge("a", "b", key="ab")
+        for i in range(mutations):
+            g.set_presence("ab", interval_presence([(i % 7, i % 7 + 1)]))
+        oldest = g.version - min(g.version, DELTA_HISTORY)
+        for version in {
+            -1, 0, 1, oldest - 1, oldest, oldest + 1,
+            g.version - 1, g.version, g.version + 1, g.version + 5,
+        }:
+            assert g.deltas_since(version) == filtered_chain(g, version), version
+        assert g.deltas_since(g.version) == ()
+        assert g.deltas_since(g.version + 1) is None
+        assert len(g.deltas_since(oldest)) == g.version - oldest
+        assert g.deltas_since(oldest - 1) is None
+
+
 class TestIndexPatching:
     def test_presence_only_chain_patches_in_place(self):
         g = small_graph()

@@ -7,24 +7,33 @@ three-key ``lexsort`` plus an ``np.unique`` date axis, in
 ``tests/lowering_helpers``) field for field, including on plans whose
 offsets need more than one 16-bit digit — latencies near 2**62, dates
 near either int64 bound, more than 2**16 nodes — and it must never
-allocate by the date span.
+allocate by the date span.  Lowered for a source block, a plan lowers
+only its block's closure, which must equal the reference lowering of
+the plan cut to that closure (``closure_cut``).
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from lowering_helpers import reference_lowering
-from plan_helpers import make_plan, swept_dates
+from plan_helpers import closure_cut, make_plan, swept_dates
 
 from repro.core.sweep_kernel import _bitset_lowering, sweep_block_bignum
 
 BOUND = 2**62
 
 
-def assert_lowers_like_reference(plan):
-    lowered = _bitset_lowering(plan)
-    for name, got, want in zip(lowered._fields, lowered, reference_lowering(plan)):
+def assert_lowers_like_reference(plan, sources=None):
+    """The plan's lowering (for ``sources``: on a fresh copy, its
+    block's closure) equals the reference lowering of the same cut."""
+    if sources is None:
+        lowered, reference = _bitset_lowering(plan), reference_lowering(plan)
+    else:
+        lowered = _bitset_lowering(replace(plan), sources)
+        reference = reference_lowering(closure_cut(plan, sources))
+    for name, got, want in zip(lowered._fields, lowered, reference):
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
 
@@ -152,6 +161,8 @@ def plans(draw):
 
 
 @settings(deadline=None, derandomize=True, print_blob=True, max_examples=300)
-@given(plan=plans())
-def test_radix_lowering_equals_lexsort(plan):
+@given(plan=plans(), data=st.data())
+def test_radix_lowering_equals_lexsort(plan, data):
     assert_lowers_like_reference(plan)
+    sources = data.draw(st.lists(st.integers(0, plan.n - 1), min_size=1, max_size=3))
+    assert_lowers_like_reference(plan, sources)

@@ -3,7 +3,8 @@
 The property suite (``tests/properties/test_property_kernel.py``) proves
 the kernel equal to the bignum oracle; this file pins the *mechanics*:
 :class:`SweepStats` accounting, the kernel's one-bucket-per-date axis,
-the lowering cached on the plan, and the oracle's heap hygiene — dedup
+the lowering cached on the plan (a block's own closure lowered alone
+and never cached), and the oracle's heap hygiene — dedup
 seeding and dead-pop skipping on a merge-heavy graph, the churn the old
 in-engine sweep paid for on every duplicated frontier entry.
 """
@@ -100,20 +101,38 @@ class TestSweepStats:
             assert sweep(plan, range(plan.n)).shape == (plan.n, plan.n)
 
 
+def count_lowerings(monkeypatch) -> list:
+    """Every :class:`_BitsetLowering` built from now on, in order."""
+    real = sweep_kernel._BitsetLowering
+    lowered = []
+
+    def counted(*fields, **named):
+        lowered.append(real(*fields, **named))
+        return lowered[-1]
+
+    monkeypatch.setattr(sweep_kernel, "_BitsetLowering", counted)
+    return lowered
+
+
+def two_component_plan():
+    """The merge-heavy complete digraph on nodes 0-7 plus a disjoint
+    one on nodes 8-11 (its edges on [0, 4) too)."""
+    graph = merge_heavy_graph()
+    graph.add_nodes(range(8, 12))
+    for u in range(8, 12):
+        for v in range(8, 12):
+            if u != v:
+                graph.add_edge(u, v, presence=interval_presence([(0, 4)]))
+    return build_sweep_plan(TemporalEngine(graph), 0, WAIT, HORIZON)[1]
+
+
 class TestLoweringMemo:
     def test_two_sweeps_lower_once_and_the_plan_can_be_collected(
         self, monkeypatch
     ):
         """The lowering is cached on the plan itself: a second sweep
         reuses it, and nothing else keeps the plan alive."""
-        real = sweep_kernel._BitsetLowering
-        lowered = []
-
-        def counted(*fields, **named):
-            lowered.append(real(*fields, **named))
-            return lowered[-1]
-
-        monkeypatch.setattr(sweep_kernel, "_BitsetLowering", counted)
+        lowered = count_lowerings(monkeypatch)
         plan = TestSweepStats()._plan()
         full = sweep_block(plan, range(plan.n))
         assert np.array_equal(sweep_block(plan, (3, 1)), full[[3, 1]])
@@ -122,6 +141,34 @@ class TestLoweringMemo:
         del plan
         gc.collect()
         assert plan_ref() is None
+
+    def test_a_partial_block_caches_nothing_and_a_full_sweep_caches(
+        self, monkeypatch
+    ):
+        """A block inside one component of a fresh plan lowers only that
+        component's contacts and stores nothing; a full sweep after it
+        lowers the whole plan once, and later sweeps reuse that."""
+        lowered = count_lowerings(monkeypatch)
+        plan = two_component_plan()
+        expected = sweep_block_bignum(plan, range(plan.n))
+        swept = sweep_block(plan, (9, 8))
+        assert "_lowering" not in plan.__dict__
+        assert len(lowered) == 1
+        assert sorted(set(lowered[0].src_s.tolist())) == [8, 9, 10, 11]
+        full = sweep_block(plan, range(plan.n))
+        assert len(lowered) == 2 and len(lowered[1].src_s) == len(plan.dep)
+        assert np.array_equal(offsets_to_dates(full, plan.start_time), expected)
+        assert np.array_equal(swept, full[[9, 8]])
+        block = sweep_block(plan, (1,))
+        assert len(lowered) == 2 and np.array_equal(block, full[[1]])
+
+    def test_a_block_whose_closure_is_every_node_caches(self, monkeypatch):
+        lowered = count_lowerings(monkeypatch)
+        plan = TestSweepStats()._plan()
+        block = sweep_block(plan, (2,))
+        assert plan.__dict__["_lowering"] is lowered[0]
+        full = sweep_block(plan, range(plan.n))
+        assert len(lowered) == 1 and np.array_equal(block, full[[2]])
 
     def test_racing_first_sweeps_of_one_plan_stay_exact(self):
         """Worker threads sweep one cached plan at once: first sweeps

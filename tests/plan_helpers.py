@@ -6,11 +6,14 @@ them into the plan's flat CSR arrays.  ``reference_sweep_plan`` is the
 per-edge lowering loop ``build_sweep_plan`` replaced, kept as the
 oracle the vectorized build is checked against.  ``swept_dates`` reads
 the kernel's compact offsets back as the int64 dates the oracles answer
-in.
+in.  ``closure_cut`` is a plan cut to what a source block can reach,
+found by a plain breadth-first search — the oracle of the kernel's
+closure-bounded lowering.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -86,3 +89,36 @@ def reference_sweep_plan(
         max_wait=semantics.max_wait,
     )
     return list(index.nodes), plan
+
+
+def closure_cut(plan: SweepPlan, sources: Sequence[int]) -> SweepPlan:
+    """``plan`` with the contacts of every edge whose tail the sources
+    cannot reach removed: the sources' forward closure over the edges
+    that have a contact, by breadth-first search."""
+    out_edges = [
+        plan.out_edge_idx[plan.out_ptr[j] : plan.out_ptr[j + 1]].tolist()
+        for j in range(plan.n)
+    ]
+    contacts, arrivals = plan.contacts, plan.arrivals
+    seen = set(sources)
+    queue = deque(seen)
+    while queue:
+        for edge in out_edges[queue.popleft()]:
+            head = int(plan.target_idx[edge])
+            if len(contacts[edge]) and head not in seen:
+                seen.add(head)
+                queue.append(head)
+    kept = [False] * len(contacts)
+    for node in seen:
+        for edge in out_edges[node]:
+            kept[edge] = True
+    return make_plan(
+        n=plan.n,
+        out_edges=out_edges,
+        target_idx=plan.target_idx,
+        contacts=[c.tolist() if keep else [] for c, keep in zip(contacts, kept)],
+        arrivals=[a.tolist() if keep else [] for a, keep in zip(arrivals, kept)],
+        start_time=plan.start_time,
+        horizon=plan.horizon,
+        max_wait=plan.max_wait,
+    )

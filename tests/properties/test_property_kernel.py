@@ -12,6 +12,12 @@ The bitset kernel answers in compact offsets from the start date, so
 its output is compared after ``offsets_to_dates`` (``swept_dates``),
 on windows and latencies whose offsets need uint8, uint16 and uint64.
 
+A block's sweep on a plan not yet lowered lowers only the contacts its
+closure can reach, so the block tests also draw graphs of 2-4
+communities, disjoint or bridged, with chains of at least three hops,
+black-box presences and callable latencies, and sweep each block both
+on a fresh plan and on one lowered in full.
+
 The handcrafted cases pin the regimes Hypothesis rarely reaches:
 UNREACHED-magnitude dates (the kernels must not overflow int64 when
 sorting or bucketing near ``2**63``), empty and single-node graphs, and
@@ -19,12 +25,14 @@ the bounded-wait collapse (a bound no departure can exhaust must equal
 unbounded waiting exactly).
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from plan_helpers import make_plan, swept_dates
 
 from repro.core.engine import TemporalEngine
-from repro.core.latency import constant_latency
+from repro.core.latency import constant_latency, function_latency
 from repro.core.parallel import SweepPlan, build_sweep_plan, partition_sources
 from repro.core.presence import (
     always,
@@ -35,6 +43,7 @@ from repro.core.presence import (
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
 from repro.core.sweep_kernel import (
     UNREACHED,
+    _bitset_lowering,
     offset_dtype,
     sweep_block,
     sweep_block_bignum,
@@ -105,6 +114,53 @@ def tvgs(draw, horizon=HORIZON, latencies=st.integers(1, 3)):
 
 
 @st.composite
+def community_tvgs(draw):
+    """2-4 communities of 4-5 nodes, each a chain through all its nodes
+    (3-4 hops, often always present) plus random inner edges, joined by
+    0-2 bridge edges; latencies constant or callable."""
+    count, size = draw(st.integers(2, 4)), draw(st.integers(4, 5))
+    graph = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="communities")
+    graph.add_nodes(range(count * size))
+
+    def edge(u, v, presence):
+        if draw(st.booleans()):
+            latency = constant_latency(draw(st.integers(1, 2)))
+        else:
+            step = draw(st.integers(2, 3))
+            latency = function_latency(lambda t, s=step: 1 + t % s, "varying")
+        graph.add_edge(u, v, presence=presence, latency=latency)
+
+    def pair(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=2, max_size=2, unique=True))
+
+    for base in range(0, count * size, size):
+        for u in range(base, base + size - 1):
+            edge(u, u + 1, draw(st.one_of(st.just(always()), presences())))
+        for _ in range(draw(st.integers(0, 3))):
+            u, v = pair(base, base + size - 1)
+            edge(u, v, draw(presences()))
+    for _ in range(draw(st.integers(0, 2))):
+        u, v = pair(0, count - 1)
+        edge(u * size + draw(st.integers(0, size - 1)), v * size, draw(presences()))
+    return graph
+
+
+def assert_blocks_agree(plan, blocks):
+    """Each block swept on a fresh copy of ``plan`` (which lowers only
+    the block's closure) and on a copy lowered in full equals the
+    bignum oracle; returns the blocks stacked."""
+    lowered = replace(plan)
+    _bitset_lowering(lowered)
+    swept = []
+    for block in blocks:
+        oracle = sweep_block_bignum(plan, block)
+        assert np.array_equal(swept_dates(replace(plan), block), oracle)
+        assert np.array_equal(swept_dates(lowered, block), oracle)
+        swept.append(oracle)
+    return np.vstack(swept)
+
+
+@st.composite
 def wide_tvgs(draw):
     """Graphs over ``[0, WIDE_HORIZON)`` with short and long latencies,
     plus one always-present edge out of node 0 whose latency alone puts
@@ -130,23 +186,18 @@ class TestBitsetEqualsBignum:
             swept_dates(plan, sources), sweep_block_bignum(plan, sources)
         )
 
-    @given(tvgs(), semantics_strategy, st.integers(2, 4))
-    @settings(DETERMINISTIC, max_examples=40)
+    @given(st.one_of(tvgs(), community_tvgs()), semantics_strategy, st.integers(2, 4))
+    @settings(DETERMINISTIC, max_examples=80)
     def test_block_partitions_agree(self, graph, semantics, shards):
         """Stacked per-block bitset sweeps equal the serial bignum sweep
         — the exactness the sharded and cluster paths inherit."""
         _nodes, plan = build_sweep_plan(TemporalEngine(graph), 0, semantics, HORIZON)
         serial = sweep_block_bignum(plan, tuple(range(plan.n)))
-        stacked = np.vstack(
-            [
-                swept_dates(plan, block)
-                for block in partition_sources(plan.n, shards)
-            ]
-        )
+        stacked = assert_blocks_agree(plan, partition_sources(plan.n, shards))
         assert np.array_equal(stacked, serial)
 
-    @given(tvgs(), semantics_strategy, st.data())
-    @settings(DETERMINISTIC, max_examples=40)
+    @given(st.one_of(tvgs(), community_tvgs()), semantics_strategy, st.data())
+    @settings(DETERMINISTIC, max_examples=80)
     def test_arbitrary_source_blocks_agree(self, graph, semantics, data):
         """Duplicated and out-of-order source rows: row ``i`` of the
         output answers ``sources[i]`` under both kernels."""
@@ -158,9 +209,7 @@ class TestBitsetEqualsBignum:
                 )
             )
         )
-        assert np.array_equal(
-            swept_dates(plan, sources), sweep_block_bignum(plan, sources)
-        )
+        assert_blocks_agree(plan, [sources])
 
 
 class TestWideOffsets:
@@ -187,6 +236,26 @@ class TestWideOffsets:
             [sweep_block(plan, block) for block in partition_sources(plan.n, shards)]
         )
         assert np.array_equal(stacked, sweep_block(plan, range(plan.n)))
+
+    def test_a_closure_answers_in_the_plan_dtype(self):
+        """A block whose closure arrives within 254 dates still answers
+        in uint16 when an edge outside the closure (latency 300) makes
+        the plan uint16."""
+        graph = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="two parts")
+        graph.add_nodes(range(5))
+        graph.add_edge(0, 1, presence=always())
+        graph.add_edge(1, 2, presence=periodic_presence([1], 2))
+        graph.add_edge(3, 4, presence=always(), latency=constant_latency(300))
+        for semantics in (NO_WAIT, WAIT, bounded_wait(1)):
+            engine = TemporalEngine(graph)
+            _nodes, plan = build_sweep_plan(engine, 0, semantics, HORIZON)
+            offsets = sweep_block(plan, (0, 1))
+            assert "_lowering" not in plan.__dict__  # the closure was lowered alone
+            assert offsets.dtype == offset_dtype(plan) == np.uint16
+            assert np.array_equal(
+                swept_dates(plan, (0, 1)), sweep_block_bignum(plan, (0, 1))
+            )
+            assert offsets[0, 2] < 255
 
     def test_each_dtype_bound(self):
         """A largest offset just under a dtype's max keeps that dtype;
@@ -283,6 +352,42 @@ class TestHandcraftedRegimes:
         assert matrix.tolist() == [[3]]
         _same, plan = build_sweep_plan(engine, 3, WAIT, HORIZON)
         assert sweep_block_bignum(plan, range(plan.n)).tolist() == [[3]]
+
+    def test_a_long_path_is_exact_and_expands_each_node_once(self, monkeypatch):
+        """A 2,000-node directed path, edge ``i`` present at date ``i``
+        only: a block's closure is the rest of the path, found one
+        frontier at a time with every node expanded once, and the
+        answers equal the oracle's."""
+        from repro.core import sweep_kernel
+
+        n = 2000
+        plan = make_plan(
+            n=n,
+            out_edges=[[i] for i in range(n - 1)] + [[]],
+            target_idx=range(1, n),
+            contacts=[[i] for i in range(n - 1)],
+            arrivals=[[i + 1] for i in range(n - 1)],
+            start_time=0,
+            horizon=n,
+            max_wait=None,
+        )
+        expanded = []
+        real = sweep_kernel._csr_rows
+
+        def counted(ptr, rows):
+            if ptr is plan.out_ptr:
+                expanded.extend(rows.tolist())
+            return real(ptr, rows)
+
+        monkeypatch.setattr(sweep_kernel, "_csr_rows", counted)
+        for block in ((1000,), (5, 1500), (1998, 1999)):
+            fresh = replace(plan)
+            dates = swept_dates(fresh, block)
+            assert sorted(expanded) == list(range(min(block), n))
+            assert "_lowering" not in fresh.__dict__
+            assert np.array_equal(dates, sweep_block_bignum(plan, block))
+            assert dates[0, -1] == n - 1
+            expanded.clear()
 
     def test_empty_source_block(self):
         plan = _plan_for_dates(0)

@@ -8,15 +8,24 @@ on graphs mixing every structured presence form, black-box predicates
 and callable latencies; on windows narrower than the compiled one (and
 empty ones); and on an index patched in place by
 :meth:`~repro.core.index.CompiledTVG.apply_deltas`, which must also
-equal the plan of a fresh compile.
+equal the plan of a fresh compile.  Across presence swaps the build
+splices the touched edges into the query's previous plan: that plan
+must equal a fresh engine's too, black-box predicates must still fire
+at most once per (edge, date), and any other chain must build in full.
 """
 
+from collections import Counter
+from contextlib import contextmanager
+from unittest.mock import patch
+
+import pytest
 from hypothesis import given, settings, strategies as st
 from plan_helpers import reference_sweep_plan
 
+from repro.core import parallel
 from repro.core.engine import TemporalEngine
 from repro.core.latency import constant_latency, function_latency
-from repro.core.parallel import build_sweep_plan
+from repro.core.parallel import PLAN_MEMO_SIZE, build_sweep_plan
 from repro.core.presence import (
     function_presence,
     interval_presence,
@@ -24,7 +33,7 @@ from repro.core.presence import (
 )
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
 from repro.core.time_domain import Lifetime
-from repro.core.tvg import TimeVaryingGraph
+from repro.core.tvg import DELTA_HISTORY, TimeVaryingGraph
 
 SPAN = 16
 
@@ -60,7 +69,21 @@ def presences(draw):
         return periodic_presence([0], period).shifted(draw(st.integers(-2, 3)))
     period = draw(st.integers(2, 5))
     residue = draw(st.integers(0, period - 1))
-    return function_presence(lambda t, p=period, r=residue: t % p == r, "blackbox")
+    return function_presence(Counted(period, residue), "blackbox")
+
+
+class Counted:
+    """A black-box schedule, ``t % period == residue``, that counts its
+    calls per (predicate, date) in :attr:`calls`."""
+
+    calls: Counter = Counter()
+
+    def __init__(self, period: int, residue: int) -> None:
+        self.period, self.residue = period, residue
+
+    def __call__(self, t: int) -> bool:
+        Counted.calls[id(self), t] += 1
+        return t % self.period == self.residue
 
 
 @st.composite
@@ -119,22 +142,35 @@ class TestPlanEqualsReference:
         tvgs(),
         semantics_strategy,
         windows(),
-        st.lists(st.tuples(st.integers(0, 9), presences()), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(0, 9), presences()), min_size=1, max_size=5),
+        st.one_of(st.none(), presences()),
+        st.booleans(),
     )
-    @settings(DETERMINISTIC, max_examples=80)
+    @settings(DETERMINISTIC, max_examples=120)
     def test_patched_index_equals_fresh_compile(
-        self, graph, semantics, window, swaps
+        self, graph, semantics, window, swaps, again, grow
     ):
+        """Presence swaps patch the index and splice the previous plan,
+        also when the first swapped edge is swapped ``again`` and when a
+        wider query rebuilt the index in between (``grow``)."""
         start, horizon = window
+        Counted.calls.clear()
         engine = _compiled_wide(graph)
         build_sweep_plan(engine, start, semantics, horizon)
         index = engine.compiled
         keys = [edge.key for edge in graph.edges]
+        if again is not None:
+            swaps = [*swaps, (swaps[0][0], again)]
         for slot, presence in swaps:
             if keys:
                 graph.set_presence(keys[slot % len(keys)], presence)
-        nodes, patched = build_sweep_plan(engine, start, semantics, horizon)
-        assert engine.compiled is index, "presence swaps patch, never rebuild"
+        if grow:
+            engine.index_for(0, 2 * SPAN)
+        with _counting_full_builds() as full_builds:
+            nodes, patched = build_sweep_plan(engine, start, semantics, horizon)
+        assert full_builds == []
+        assert (engine.compiled is index) != grow, "presence swaps patch, never rebuild"
+        assert max(Counted.calls.values(), default=0) <= 1
         _nodes, reference = reference_sweep_plan(
             _compiled_wide(graph), start, semantics, horizon
         )
@@ -142,3 +178,48 @@ class TestPlanEqualsReference:
             _compiled_wide(graph), start, semantics, horizon
         )
         assert patched == reference == fresh
+        assert patched.fingerprint == fresh.fingerprint
+
+    @pytest.mark.parametrize(
+        "change", ["add_edge", "remove_edge", "other query", "memo full", "history"]
+    )
+    def test_any_other_chain_builds_in_full(self, change):
+        """Structural mutations, a previous plan that left the memo (a
+        newer version's build dropped it, or the FIFO evicted it) and a
+        chain past the delta history all build the plan in full."""
+        graph = TimeVaryingGraph(lifetime=Lifetime(0, SPAN), name="line")
+        for u, v in ("ab", "bc", "cd"):
+            graph.add_edge(u, v, presence=periodic_presence([0], 2), key=u + v)
+        engine = TemporalEngine(graph)
+        build_sweep_plan(engine, 0, WAIT, SPAN)
+        if change == "memo full":
+            for horizon in range(1, PLAN_MEMO_SIZE + 1):
+                build_sweep_plan(engine, 0, WAIT, horizon)
+        graph.set_presence("bc", interval_presence([(1, 5)]))
+        if change == "add_edge":
+            graph.add_edge("d", "a", key="da")
+        elif change == "remove_edge":
+            graph.remove_edge("cd")
+        elif change == "other query":
+            build_sweep_plan(engine, 0, NO_WAIT, SPAN)
+        elif change == "history":
+            for i in range(DELTA_HISTORY):
+                graph.set_presence("ab", periodic_presence([i % 2], 2))
+        with _counting_full_builds() as full_builds:
+            _nodes, plan = build_sweep_plan(engine, 0, WAIT, SPAN)
+        assert full_builds == [(0, SPAN)]
+        assert plan == build_sweep_plan(TemporalEngine(graph), 0, WAIT, SPAN)[1]
+
+
+@contextmanager
+def _counting_full_builds():
+    """The ``(start, horizon)`` of every plan built in full inside."""
+    real = parallel._window_rows
+    builds = []
+
+    def counted(index, start_time, horizon):
+        builds.append((start_time, horizon))
+        return real(index, start_time, horizon)
+
+    with patch.object(parallel, "_window_rows", counted):
+        yield builds

@@ -6,9 +6,10 @@ import pytest
 
 from repro.analysis.classes import classify
 from repro.analysis.evolution import reachability_growth
+from repro.core import sweep_kernel
 from repro.core.builders import TVGBuilder
 from repro.core.generators import periodic_random_tvg
-from repro.core.parallel import ProcessShards
+from repro.core.parallel import ProcessShards, build_sweep_plan
 from repro.core.presence import never, periodic_presence
 from repro.core.semantics import NO_WAIT, WAIT
 from repro.core.traversal import earliest_arrivals
@@ -234,6 +235,48 @@ class TestCachingAcrossMutations:
             assert version == graph.version
             assert matrix is service.cache._entries[(version, query)][1]
             assert curve == reachability_growth(graph, 0, 12, WAIT)
+        assert service.incremental_sweeps == 8
+
+    def test_community_churn_lowers_only_the_dirty_community(self, monkeypatch):
+        """Two communities with no edge between them: each miss after a
+        presence swap re-sweeps a cone inside the swapped edge's
+        community and lowers exactly that community's contacts (its
+        closure), and every curve equals the interpretive one."""
+        graph = TVGBuilder(name="two communities").lifetime(0, 12).build()
+        for base in (0, 6):
+            for i in range(6):
+                for step in (1, 2):
+                    graph.add_edge(
+                        base + i, base + (i + step) % 6,
+                        presence=periodic_presence([(i + step) % 4], 4),
+                        key=f"{base + i}-{step}",
+                    )
+        service = TVGService(graph)
+        service.growth(0, 12, WAIT)
+        lowered = []
+        real = sweep_kernel._BitsetLowering
+
+        def counted(*fields, **named):
+            lowered.append(real(*fields, **named))
+            return lowered[-1]
+
+        monkeypatch.setattr(sweep_kernel, "_BitsetLowering", counted)
+        for cycle in range(8):
+            base = 6 * (cycle % 2)
+            key = f"{base + cycle % 6}-{1 + cycle % 2}"
+            service.set_presence(key, periodic_presence([cycle % 4, 3], 4))
+            curve = service.growth(0, 12, WAIT)
+            assert curve == reachability_growth(graph, 0, 12, WAIT)
+            _nodes, plan = build_sweep_plan(service.engine, 0, WAIT, 12)
+            community = [
+                len(contacts)
+                for edge, contacts in zip(graph.edges, plan.contacts)
+                if base <= edge.source < base + 6
+            ]
+            assert len(lowered) == cycle + 1
+            src = lowered[-1].src_s
+            assert len(src) == sum(community) < len(plan.dep)
+            assert set(src.tolist()) == set(range(base, base + 6))
         assert service.incremental_sweeps == 8
 
     def test_executor_and_in_process_answers_agree(self):

@@ -6,10 +6,12 @@ module-level import that bypasses the wrapper, or a plan whose
 ``contacts`` are not sized only breaks the traced benchmark run.  This
 pins the contract without sockets: every ``LAYER_POINTS`` entry
 resolves, and installing the tracer around a tiny in-process service
-records compile, plan and kernel spans with their annotations.
+records compile, plan and kernel spans with their annotations, in a
+dump that encodes as JSON as the launcher sends it.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -87,6 +89,9 @@ def test_traced_service_records_every_pipeline_layer(installed):
     assert {request for request, _a, _f in spans["kernel.lower"]} == {1, 3}
     assert [request for request, _a, _f in spans["engine.incremental"]] == [3]
     assert [h[0] for h in installed.handles] == [1, 2, 3]
+    # The launcher ships the dump as JSON: every recorded amount must
+    # be a plain number.
+    json.dumps(installed.dump())
 
 
 def test_traced_classify_records_every_plan_it_builds(installed):
