@@ -32,78 +32,47 @@ Quickstart::
     assert fig1.accepts("b", WAIT, horizon=64)    # waiting changes the language
 """
 
-from repro.automata import (
-    DFA,
-    NFA,
-    TVGAutomaton,
-    bounded_wait_language_automaton,
-    nowait_language_automaton,
-    wait_language_automaton,
-)
-from repro.constructions import (
-    compile_bounded_wait,
-    expand_for_bounded_wait,
-    figure1_automaton,
-    figure1_graph,
-    nowait_automaton_for,
-    regex_to_tvg,
-)
-from repro.core import (
-    BOUNDED_WAIT,
-    NO_WAIT,
-    UNREACHED,
-    WAIT,
-    CompiledTVG,
-    Edge,
-    Hop,
-    Journey,
-    LazyContactCache,
-    Lifetime,
-    TemporalEngine,
-    TimeVaryingGraph,
-    TVGBuilder,
-    WaitingSemantics,
-    bounded_wait,
-)
-from repro.machines import Decider, TuringMachine, predicate_decider, tm_decider
-from repro.service import QueryCache, ServiceClient, TVGService
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BOUNDED_WAIT",
-    "CompiledTVG",
-    "DFA",
-    "Decider",
-    "Edge",
-    "Hop",
-    "Journey",
-    "LazyContactCache",
-    "Lifetime",
-    "NFA",
-    "NO_WAIT",
-    "QueryCache",
-    "ServiceClient",
-    "TVGAutomaton",
-    "TVGBuilder",
-    "TVGService",
-    "TemporalEngine",
-    "TimeVaryingGraph",
-    "TuringMachine",
-    "UNREACHED",
-    "WAIT",
-    "WaitingSemantics",
-    "bounded_wait",
-    "bounded_wait_language_automaton",
-    "compile_bounded_wait",
-    "expand_for_bounded_wait",
-    "figure1_automaton",
-    "figure1_graph",
-    "nowait_automaton_for",
-    "nowait_language_automaton",
-    "predicate_decider",
-    "regex_to_tvg",
-    "tm_decider",
-    "wait_language_automaton",
-    "__version__",
-]
+# Resolved on first access, so importing one submodule (the server, the
+# CLI) does not load the theory packages or networkx.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.automata": (
+        "DFA",
+        "NFA",
+        "TVGAutomaton",
+        "bounded_wait_language_automaton",
+        "nowait_language_automaton",
+        "wait_language_automaton",
+    ),
+    "repro.constructions": (
+        "compile_bounded_wait",
+        "expand_for_bounded_wait",
+        "figure1_automaton",
+        "figure1_graph",
+        "nowait_automaton_for",
+        "regex_to_tvg",
+    ),
+    "repro.core": (
+        "BOUNDED_WAIT",
+        "NO_WAIT",
+        "UNREACHED",
+        "WAIT",
+        "CompiledTVG",
+        "Edge",
+        "Hop",
+        "Journey",
+        "LazyContactCache",
+        "Lifetime",
+        "TemporalEngine",
+        "TimeVaryingGraph",
+        "TVGBuilder",
+        "WaitingSemantics",
+        "bounded_wait",
+    ),
+    "repro.machines": ("Decider", "TuringMachine", "predicate_decider", "tm_decider"),
+    "repro.service": ("QueryCache", "ServiceClient", "TVGService"),
+})
+__all__.append("__version__")

@@ -1,51 +1,34 @@
 """Analysis layer: reachability matrices, temporal connectivity classes,
 and the expressivity-gap measurements behind the headline benchmarks."""
 
-from repro.analysis.classes import ClassReport, classify
-from repro.analysis.connectivity import (
-    ConnectivityReport,
-    classify_connectivity,
-    is_temporally_connected,
-)
-from repro.analysis.evolution import (
-    WaitingValue,
-    reachability_growth,
-    value_of_waiting,
-)
-from repro.analysis.expressivity import (
-    ExpressivityReport,
-    language_gap,
-    nerode_lower_bound,
-    regularity_certificate,
-)
-from repro.analysis.reachability import (
-    reachability_matrix,
-    reachability_ratio,
-    semantics_gap_matrix,
-)
-from repro.analysis.spanners import (
-    BroadcastTree,
-    foremost_broadcast_tree,
-    tree_subgraph,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BroadcastTree",
-    "ClassReport",
-    "ConnectivityReport",
-    "ExpressivityReport",
-    "WaitingValue",
-    "classify",
-    "foremost_broadcast_tree",
-    "reachability_growth",
-    "tree_subgraph",
-    "value_of_waiting",
-    "classify_connectivity",
-    "is_temporally_connected",
-    "language_gap",
-    "nerode_lower_bound",
-    "reachability_matrix",
-    "reachability_ratio",
-    "regularity_certificate",
-    "semantics_gap_matrix",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.analysis.classes": ("ClassReport", "classify"),
+    "repro.analysis.connectivity": (
+        "ConnectivityReport",
+        "classify_connectivity",
+        "is_temporally_connected",
+    ),
+    "repro.analysis.evolution": (
+        "WaitingValue",
+        "reachability_growth",
+        "value_of_waiting",
+    ),
+    "repro.analysis.expressivity": (
+        "ExpressivityReport",
+        "language_gap",
+        "nerode_lower_bound",
+        "regularity_certificate",
+    ),
+    "repro.analysis.reachability": (
+        "reachability_matrix",
+        "reachability_ratio",
+        "semantics_gap_matrix",
+    ),
+    "repro.analysis.spanners": (
+        "BroadcastTree",
+        "foremost_broadcast_tree",
+        "tree_subgraph",
+    ),
+})

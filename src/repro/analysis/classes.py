@@ -31,16 +31,18 @@ schedule checkers (C5–C10) read per-edge contact dates off the flat
 contact arrays of one sweep plan — black-box presences memoized by the
 :class:`~repro.core.index.LazyContactCache`, so repeated
 classifications never re-call a predicate on a date it already
-answered.  Verdicts are identical either way (proven by the
-differential oracle suite).
+answered.  C9/C10 then label connected components in index space, all
+dates at once, without networkx.  Verdicts are identical either way
+(proven by the differential oracle suite); the ``engine=None``
+checkers build networkx snapshots and stay the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-import networkx as nx
+import numpy as np
 
 from repro.analysis.reachability import reachability_ratio
 from repro.core.intervals import Interval
@@ -216,28 +218,89 @@ def edges_periodic(
     return True
 
 
-def _pairs_by_date(
+def _component_labels(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per vertex of the undirected graph on ``range(size)`` with edges
+    ``(u[k], v[k])``: the smallest vertex of its component.
+
+    Each round pulls both ends of every edge down to the smaller label
+    and then jumps every label to its label's label.  A label is always
+    a vertex of the same component and never above its own vertex, so
+    the fixpoint, where every edge's ends agree, is the component
+    minimum.
+    """
+    label = np.arange(size)
+    while True:
+        low = np.minimum(label[u], label[v])
+        pulled = label.copy()
+        np.minimum.at(pulled, u, low)
+        np.minimum.at(pulled, v, low)
+        pulled = pulled[pulled]
+        if np.array_equal(pulled, label):
+            return label
+        label = pulled
+
+
+def _stable_connectivity(
     graph: TimeVaryingGraph,
     start: int,
     end: int,
     engine: "TemporalEngine",
-) -> dict[int, set[tuple]]:
-    """date -> the ``(source, target)`` pairs present, off the index."""
-    present: dict[int, set[tuple]] = {t: set() for t in range(start, end)}
-    for edge, dates in _window_contacts(graph, start, end, engine):
-        for t in dates:
-            present[t].add((edge.source, edge.target))
-    return present
+) -> Callable[[int], bool]:
+    """``connected(length)``: whether, from every date ``t0`` of the
+    window with ``[t0, t0 + length)`` inside it, the ``(source,
+    target)`` pairs present at every date of ``[t0, t0 + length)``
+    connect the graph (undirected view).  ``length`` 1 is C9's snapshot
+    test.
 
+    The window's WAIT plan gives each edge's dates in index space.  A
+    pair's *run* at a date is how many consecutive dates it stays
+    present from there, so the pairs stable over ``[t0, t0 + length)``
+    are those with a run of at least ``length`` at ``t0``.  One
+    component labelling then covers every start at once, on vertices
+    ``(t0, node)``.  A start with fewer than ``n - 1`` pairs cannot be
+    connected, so the labelling never sees more vertices than twice the
+    pairs.
+    """
+    from repro.core.parallel import build_sweep_plan
 
-def _pairs_connected(graph: TimeVaryingGraph, pairs: set[tuple]) -> bool:
-    """Whether the undirected view of the pair set spans the graph."""
-    if graph.node_count <= 1:
-        return True
-    static = nx.Graph()
-    static.add_nodes_from(graph.nodes)
-    static.add_edges_from(pairs)
-    return nx.is_connected(static)
+    engine.require_graph(graph, "a class checker")
+    _nodes, plan = build_sweep_plan(engine, start, WAIT, end)
+    n, width = plan.n, end - start
+    source = np.empty(len(plan.target_idx), dtype=np.int64)
+    source[plan.out_edge_idx] = np.repeat(np.arange(n), np.diff(plan.out_ptr))
+    edge = np.repeat(np.arange(len(source)), np.diff(plan.edge_ptr))
+    pair, date = source[edge] * n + plan.target_idx[edge], plan.dep - start
+    order = np.lexsort((date, pair))
+    pair, date = pair[order], date[order]
+    fresh = np.ones(len(pair), dtype=bool)  # drop parallel edges' repeats
+    fresh[1:] = (pair[1:] != pair[:-1]) | (date[1:] != date[:-1])
+    pair, date = pair[fresh], date[fresh]
+    # A run ends where the next entry is another pair or skips a date.
+    last = np.ones(len(pair), dtype=bool)
+    last[:-1] = (pair[1:] != pair[:-1]) | (date[1:] != date[:-1] + 1)
+    run_end = np.flatnonzero(last)
+    position = np.arange(len(pair))
+    runs = run_end[np.searchsorted(run_end, position)] - position + 1
+
+    def connected(length: int) -> bool:
+        if n <= 1:
+            return True
+        keep = runs >= length
+        starts = width - length + 1
+        day = date[keep]
+        if (
+            len(day) < (n - 1) * starts
+            or np.bincount(day, minlength=starts).min() < n - 1
+        ):
+            return False
+        base = day * n
+        labels = _component_labels(
+            starts * n, base + pair[keep] // n, base + pair[keep] % n
+        )
+        first = np.arange(0, starts * n, n)[:, None]
+        return bool(np.all(labels.reshape(starts, n) == first))
+
+    return connected
 
 
 def snapshots_always_connected(
@@ -250,8 +313,7 @@ def snapshots_always_connected(
     require_window(start, end)
     if engine is None:
         return all(is_connected_at(graph, t) for t in range(start, end))
-    present = _pairs_by_date(graph, start, end, engine)
-    return all(_pairs_connected(graph, present[t]) for t in range(start, end))
+    return _stable_connectivity(graph, start, end, engine)(1)
 
 
 def interval_connectivity(
@@ -270,31 +332,29 @@ def interval_connectivity(
     if engine is None:
         if not snapshots_always_connected(graph, start, end):
             return 0
-        stable = _stable_connected
+
+        def connected(length: int) -> bool:
+            return all(
+                _stable_connected(graph, t0, t0 + length)
+                for t0 in range(start, end - length + 1)
+            )
     else:
-        present = _pairs_by_date(graph, start, end, engine)
-        if not all(_pairs_connected(graph, present[t]) for t in range(start, end)):
+        connected = _stable_connectivity(graph, start, end, engine)
+        if not connected(1):
             return 0
-
-        def stable(graph: TimeVaryingGraph, t0: int, t1: int) -> bool:
-            pairs = set.intersection(*(present[t] for t in range(t0, t1)))
-            return _pairs_connected(graph, pairs)
-
     best = 1
-    for t_len in range(2, end - start + 1):
-        if all(
-            stable(graph, t0, t0 + t_len)
-            for t0 in range(start, end - t_len + 1)
-        ):
-            best = t_len
-        else:
+    for length in range(2, end - start + 1):
+        if not connected(length):
             break
+        best = length
     return best
 
 
 def _stable_connected(graph: TimeVaryingGraph, start: int, end: int) -> bool:
     """Whether the intersection of the snapshots over [start, end) is
     connected (undirected view)."""
+    import networkx as nx
+
     stable = nx.Graph()
     stable.add_nodes_from(graph.nodes)
     first = snapshot(graph, start)

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
 
-import networkx as nx
 import numpy as np
 
 from repro.core.semantics import NO_WAIT, WAIT, WaitingSemantics
@@ -53,6 +52,8 @@ def density_curve(graph: TimeVaryingGraph, start: int, end: int) -> list[tuple[i
 
 def component_curve(graph: TimeVaryingGraph, start: int, end: int) -> list[tuple[int, int]]:
     """Per-date number of weakly-connected snapshot components."""
+    import networkx as nx
+
     require_window(start, end)
     return [
         (t, nx.number_weakly_connected_components(snapshot(graph, t)))

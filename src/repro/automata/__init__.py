@@ -13,81 +13,49 @@ Two layers live here:
   finite automata.
 """
 
-from repro.automata.alphabet import Alphabet
-from repro.automata.dfa import DFA
-from repro.automata.enumeration import (
-    count_words_by_length,
-    enumerate_language,
-    language_upto,
-)
-from repro.automata.equivalence import equivalent, find_distinguishing_word, is_subset
-from repro.automata.grammars import (
-    ContextFreeGrammar,
-    cfg_anbn,
-    cfg_balanced,
-    cfg_palindromes,
-)
-from repro.automata.language_compute import (
-    bounded_wait_language_automaton,
-    count_words,
-    nowait_language_automaton,
-    wait_language_automaton,
-)
-from repro.automata.nfa import NFA
-from repro.automata.operations import (
-    complement,
-    complete,
-    difference,
-    intersect,
-    minimize,
-    reverse_dfa,
-    union,
-)
-from repro.automata.pumping import (
-    find_pumping_counterexample,
-    refuted_state_bound,
-    regularity_refutation_ladder,
-)
-from repro.automata.regex import parse_regex, regex_to_nfa
-from repro.automata.tvg_automaton import TVGAutomaton
-from repro.automata.wqo import (
-    downward_closure,
-    is_subword,
-    upward_closure,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Alphabet",
-    "ContextFreeGrammar",
-    "DFA",
-    "NFA",
-    "TVGAutomaton",
-    "cfg_anbn",
-    "cfg_balanced",
-    "cfg_palindromes",
-    "find_pumping_counterexample",
-    "refuted_state_bound",
-    "regularity_refutation_ladder",
-    "bounded_wait_language_automaton",
-    "complement",
-    "complete",
-    "count_words",
-    "count_words_by_length",
-    "difference",
-    "downward_closure",
-    "enumerate_language",
-    "equivalent",
-    "find_distinguishing_word",
-    "intersect",
-    "is_subset",
-    "is_subword",
-    "language_upto",
-    "minimize",
-    "nowait_language_automaton",
-    "parse_regex",
-    "regex_to_nfa",
-    "reverse_dfa",
-    "union",
-    "upward_closure",
-    "wait_language_automaton",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.automata.alphabet": ("Alphabet",),
+    "repro.automata.dfa": ("DFA",),
+    "repro.automata.enumeration": (
+        "count_words_by_length",
+        "enumerate_language",
+        "language_upto",
+    ),
+    "repro.automata.equivalence": (
+        "equivalent",
+        "find_distinguishing_word",
+        "is_subset",
+    ),
+    "repro.automata.grammars": (
+        "ContextFreeGrammar",
+        "cfg_anbn",
+        "cfg_balanced",
+        "cfg_palindromes",
+    ),
+    "repro.automata.language_compute": (
+        "bounded_wait_language_automaton",
+        "count_words",
+        "nowait_language_automaton",
+        "wait_language_automaton",
+    ),
+    "repro.automata.nfa": ("NFA",),
+    "repro.automata.operations": (
+        "complement",
+        "complete",
+        "difference",
+        "intersect",
+        "minimize",
+        "reverse_dfa",
+        "union",
+    ),
+    "repro.automata.pumping": (
+        "find_pumping_counterexample",
+        "refuted_state_bound",
+        "regularity_refutation_ladder",
+    ),
+    "repro.automata.regex": ("parse_regex", "regex_to_nfa"),
+    "repro.automata.tvg_automaton": ("TVGAutomaton",),
+    "repro.automata.wqo": ("downward_closure", "is_subword", "upward_closure"),
+})

@@ -34,8 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import NO_WAIT, WAIT, figure1_automaton, nowait_automaton_for
-from repro.core.semantics import WaitingSemantics, parse_semantics
+from repro.core.semantics import NO_WAIT, WAIT, WaitingSemantics, parse_semantics
 from repro.errors import ReproError, SemanticsError
 
 
@@ -118,6 +117,8 @@ def _engine(args: argparse.Namespace, graph):
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
+    from repro.constructions.figure1 import figure1_automaton
+
     automaton = figure1_automaton(p=args.p, q=args.q)
     failures = 0
     for word in args.words:
@@ -129,6 +130,7 @@ def cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def cmd_universal(args: argparse.Namespace) -> int:
+    from repro.constructions.nowait_universal import nowait_automaton_for
     from repro.machines.programs import standard_deciders
 
     deciders = standard_deciders()

@@ -12,27 +12,15 @@
   dilation making ``wait[d]`` no stronger than no-wait.
 """
 
-from repro.constructions.bounded_wait import (
-    compile_bounded_wait,
-    expand_for_bounded_wait,
-)
-from repro.constructions.figure1 import figure1_automaton, figure1_graph
-from repro.constructions.godel import GodelEncoding, nth_prime, primes
-from repro.constructions.nowait_universal import nowait_automaton_for
-from repro.constructions.wait_regular import (
-    automaton_to_tvg,
-    regex_to_tvg,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GodelEncoding",
-    "automaton_to_tvg",
-    "compile_bounded_wait",
-    "expand_for_bounded_wait",
-    "figure1_automaton",
-    "figure1_graph",
-    "nowait_automaton_for",
-    "nth_prime",
-    "primes",
-    "regex_to_tvg",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.constructions.bounded_wait": (
+        "compile_bounded_wait",
+        "expand_for_bounded_wait",
+    ),
+    "repro.constructions.figure1": ("figure1_automaton", "figure1_graph"),
+    "repro.constructions.godel": ("GodelEncoding", "nth_prime", "primes"),
+    "repro.constructions.nowait_universal": ("nowait_automaton_for",),
+    "repro.constructions.wait_regular": ("automaton_to_tvg", "regex_to_tvg"),
+})

@@ -17,9 +17,13 @@ from repro.core.presence import PresenceFunction, always
 from repro.errors import EdgeNotPresentError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A directed, labeled, time-varying edge.
+
+    Edges compare by their fields, and schedules by identity, so two
+    edges on one interned schedule (the same periodic pattern, say)
+    with equal endpoints, label and key are equal.
 
     Attributes:
         source: Tail node.

@@ -336,7 +336,10 @@ class TemporalEngine:
         ``previous`` is a ``(nodes, offsets)`` pair some earlier
         :meth:`arrival_offsets` call produced **for the same**
         ``(start_time, semantics, horizon)`` query on an ancestor
-        version of this graph, and ``deltas`` the complete chain of
+        version of this graph (``nodes`` may be that sweep's index's
+        ``node_index``, whose keys are the node order: while the index
+        is only patched, the order check is then one identity test),
+        and ``deltas`` the complete chain of
         mutations since (:meth:`TimeVaryingGraph.deltas_since`).  The
         dirty edges' tails bound the *cone* of source rows whose
         answers can have changed — a row with no finite old arrival at
@@ -367,13 +370,14 @@ class TemporalEngine:
             sweep_block,
         )
 
+        index = self.index_for(min(start_time, horizon), horizon)
         nodes, plan = build_sweep_plan(self, start_time, semantics, horizon)
-        if list(prev_nodes) != nodes or prev_matrix.shape != (plan.n, plan.n):
+        same_nodes = prev_nodes is index.node_index or tuple(prev_nodes) == index.nodes
+        if not same_nodes or prev_matrix.shape != (plan.n, plan.n):
             return None
-        node_index = {node: i for i, node in enumerate(nodes)}
         tails: dict[int, None] = {}
         for delta in deltas:
-            tail = node_index.get(delta.source)
+            tail = index.node_index.get(delta.source)
             if tail is None:
                 return None
             tails[tail] = None

@@ -9,9 +9,7 @@ extractor accepts them.
 from __future__ import annotations
 
 import random
-from typing import Hashable, Iterable, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
 
 from repro.core.builders import coerce_latency
 from repro.core.presence import at_times, periodic_presence
@@ -19,11 +17,24 @@ from repro.core.time_domain import Lifetime
 from repro.core.tvg import TimeVaryingGraph
 from repro.errors import ReproError
 
+if TYPE_CHECKING:  # pragma: no cover — typing only
+    import networkx as nx
+
 
 def _resolve_rng(rng: random.Random | None, seed: int | None) -> random.Random:
     if rng is not None:
         return rng
     return random.Random(seed if seed is not None else 0)
+
+
+def _pairs(n: int, directed: bool) -> Iterator[tuple[int, int]]:
+    """The candidate edges of the complete footprint on ``n`` nodes, in
+    order, made one at a time: a list of all n**2 pairs would outweigh
+    the graph drawn from them."""
+    for u in range(n):
+        for v in range(n) if directed else range(u + 1, n):
+            if u != v:
+                yield u, v
 
 
 def bernoulli_tvg(
@@ -47,12 +58,7 @@ def bernoulli_tvg(
     rng = _resolve_rng(rng, seed)
     graph = TimeVaryingGraph(lifetime=Lifetime(0, horizon), name=name)
     graph.add_nodes(range(n))
-    pairs = (
-        [(u, v) for u in range(n) for v in range(n) if u != v]
-        if directed
-        else [(u, v) for u in range(n) for v in range(u + 1, n)]
-    )
-    for u, v in pairs:
+    for u, v in _pairs(n, directed):
         times = [t for t in range(horizon) if rng.random() < density]
         if not times:
             continue
@@ -91,12 +97,7 @@ def edge_markovian_tvg(
     graph = TimeVaryingGraph(lifetime=Lifetime(0, horizon), name=name)
     graph.add_nodes(range(n))
     stationary = birth / (birth + death) if birth + death > 0 else 0.0
-    pairs = (
-        [(u, v) for u in range(n) for v in range(n) if u != v]
-        if directed
-        else [(u, v) for u in range(n) for v in range(u + 1, n)]
-    )
-    for u, v in pairs:
+    for u, v in _pairs(n, directed):
         present = rng.random() < stationary
         times = []
         for t in range(horizon):
@@ -138,12 +139,7 @@ def periodic_random_tvg(
     rng = _resolve_rng(rng, seed)
     graph = TimeVaryingGraph(period=period, name=name)
     graph.add_nodes(range(n))
-    pairs = (
-        [(u, v) for u in range(n) for v in range(n) if u != v]
-        if directed
-        else [(u, v) for u in range(n) for v in range(u + 1, n)]
-    )
-    for u, v in pairs:
+    for u, v in _pairs(n, directed):
         residues = [r for r in range(period) if rng.random() < density]
         if not residues:
             continue

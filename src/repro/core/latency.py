@@ -5,11 +5,13 @@ given date, and the paper lets it *vary with time* — Table 1's edge
 ``e0`` has latency ``(p - 1) * t``, which is what multiplies the clock by
 ``p`` and makes the Gödel-style word-in-clock encoding work.  Latencies
 must be positive: a zero or negative latency would let a journey take
-infinitely many edges in finite time.
+infinitely many edges in finite time.  :func:`constant_latency` interns
+its result, so edges of equal constant latency share one object.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Mapping
 
 from repro.core.time_domain import MAX_DATE
@@ -146,9 +148,20 @@ class _MappedLatency(LatencyFunction):
 # -- public constructors ------------------------------------------------------
 
 
+#: value -> the one live constant latency of that value.
+_CONSTANT: weakref.WeakValueDictionary[int, ConstantLatency] = (
+    weakref.WeakValueDictionary()
+)
+
+
 def constant_latency(value: int = 1) -> LatencyFunction:
-    """Fixed traversal time; ``constant_latency(1)`` is the unit-latency default."""
-    return ConstantLatency(value)
+    """Fixed traversal time; ``constant_latency(1)`` is the unit-latency
+    default.  Interned: one shared object per value."""
+    # Checked before the lookup: 1.0 and True hash and compare like 1.
+    found = _CONSTANT.get(value) if type(value) is int else None
+    if found is None:
+        found = _CONSTANT[value] = ConstantLatency(value)
+    return found
 
 
 def affine_latency(slope: int, intercept: int = 0) -> LatencyFunction:

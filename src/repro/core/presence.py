@@ -14,10 +14,16 @@ queries it needs:
 Structured presences (intervals, periodic patterns) answer both exactly;
 black-box callables answer by bounded scanning and refuse unbounded
 questions instead of looping forever.
+
+Presences are immutable.  :func:`periodic_presence` interns its result,
+so every edge on the same ``(residues mod period, period)`` schedule
+shares one object, as every static edge shares :func:`always`.
 """
 
 from __future__ import annotations
 
+import operator
+import weakref
 from typing import Callable, Iterable
 
 from repro.core.intervals import Interval, IntervalSet
@@ -161,7 +167,7 @@ class PeriodicPresence(PresenceFunction):
             raise TimeDomainError(f"period must be positive, got {period}")
         self.period = period
         self.pattern = frozenset(r % period for r in pattern)
-        self._sorted = sorted(self.pattern)
+        self._sorted = tuple(sorted(self.pattern))
 
     def __call__(self, time: int) -> bool:
         return time % self.period in self.pattern
@@ -314,19 +320,54 @@ def never() -> PresenceFunction:
     return _NEVER
 
 
+def _integer(value: object, what: str) -> int:
+    """``value`` as a plain int (numpy ints included); anything that is
+    not an integer, a float above all, is refused rather than truncated
+    somewhere downstream."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TimeDomainError(f"{what} must be an integer, got {value!r}") from None
+
+
 def interval_presence(pairs: Iterable[tuple[int, int]]) -> PresenceFunction:
     """Presence on the union of half-open ``(start, end)`` intervals."""
-    return IntervalPresence(IntervalSet.from_pairs(pairs))
+    return IntervalPresence(
+        IntervalSet.from_pairs(
+            (_integer(a, "an interval start"), _integer(b, "an interval end"))
+            for a, b in pairs
+        )
+    )
 
 
 def at_times(times: Iterable[int]) -> PresenceFunction:
     """Presence at exactly the given dates."""
-    return IntervalPresence(IntervalSet.from_times(times))
+    dates = (_integer(t, "a date") for t in times)
+    return IntervalPresence(IntervalSet.from_times(dates))
+
+
+#: (sorted residues, period) -> the one live presence on that schedule.
+_PERIODIC: weakref.WeakValueDictionary[tuple, PeriodicPresence] = (
+    weakref.WeakValueDictionary()
+)
 
 
 def periodic_presence(pattern: Iterable[int], period: int) -> PresenceFunction:
-    """Presence at the given residues modulo ``period``."""
-    return PeriodicPresence(pattern, period)
+    """Presence at the given residues modulo ``period``.
+
+    Interned: equal schedules, whatever the order, repeats or range of
+    the residues given, return one shared object while any holder keeps
+    it alive.  Two threads racing on a new schedule may each build one;
+    both are correct.
+    """
+    period = _integer(period, "a period")
+    if period <= 0:
+        raise TimeDomainError(f"period must be positive, got {period}")
+    key = (tuple(sorted({_integer(r, "a residue") % period for r in pattern})), period)
+    found = _PERIODIC.get(key)
+    if found is None:
+        found = _PERIODIC[key] = PeriodicPresence(*key)
+    return found
 
 
 def function_presence(
@@ -353,5 +394,5 @@ def pattern_presence(pattern: str, periodic: bool = True) -> PresenceFunction:
         )
     on_dates = [i for i, cell in enumerate(pattern) if cell == "#"]
     if periodic:
-        return PeriodicPresence(on_dates, len(pattern))
+        return periodic_presence(on_dates, len(pattern))
     return IntervalPresence(IntervalSet.from_times(on_dates))

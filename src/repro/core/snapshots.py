@@ -8,17 +8,20 @@ statement about snapshots versus journeys, and the simulation benchmarks
 verify it through these functions.
 
 Snapshots are returned as :mod:`networkx` multigraphs so the whole static
-toolbox (components, shortest paths) applies directly.
+toolbox (components, shortest paths) applies directly.  networkx is
+imported inside the functions that build them, so importing this module
+does not load it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.intervals import Interval
 from repro.core.tvg import TimeVaryingGraph
+
+if TYPE_CHECKING:  # pragma: no cover — typing only
+    import networkx as nx
 
 
 def snapshot(graph: TimeVaryingGraph, time: int) -> nx.MultiDiGraph:
@@ -27,6 +30,8 @@ def snapshot(graph: TimeVaryingGraph, time: int) -> nx.MultiDiGraph:
     All TVG nodes are included, even isolated ones; edge data carries the
     key, label, and that date's latency.
     """
+    import networkx as nx
+
     static = nx.MultiDiGraph()
     static.add_nodes_from(graph.nodes)
     for edge in graph.edges_at(time):
@@ -54,6 +59,8 @@ def footprint(graph: TimeVaryingGraph, start: int, end: int) -> nx.MultiDiGraph:
     Each TVG edge appears at most once, annotated with its presence
     support within the window.
     """
+    import networkx as nx
+
     static = nx.MultiDiGraph()
     static.add_nodes_from(graph.nodes)
     window = Interval(start, end)
@@ -74,6 +81,8 @@ def is_connected_at(graph: TimeVaryingGraph, time: int) -> bool:
     """Whether the snapshot at ``time`` is weakly connected."""
     if graph.node_count <= 1:
         return True
+    import networkx as nx
+
     return nx.is_weakly_connected(snapshot(graph, time))
 
 

@@ -6,7 +6,7 @@ drive.  Statically they hold everywhere or the gate goes red:
 
 * **RL001** layering — a ``repro.*`` module imports only its own layer
   or below (the ROADMAP's presence → index → engine → shards → service
-  stack, with ``cli`` on top).
+  stack, with ``cli`` on top), lazy re-export tables included.
 * **RL002** version-bump completeness — every public
   ``TimeVaryingGraph`` method that writes graph state also bumps the
   version counter *and* appends a :class:`MutationDelta`, directly or
@@ -47,6 +47,7 @@ from repro.devtools.linter import (
 #: but the rule permits it because neither direction inverts the stack.
 LAYER_RANKS: dict[str, int] = {
     "errors": 0,
+    "_lazy": 0,  # the facades' lazy re-export helper
     "core": 1,
     "automata": 2,
     "dynamics": 2,
@@ -73,7 +74,9 @@ def _imported_repro_modules(
 ) -> Iterator[tuple[int, str]]:
     """Yield ``(lineno, module)`` for every runtime import of a
     ``repro.*`` module, resolving relative imports and skipping
-    ``if TYPE_CHECKING:`` blocks (no runtime edge)."""
+    ``if TYPE_CHECKING:`` blocks (no runtime edge).  The module keys of
+    a ``lazy_exports(name, {module: names})`` table count as imports:
+    they are made on first access."""
 
     class Visitor(ast.NodeVisitor):
         def __init__(self) -> None:
@@ -99,6 +102,19 @@ def _imported_repro_modules(
             base = base[: len(base) - node.level]
             target = ".".join(base + ([node.module] if node.module else []))
             self.hits.append((node.lineno, target))
+
+        def visit_Call(self, node: ast.Call) -> None:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            tables = node.args[1:2] + [k.value for k in node.keywords]
+            for table in tables if name == "lazy_exports" else ():
+                if isinstance(table, ast.Dict):
+                    self.hits.extend(
+                        (key.lineno, key.value)
+                        for key in table.keys
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    )
+            self.generic_visit(node)
 
     visitor = Visitor()
     visitor.visit(tree)

@@ -9,22 +9,18 @@ machines, and the :class:`Decider` wrapper that gives all of them (and
 plain Python predicates) one interface with an explicit step budget.
 """
 
-from repro.machines import programs
-from repro.machines.counter import CounterMachine
-from repro.machines.decider import Decider, predicate_decider, tm_decider
-from repro.machines.tape import Tape
-from repro.machines.turing import ACCEPT, REJECT, HaltReason, TMResult, TuringMachine
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ACCEPT",
-    "CounterMachine",
-    "Decider",
-    "HaltReason",
-    "REJECT",
-    "TMResult",
-    "Tape",
-    "TuringMachine",
-    "predicate_decider",
-    "programs",
-    "tm_decider",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.machines.counter": ("CounterMachine",),
+    "repro.machines.decider": ("Decider", "predicate_decider", "tm_decider"),
+    "repro.machines.programs": ("programs",),
+    "repro.machines.tape": ("Tape",),
+    "repro.machines.turing": (
+        "ACCEPT",
+        "REJECT",
+        "HaltReason",
+        "TMResult",
+        "TuringMachine",
+    ),
+})

@@ -26,62 +26,36 @@ bounded background-task table (``submit``/``status``/``result``/
 worker thread instead of stalling the event loop.
 """
 
-from repro.service.cache import MISS, QueryCache
-from repro.service.client import ServiceClient
-from repro.service.cluster import (
-    ClusterExecutor,
-    LoopbackWorkerPool,
-    handle_worker_request,
-    serve_worker,
-)
-from repro.service.limits import (
-    AdmissionGate,
-    LatencyRecorder,
-    RateLimiter,
-    percentile,
-)
-from repro.service.replay import replay_service_trace
-from repro.service.server import ServiceFrontend, handle_request, serve_service
-from repro.service.service import TVGService
-from repro.service.tasks import BackgroundTask, TaskTable
-from repro.service.wire import (
-    latency_from_spec,
-    latency_to_spec,
-    matrix_from_spec,
-    matrix_to_spec,
-    parse_semantics,
-    plan_from_spec,
-    plan_to_spec,
-    presence_from_spec,
-    presence_to_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MISS",
-    "AdmissionGate",
-    "BackgroundTask",
-    "ClusterExecutor",
-    "LatencyRecorder",
-    "LoopbackWorkerPool",
-    "QueryCache",
-    "RateLimiter",
-    "ServiceClient",
-    "ServiceFrontend",
-    "TVGService",
-    "TaskTable",
-    "handle_request",
-    "handle_worker_request",
-    "latency_from_spec",
-    "latency_to_spec",
-    "matrix_from_spec",
-    "matrix_to_spec",
-    "parse_semantics",
-    "percentile",
-    "plan_from_spec",
-    "plan_to_spec",
-    "presence_from_spec",
-    "presence_to_spec",
-    "replay_service_trace",
-    "serve_service",
-    "serve_worker",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.service.cache": ("MISS", "QueryCache"),
+    "repro.service.client": ("ServiceClient",),
+    "repro.service.cluster": (
+        "ClusterExecutor",
+        "LoopbackWorkerPool",
+        "handle_worker_request",
+        "serve_worker",
+    ),
+    "repro.service.limits": (
+        "AdmissionGate",
+        "LatencyRecorder",
+        "RateLimiter",
+        "percentile",
+    ),
+    "repro.service.replay": ("replay_service_trace",),
+    "repro.service.server": ("ServiceFrontend", "handle_request", "serve_service"),
+    "repro.service.service": ("TVGService",),
+    "repro.service.tasks": ("BackgroundTask", "TaskTable"),
+    "repro.service.wire": (
+        "latency_from_spec",
+        "latency_to_spec",
+        "matrix_from_spec",
+        "matrix_to_spec",
+        "parse_semantics",
+        "plan_from_spec",
+        "plan_to_spec",
+        "presence_from_spec",
+        "presence_to_spec",
+    ),
+})

@@ -90,8 +90,9 @@ class TVGService:
         self.engine = TemporalEngine(graph, window, executor)
         self.cache = QueryCache(max_entries=cache_size)
         self.tasks = TaskTable(max_tasks=max_tasks)
-        # Matrix query -> the newest (version, index, offsets) computed
-        # for it, oldest computation first.
+        # Matrix query -> the newest (version, node -> row, offsets)
+        # computed for it, oldest computation first.  The map is the
+        # compiled index's own: its keys are the matrix axes in order.
         self._seeds: OrderedDict[tuple, tuple[int, dict, np.ndarray]] = OrderedDict()
         self.seeds_retained = 0
         self.queries_served = 0
@@ -134,7 +135,9 @@ class TVGService:
         A seed at the current version (its cache entry was evicted) is
         the answer; an older one is patched through the delta chain,
         whatever the cone's size (a patch costs at most a full sweep plus
-        one matrix copy).  The result becomes the query's seed.
+        one matrix copy).  The result becomes the query's seed.  Its
+        node -> row map is the compiled index's own, as the patch or
+        sweep that made it ran on that index: no per-miss rebuild.
         """
         version = self.graph.version
         seed = self._seeds.pop(query, None)
@@ -142,9 +145,9 @@ class TVGService:
         if seed is not None and seed[0] == version:
             result = seed[1:]
         elif seed is not None:
-            seed_version, index, matrix = seed
+            seed_version, node_index, matrix = seed
             patched = self.engine.arrival_matrix_incremental(
-                start, (list(index), matrix), self.graph.deltas_since(seed_version),
+                start, (node_index, matrix), self.graph.deltas_since(seed_version),
                 semantics, horizon,
             )
             if patched is not None:
@@ -152,11 +155,13 @@ class TVGService:
                 self.incremental_sweeps += 1
                 self.rows_reswept += reswept
                 self.rows_reused += len(nodes) - reswept
-                result = {node: i for i, node in enumerate(nodes)}, merged
+                result = self.engine.compiled.node_index, merged
         if result is None:
             self.full_sweeps += 1
-            nodes, full = self.engine.arrival_offsets(start, semantics, horizon=horizon)
-            result = {node: i for i, node in enumerate(nodes)}, full
+            _nodes, full = self.engine.arrival_offsets(
+                start, semantics, horizon=horizon
+            )
+            result = self.engine.compiled.node_index, full
         self._seeds[query] = (version, *result)
         if len(self._seeds) > MAX_SEEDS:
             self._seeds.popitem(last=False)

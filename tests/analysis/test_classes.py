@@ -268,3 +268,103 @@ class TestEngineRoute:
         report = classify(graph, 0, 32, engine=TemporalEngine(graph))
         assert 2 <= len(sweeps) <= 4
         assert report == classify(graph, 0, 32)
+
+
+class TestIndexSpaceConnectivity:
+    """The engine path of C9/C10 labels components in index space
+    (:func:`_component_labels`), all dates at once, where the oracle
+    builds one networkx graph per date."""
+
+    def test_component_labels(self):
+        import numpy as np
+
+        from repro.analysis.classes import _component_labels
+
+        # Two paths given tail first, an isolated vertex, a self-loop.
+        u = np.array([5, 4, 3, 1, 6, 7])
+        v = np.array([4, 3, 0, 2, 6, 1])
+        labels = _component_labels(8, u, v)
+        assert labels.tolist() == [0, 1, 1, 0, 0, 0, 6, 1]
+        assert _component_labels(1, u[:0], v[:0]).tolist() == [0]
+        assert _component_labels(0, u[:0], v[:0]).tolist() == []
+        assert _component_labels(3, u[:0], v[:0]).tolist() == [0, 1, 2]
+
+    @staticmethod
+    def both_ways(graph, start, end):
+        from repro.core.engine import TemporalEngine
+
+        engine = TemporalEngine(graph)
+        return (
+            (
+                snapshots_always_connected(graph, start, end),
+                interval_connectivity(graph, start, end),
+                classify(graph, start, end),
+            ),
+            (
+                snapshots_always_connected(graph, start, end, engine=engine),
+                interval_connectivity(graph, start, end, engine=engine),
+                classify(graph, start, end, engine=engine),
+            ),
+        )
+
+    def test_one_disconnected_snapshot(self):
+        # A path a-b-c always present, except b-c is missing at date 3.
+        g = (
+            TVGBuilder()
+            .lifetime(0, 8)
+            .edge("a", "b", key="ab")
+            .edge("c", "b", present=[(0, 3), (4, 8)], key="cb")
+            .build()
+        )
+        oracle, engine = self.both_ways(g, 0, 8)
+        assert oracle == engine
+        assert engine[:2] == (False, 0)
+        assert "C9" not in engine[2] and "C10" not in engine[2]
+        # The window without date 3 is stable throughout.
+        oracle, engine = self.both_ways(g, 4, 8)
+        assert oracle == engine and engine[:2] == (True, 4)
+
+    def test_isolated_node_disconnects_every_snapshot(self):
+        g = static_graph([("a", "b"), ("b", "a")])
+        g.add_node("z")
+        from repro.core.transforms import graph_like
+
+        bounded = graph_like(g)
+        bounded.lifetime = type(bounded.lifetime)(0, 5)
+        bounded.add_nodes(g.nodes)
+        for edge in g.edges:
+            bounded.add_edge_object(edge)
+        oracle, engine = self.both_ways(bounded, 0, 5)
+        assert oracle == engine and engine[:2] == (False, 0)
+
+    def test_single_node(self):
+        solo = TVGBuilder().lifetime(0, 6).node("s").build()
+        oracle, engine = self.both_ways(solo, 0, 6)
+        assert oracle == engine
+        assert engine[:2] == (True, 6)
+        assert {"C9", "C10"} <= engine[2].classes
+
+    def test_stability_is_per_directed_pair(self):
+        # a->b at even dates, b->a at odd ones: every snapshot connected,
+        # but no directed pair is stable over two dates.
+        g = (
+            TVGBuilder()
+            .lifetime(0, 6)
+            .edge("a", "b", period=(0, 2), key="ab")
+            .edge("b", "a", period=(1, 2), key="ba")
+            .build()
+        )
+        oracle, engine = self.both_ways(g, 0, 6)
+        assert oracle == engine and engine[:2] == (True, 1)
+
+    def test_parallel_edges_make_one_pair(self):
+        # Two parallel a->b edges that together cover [0, 6).
+        g = (
+            TVGBuilder()
+            .lifetime(0, 6)
+            .edge("a", "b", present=[(0, 4)], key="ab")
+            .edge("a", "b", present=[(3, 6)], key="ab2")
+            .build()
+        )
+        oracle, engine = self.both_ways(g, 0, 6)
+        assert oracle == engine and engine[:2] == (True, 6)

@@ -44,7 +44,26 @@ class TestRL001Layering:
         src = "from ..service import server\n"
         assert rules_fired(src, "repro.core.engine") == ["RL001"]
 
+    def test_upward_lazy_export_entry_is_flagged(self):
+        src = (
+            "from repro._lazy import lazy_exports\n"
+            "__getattr__, __dir__, __all__ = lazy_exports(__name__, {\n"
+            "    'repro.analysis.classes': ('classify',),\n"
+            "    'repro.service.server': ('handle_request',),\n"
+            "})\n"
+        )
+        findings = lint_source(src, module="repro.analysis")
+        assert [(f.rule, f.line) for f in findings] == [("RL001", 4)]
+        assert "repro.service.server" in findings[0].message
+        assert rules_fired(src, "repro.service") == []
+
+    def test_real_facade_tables_are_read(self):
+        facade = Path("src/repro/__init__.py").read_text()
+        assert rules_fired(facade, "") == []
+        assert rules_fired(facade, "repro.core") == ["RL001"] * 4
+
     def test_rank_map_matches_the_roadmap_stack(self):
+        assert LAYER_RANKS["_lazy"] <= LAYER_RANKS["core"]
         assert LAYER_RANKS["core"] < LAYER_RANKS["automata"]
         assert LAYER_RANKS["automata"] < LAYER_RANKS["service"]
         assert LAYER_RANKS["dynamics"] < LAYER_RANKS["service"]

@@ -23,6 +23,7 @@ from repro.analysis.classes import (
     is_recurrently_connected,
     is_round_connected,
     is_temporally_connected_from,
+    snapshots_always_connected,
 )
 from repro.analysis.evolution import reachability_growth, value_of_waiting
 from repro.analysis.spanners import foremost_broadcast_tree
@@ -107,6 +108,28 @@ dense_tvgs = tvgs(max_nodes=4, max_edges=16)
 
 
 @st.composite
+def spanning_tvgs(draw):
+    """A spanning tree of edges each missing at most one date, plus a
+    few random edges (parallel ones included): snapshots are often all
+    connected, so C9 holds and C10's T varies, which :func:`tvgs`'s
+    sparse graphs rarely show."""
+    n = draw(st.integers(1, 5))
+    graph = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="spanning")
+    graph.add_nodes(range(n))
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        gap = draw(st.integers(0, 2 * HORIZON))  # past HORIZON: no gap
+        presence = interval_presence([(0, gap), (gap + 1, 2 * HORIZON)])
+        if draw(st.booleans()):
+            u, v = v, u
+        graph.add_edge(u, v, presence=presence)
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        graph.add_edge(u, v, presence=draw(presences()))
+    return graph
+
+
+@st.composite
 def windows(draw):
     """A window inside the lifetime, widths 1 and 2 drawn as often as
     all the wider ones together."""
@@ -188,6 +211,19 @@ class TestClassificationAgainstOracle:
         oracle = classify(graph, 0, HORIZON)
         compiled = classify(graph, 0, HORIZON, engine=engine)
         assert compiled == oracle
+
+    @given(spanning_tvgs(), windows())
+    @settings(DETERMINISTIC, max_examples=60)
+    def test_snapshot_classes_agree_on_connected_graphs(self, graph, window):
+        """C9/C10's index-space labelling against the networkx oracle."""
+        engine = TemporalEngine(graph)
+        assert snapshots_always_connected(
+            graph, *window, engine=engine
+        ) == snapshots_always_connected(graph, *window)
+        assert interval_connectivity(
+            graph, *window, engine=engine
+        ) == interval_connectivity(graph, *window)
+        assert classify(graph, *window, engine=engine) == classify(graph, *window)
 
     @given(tvgs(), st.integers(0, 4))
     @settings(DETERMINISTIC, max_examples=25)

@@ -324,6 +324,34 @@ class TestEngineIncrementalEqualsScratch:
         ) is None
 
 
+    def test_node_order_is_checked_and_the_index_map_is_accepted(self):
+        """A seed keyed by the index's own node map patches like one
+        keyed by the node list; a reordered node list is refused."""
+        graph = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON))
+        graph.add_nodes("abcd")
+        for i, (u, v) in enumerate(("ab", "bc", "cd", "da")):
+            graph.add_edge(u, v, presence=periodic_presence([i % 2], 2), key=u + v)
+        engine = TemporalEngine(graph)
+        v0 = graph.version
+        nodes0, m0 = engine.arrival_offsets(0, WAIT, horizon=HORIZON)
+        node_index = engine.compiled.node_index
+        assert list(node_index) == nodes0
+        graph.set_presence("bc", periodic_presence([0], 3))
+        deltas = graph.deltas_since(v0)
+        assert engine.arrival_matrix_incremental(
+            0, (nodes0[::-1], m0), deltas, WAIT, HORIZON
+        ) is None
+        for previous in (nodes0, node_index):
+            result = engine.arrival_matrix_incremental(
+                0, (previous, m0), deltas, WAIT, HORIZON
+            )
+            assert result is not None
+            nodes, merged, reswept = result
+            assert nodes == nodes0 and 0 < reswept <= len(nodes)
+            assert np.array_equal(offsets_to_dates(merged, 0),
+                                  scratch_matrix(graph, 0, WAIT)[1])
+        assert engine.compiled.node_index is node_index  # patched in place
+
     @pytest.mark.parametrize("semantics", [WAIT, NO_WAIT, bounded_wait(2)])
     def test_patch_across_offset_dtypes(self, semantics):
         """An edge whose 300-date latency passes 254 makes a uint8
@@ -372,3 +400,23 @@ class TestServiceIncrementalPlumbing:
         stats = service.stats()["sweeps"]
         assert stats["incremental"] == 1, stats
         assert service.stats()["cache"]["retained"] >= 1
+
+    def test_patched_miss_keeps_the_index_node_map(self):
+        """A patched miss equals a full sweep, and its seed holds the
+        compiled index's own node map instead of a rebuilt one."""
+        graph = IncrementalDifferentialMachine._fresh_graph("map")
+        service = TVGService(graph)
+        service.add_edge("a", "b", presence=interval_presence([(0, 4)]), key="ab")
+        service.add_edge("b", "c", presence=periodic_presence([1], 2), key="bc")
+        service.growth(0, HORIZON, WAIT)
+        query = ("arrival_matrix", 0, HORIZON, str(WAIT))
+        node_index = service._seeds[query][1]
+        assert node_index is service.engine.compiled.node_index
+        service.set_presence("ab", interval_presence([(2, 6)]))
+        service.growth(0, HORIZON, WAIT)
+        assert service.stats()["sweeps"]["incremental"] == 1
+        version, seed_index, merged = service._seeds[query]
+        assert version == graph.version and seed_index is node_index
+        nodes, scratch = scratch_matrix(graph, 0, WAIT)
+        assert list(seed_index) == nodes
+        assert np.array_equal(offsets_to_dates(merged, 0), scratch)

@@ -193,6 +193,62 @@ class TestProtocol:
 
         run(body())
 
+    @pytest.mark.parametrize(
+        "presence, error",
+        [
+            ({"kind": "periodic", "pattern": [1.5], "period": 8},
+             "a residue must be an integer, got 1.5"),
+            ({"kind": "periodic", "pattern": [1], "period": 8.5},
+             "a period must be an integer, got 8.5"),
+            ({"kind": "intervals", "pairs": [[1.5, 3]]},
+             "an interval start must be an integer, got 1.5"),
+            ({"kind": "at", "times": [1.5]}, "a date must be an integer, got 1.5"),
+        ],
+        ids=["periodic-residue", "periodic-period", "intervals", "at"],
+    )
+    def test_fractional_schedule_gets_an_error_frame(self, presence, error):
+        """These edges were once accepted and then lowered as a
+        different, truncated schedule (``arrival`` a -> c from 0 read 2
+        for each): now one error frame, the graph untouched."""
+
+        async def body():
+            service = TVGService(line_graph())
+            server = await serve_service(service, port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def send(request):
+                writer.write(json.dumps(request).encode() + b"\n")
+                await writer.drain()
+                return json.loads(await reader.readline())
+
+            try:
+                before = (await send({"op": "stats"}))["result"]["graph"]
+                for request in (
+                    {"op": "add_edge", "source": "a", "target": "c",
+                     "presence": presence},
+                    {"op": "set_presence", "key": "ab", "presence": presence},
+                ):
+                    response = await send({"id": 1, **request})
+                    assert response["id"] == 1 and response["ok"] is False
+                    assert response["error"].startswith(
+                        f"ServiceError: op '{request['op']}' field 'presence'"
+                    )
+                    assert error in response["error"]
+                after = (await send({"op": "stats"}))["result"]["graph"]
+                assert after == before
+                arrival = await send({"op": "arrival", "source": "a", "target": "c",
+                                      "start": 0, "horizon": 10})
+                assert arrival == {"ok": True, "result": 6}  # via b, not a new edge
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+                service.close()
+
+        run(body())
+
     def test_client_surfaces_transport_error_frames(self):
         """An oversized request through ServiceClient must raise the
         server's structured message, not an id-mismatch complaint (the
