@@ -25,10 +25,10 @@ from ``arrival_offsets``); plans compile once and best-of-``REPEATS``
 timing amortizes warmup, so the timings isolate swept-row volume.
 
 The ``miss_*`` cases, recorded but not gated, time both paths as a
-service miss runs them: before each repeat the plan memo is put back
-to what it held at the seed, so every repeat splices a fresh plan that
-no sweep has lowered, and the cone lowers only its own closure while
-the full re-sweep lowers every contact.  Emits ``BENCH_incremental.json``
+service miss runs them: the plan memo is cleared before each repeat,
+so every repeat builds a fresh plan from the patched index that no
+sweep has lowered, and the cone lowers only its own closure while the
+full re-sweep lowers every contact.  Emits ``BENCH_incremental.json``
 next to this file.
 
 Run standalone (``python benchmarks/bench_incremental.py``) or through
@@ -137,7 +137,6 @@ def run_benchmark() -> dict:
 
     for label, semantics in (("wait", WAIT), ("nowait", NO_WAIT)):
         nodes0, m0 = engine.arrival_offsets(0, semantics, horizon=HORIZON)
-        memo0 = dict(engine._plan_memo)
         version0 = graph.version
         dirty_keys = churn(graph, rng)
         deltas = graph.deltas_since(version0)
@@ -172,7 +171,6 @@ def run_benchmark() -> dict:
         def as_a_miss(path):
             def run():
                 engine._plan_memo.clear()
-                engine._plan_memo.update(memo0)
                 return path()
 
             return run

@@ -131,8 +131,8 @@ class TemporalEngine:
             if not index.stale:
                 return index
             # Stale but wide enough: a complete chain of presence-only
-            # deltas patches the compiled arrays in place — no relower
-            # of the untouched edges, no CSR rebuild.
+            # deltas patches the index — no relower of the untouched
+            # edges, no CSR rebuild.
             if index.apply_deltas(self.graph.deltas_since(index.version)):
                 return index
         lo, hi = start, end

@@ -345,11 +345,17 @@ class CompiledTVG:
     indices of node ``j`` (in insertion order, matching
     :meth:`TimeVaryingGraph.out_edges`) are
     ``out_edge_idx[out_ptr[j]:out_ptr[j + 1]]``, and ``target_idx[i]``
-    is edge ``i``'s head node.  Arrays are never written after they are
-    built — :meth:`apply_deltas` splices new ones — so a
-    :class:`~repro.core.parallel.SweepPlan` may share them.  With a
-    ``cache``, black-box queries are memoized through it.
+    is edge ``i``'s head node.  Those five arrays (:attr:`SHARED`) are
+    read-only from the moment they exist — :meth:`apply_deltas` splices
+    new ones — so a :class:`~repro.core.parallel.SweepPlan` may hold
+    them.  ``edge_list`` (the graph's :class:`Edge` objects, by index)
+    and ``opaque`` belong to the index alone: no plan holds either, so
+    :meth:`apply_deltas` patches them in place.  With a ``cache``,
+    black-box queries are memoized through it.
     """
+
+    #: The arrays a plan may hold, by attribute name.
+    SHARED = ("edge_ptr", "dates", "out_ptr", "out_edge_idx", "target_idx")
 
     __slots__ = (
         "graph", "version", "window", "nodes", "node_index", "edge_list", "edge_ptr",
@@ -373,7 +379,7 @@ class CompiledTVG:
         self.node_index: dict[Hashable, int] = {
             node: i for i, node in enumerate(self.nodes)
         }
-        edges = self.edge_list = graph.edges
+        edges = self.edge_list = list(graph.edges)
         #: Edge key -> index, built by the first :meth:`edge_position`.
         self._edge_pos: dict[str, int] | None = None
         self.edge_ptr, self.dates, self.opaque = _lower_edges(edges, window)
@@ -397,6 +403,11 @@ class CompiledTVG:
         self.target_idx = np.array([node_pos[e.target] for e in edges], dtype=np.int64)
         # Rows as tuples (faster than numpy slices in hot loops), made on first use.
         self._out_lists: tuple[tuple[int, ...], ...] | None = None
+        self._seal()
+
+    def _seal(self) -> None:
+        for name in self.SHARED:
+            getattr(self, name).flags.writeable = False
 
     @property
     def contacts(self) -> list[np.ndarray | None]:
@@ -425,30 +436,30 @@ class CompiledTVG:
         Presence swaps leave nodes, edges, adjacency and latencies
         intact, so a chain of ``"set_presence"`` deltas relowers the
         touched edges (through the same lowering as a compile) and
-        splices them into fresh arrays, leaving the old ones to any plan
-        holding them.  Returns False, for a rebuild, on any other delta
-        kind or an unknowable chain (``deltas is None``).
+        splices them into fresh ``edge_ptr`` and ``dates`` arrays,
+        leaving the old ones to any plan holding them; ``edge_list`` and
+        ``opaque`` are written in place at the touched positions.
+        Returns False, for a rebuild, on any other delta kind or an
+        unknowable chain (``deltas is None``).
         """
         if deltas is None or any(
             delta.kind != "set_presence" or delta.edge_key is None for delta in deltas
         ):
             return False
-        touched: dict[int, None] = {}
+        touched: dict[int, Edge] = {}
         for delta in deltas:
             pos = self.edge_position(delta.edge_key)
             if pos is None:
                 return False
-            touched[pos] = None
-        edges = list(self.edge_list)
-        for pos in touched:
-            edges[pos] = self.graph.edge(edges[pos].key)
-        ptr, dates, opaque = _lower_edges([edges[pos] for pos in touched], self.window)
+            touched[pos] = self.graph.edge(delta.edge_key)
+        ptr, dates, opaque = _lower_edges(list(touched.values()), self.window)
         self.edge_ptr, self.dates = splice_csr(
             self.edge_ptr, self.dates, dict(zip(touched, split_csr(ptr, dates)))
         )
-        self.opaque = self.opaque.copy()
+        self._seal()
+        for pos, edge in touched.items():
+            self.edge_list[pos] = edge
         self.opaque[list(touched)] = opaque
-        self.edge_list = tuple(edges)
         self.version = self.graph.version
         return True
 

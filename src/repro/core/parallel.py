@@ -8,11 +8,12 @@ may be arbitrary Python callables that do not pickle, and re-evaluating
 a black-box predicate in ``k`` workers would break the engine's
 at-most-once-per-(edge, date) contract.  So :func:`build_sweep_plan`
 lowers in the parent, straight from the compiled index's flat contact
-CSR (a window mask plus ``arr = dep + latency[edge]``); only black-box
-edges (through the engine's :class:`~repro.core.index.LazyContactCache`)
-and callable latencies are visited one edge at a time.  Across presence
-swaps it splices just the touched edges into the query's previous plan.
-The plan pickles and ships over the wire as its arrays
+CSR (the index's own arrays when its window is the plan's, else a
+window mask, plus ``arr = dep + latency[edge]``); only black-box edges
+(through the engine's :class:`~repro.core.index.LazyContactCache`) and
+callable latencies are visited one edge at a time.  A presence swap is
+spliced once, into the index; the next plan reads it from there.  The
+plan pickles and ships over the wire as its arrays
 (:mod:`repro.service.wire`).
 
 The sweep is partitionable by *source blocks*: the arrival dates
@@ -77,8 +78,10 @@ class SweepPlan:
     order are ``out_edge_idx[out_ptr[j]:out_ptr[j + 1]]`` and
     ``target_idx[e]`` is the head node of edge ``e`` — the compiled
     index's CSR.  ``max_wait`` is the waiting bound (None for
-    unbounded, 0 for no-wait).  The arrays are never written, so plans
-    may share them; plans compare by content.
+    unbounded, 0 for no-wait).  The arrays are read-only, so plans and
+    the index may share them: a plan over the whole compiled window
+    holds the index's own ``edge_ptr`` and ``dates`` as ``edge_ptr``
+    and ``dep``.  Plans compare by content.
 
     State derived from the content — :attr:`fingerprint`, the kernel's
     lowering (:func:`~repro.core.sweep_kernel._bitset_lowering`) and
@@ -160,9 +163,8 @@ def build_sweep_plan(
     """Lower one sweep over ``engine``'s graph into a :class:`SweepPlan`.
 
     Runs entirely in the parent, from the compiled index's flat contact
-    CSR: the compiled dates inside ``[start_time, horizon)`` are kept
-    by one mask, and arrivals are ``dep + const_latency[edge]``.
-    Black-box presences are resolved here, through the engine's
+    CSR (see :func:`_window_rows`).  Black-box presences are resolved
+    here, through the engine's
     :class:`~repro.core.index.LazyContactCache`, so arbitrary
     predicates never need to pickle and each still fires at most once
     per (edge, date) across the engine's lifetime; callable latencies
@@ -172,12 +174,9 @@ def build_sweep_plan(
     Plans are memoized on the engine by ``(version, start, horizon,
     max_wait)``, so repeated sweeps of the same query (sharded blocks,
     retries) share one lowering.  A plan for an older version can never
-    be asked for again, so building one drops them — but first, when
-    the memo still holds this query's plan from an older version and
-    only presence swaps happened since, the new plan is that one with
-    the touched edges' rows spliced in, as
-    :meth:`~repro.core.index.CompiledTVG.apply_deltas` splices the
-    index.
+    be asked for again, so building one drops them.  Presence swaps
+    need no plan-side work: :meth:`~repro.core.index.CompiledTVG.apply_deltas`
+    splices them into the index, and the next build reads it.
     """
     version = engine.graph.version
     key = (version, start_time, horizon, semantics.max_wait)
@@ -186,16 +185,8 @@ def build_sweep_plan(
     if hit is not None:
         nodes, plan = hit
         return list(nodes), plan
-    older = next((k for k in memo if k[1:] == key[1:]), None)
-    deltas = None if older is None else engine.graph.deltas_since(older[0])
     index = engine.index_for(min(start_time, horizon), horizon)
-    if deltas and all(delta.kind == "set_presence" for delta in deltas):
-        touched = {index.edge_position(delta.edge_key) for delta in deltas}
-        plan_ptr, dep, arr = _spliced_rows(
-            index, memo[older][1], touched, start_time, horizon
-        )
-    else:
-        plan_ptr, dep, arr = _window_rows(index, start_time, horizon)
+    plan_ptr, dep, arr = _window_rows(index, start_time, horizon)
     plan = SweepPlan(
         n=len(index.nodes),
         out_ptr=index.out_ptr,
@@ -216,45 +207,26 @@ def build_sweep_plan(
     return list(index.nodes), plan
 
 
-def _spliced_rows(
-    index, previous: SweepPlan, touched: set[int], start_time: int, horizon: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(edge_ptr, dep, arr)`` of ``previous`` with the ``touched``
-    edges' rows replaced by their contacts in ``[start_time, horizon)``
-    now, read per contact through the index's own queries (black-box
-    dates through the cache, callable latencies evaluated again)."""
-    dep_rows, arr_rows = {}, {}
-    for ei in touched:
-        departures = index.departures(ei, start_time, horizon)
-        dep_rows[ei] = np.array(departures, dtype=np.int64)
-        arr_rows[ei] = np.array(
-            [index.arrival(ei, dep) for dep in departures], dtype=np.int64
-        )
-    plan_ptr, dep = splice_csr(previous.edge_ptr, previous.dep, dep_rows)
-    return plan_ptr, dep, splice_csr(previous.edge_ptr, previous.arr, arr_rows)[1]
-
-
 def _window_rows(
     index, start_time: int, horizon: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(edge_ptr, dep, arr)`` of every edge's contacts in ``[start_time,
-    horizon)``: one mask over the index's flat dates, the black-box
-    edges' dates spliced in from the cache, ``arr = dep + latency``
-    with callable latencies evaluated per contact of their edge."""
-    dates = index.dates
-    keep = (dates >= start_time) & (dates < horizon)
-    kept_before = np.zeros(len(dates) + 1, dtype=np.int64)
-    np.cumsum(keep, out=kept_before[1:])
+    horizon)``: the index's own ``edge_ptr`` and ``dates`` when its
+    window lies inside (every date is kept), else one mask over its
+    flat dates; the black-box edges' dates spliced in from the cache;
+    ``arr = dep + latency`` with callable latencies evaluated per
+    contact of their edge."""
+    plan_ptr, dep = index.edge_ptr, index.dates
+    if not start_time <= index.window.start <= index.window.end <= horizon:
+        keep = (dep >= start_time) & (dep < horizon)
+        kept_before = np.zeros(len(dep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        plan_ptr, dep = kept_before[plan_ptr], dep[keep]
     # Black-box edges hold empty ranges in the flat arrays: splice their
     # cache-resolved dates in.
-    plan_ptr, dep = splice_csr(
-        kept_before[index.edge_ptr],
-        dates[keep],
-        {
-            ei: index.opaque_contacts(ei, start_time, horizon)
-            for ei in np.flatnonzero(index.opaque).tolist()
-        },
-    )
+    opaque = np.flatnonzero(index.opaque).tolist()
+    rows = {ei: index.opaque_contacts(ei, start_time, horizon) for ei in opaque}
+    plan_ptr, dep = splice_csr(plan_ptr, dep, rows)
     latency = index.const_latency
     arr = dep + np.repeat(latency, np.diff(plan_ptr))
     for ei in np.flatnonzero(latency < 0).tolist():

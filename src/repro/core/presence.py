@@ -17,7 +17,10 @@ questions instead of looping forever.
 
 Presences are immutable.  :func:`periodic_presence` interns its result,
 so every edge on the same ``(residues mod period, period)`` schedule
-shares one object, as every static edge shares :func:`always`.
+shares one object, as every static edge shares :func:`always`.  Every
+constructor, ``shifted`` and ``dilated`` refuse a non-integer residue,
+period, interval end, shift or factor with :class:`TimeDomainError`, so
+the compiled index never truncates one into another schedule.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class PresenceFunction:
 
     def shifted(self, delta: int) -> "PresenceFunction":
         """Presence translated in time: new(t) = old(t - delta)."""
-        return _ShiftedPresence(self, delta)
+        return _ShiftedPresence(self, _integer(delta, "a shift"))
 
     def dilated(self, factor: int) -> "PresenceFunction":
         """Sparse time dilation (Theorem 2.3).
@@ -78,6 +81,7 @@ class PresenceFunction:
         than ``factor`` units opens no transition that a direct journey
         would not already have.
         """
+        factor = _integer(factor, "a dilation factor")
         if factor <= 0:
             raise TimeDomainError(f"dilation factor must be positive, got {factor}")
         return _DilatedPresence(self, factor)
@@ -135,6 +139,8 @@ class IntervalPresence(PresenceFunction):
     """Presence given by an explicit :class:`IntervalSet`."""
 
     def __init__(self, intervals: IntervalSet) -> None:
+        for bound in (*intervals._starts, *intervals._ends):
+            _integer(bound, "an interval end")
         self.intervals = intervals
 
     def __call__(self, time: int) -> bool:
@@ -163,10 +169,11 @@ class PeriodicPresence(PresenceFunction):
     """
 
     def __init__(self, pattern: Iterable[int], period: int) -> None:
+        period = _integer(period, "a period")
         if period <= 0:
             raise TimeDomainError(f"period must be positive, got {period}")
         self.period = period
-        self.pattern = frozenset(r % period for r in pattern)
+        self.pattern = frozenset(_integer(r, "a residue") % period for r in pattern)
         self._sorted = tuple(sorted(self.pattern))
 
     def __call__(self, time: int) -> bool:

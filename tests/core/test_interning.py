@@ -6,7 +6,8 @@ forty thousand edges on eight schedules holds eight presences and one
 latency.  These tests pin the table's keying, its weak lifetime, and
 that sharing changes no answer: version bumps, index patches, the
 black-box cache's identity test and ``Edge`` copies behave as before.
-The factories also refuse non-integer residues, periods and dates,
+The factories, the presence constructors, ``shifted`` and ``dilated``
+also refuse non-integer residues, periods, dates, shifts and factors,
 which the index used to truncate into a different schedule.
 """
 
@@ -23,10 +24,11 @@ from repro.core import presence as presence_module
 from repro.core.edges import Edge
 from repro.core.engine import TemporalEngine
 from repro.core.index import _lower_edges
-from repro.core.intervals import Interval
+from repro.core.intervals import Interval, IntervalSet
 from repro.core.latency import ConstantLatency, constant_latency
 from repro.core.parallel import build_sweep_plan
 from repro.core.presence import (
+    IntervalPresence,
     PeriodicPresence,
     always,
     at_times,
@@ -145,6 +147,21 @@ class TestFractionalSchedulesRefused:
         with pytest.raises(TimeDomainError, match="must be an integer"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        # Compiled to 1, 9, 17, 25, 33 on [0, 40); true at 1, 18, 35.
+        lambda: PeriodicPresence([1], 8.5),
+        # Compiled to 1, 9, 17; never true.
+        lambda: PeriodicPresence([1.5], 8),
+        # Compiled to 1, 2; true only at 2.
+        lambda: IntervalPresence(IntervalSet([Interval(1.5, 3)])),
+        # Both compiled to 1, 5, 9, ...; neither is ever true.
+        lambda: periodic_presence([1], 4).shifted(0.5),
+        lambda: periodic_presence([1], 4).dilated(1.5),
+    ])
+    def test_direct_construction_refuses_non_integers(self, build):
+        with pytest.raises(TimeDomainError, match="must be an integer"):
+            build()
+
     def test_integer_schedules_lower_to_the_interpretive_support(self):
         window = Interval(-5, 40)
         presences = [
@@ -153,6 +170,9 @@ class TestFractionalSchedulesRefused:
             periodic_presence([0, 2], 3).shifted(-2),
             interval_presence([(np.int64(1), 3), (10, np.int32(12))]),
             at_times([np.int64(4), 7, -3]),
+            PeriodicPresence([np.int64(2)], np.int32(5)),
+            IntervalPresence(IntervalSet([Interval(np.int64(3), 6)])),
+            periodic_presence([1], 4).shifted(np.int64(2)).dilated(np.int16(3)),
         ]
         edges = [
             Edge(0, 1, key=f"e{i}", presence=p) for i, p in enumerate(presences)

@@ -112,7 +112,7 @@ def tvgs(draw):
 
 def assert_matches_reference(index, graph, window):
     assert index_mismatches(index, reference_compile(graph, window)) == []
-    assert index.edge_list == graph.edges
+    assert tuple(index.edge_list) == graph.edges
     for j, node in enumerate(graph.nodes):
         assert [index.edge_list[i].key for i in index.out_edge_indices(j)] == [
             edge.key for edge in graph.out_edges(node)

@@ -6,16 +6,18 @@ arrivals.  It must produce exactly the plan the per-edge loop it
 replaced produces (``reference_sweep_plan`` in ``tests/plan_helpers``):
 on graphs mixing every structured presence form, black-box predicates
 and callable latencies; on windows narrower than the compiled one (and
-empty ones); and on an index patched in place by
+empty ones) and equal to it, where the plan holds the index's own
+``edge_ptr`` and ``dates``; and on an index patched in place by
 :meth:`~repro.core.index.CompiledTVG.apply_deltas`, which must also
-equal the plan of a fresh compile.  Across presence swaps the build
-splices the touched edges into the query's previous plan: that plan
-must equal a fresh engine's too, black-box predicates must still fire
-at most once per (edge, date), and any other chain must build in full.
+equal the plan of a fresh compile, with black-box predicates still
+firing at most once per (edge, date).  A plan built before a presence
+swap keeps its content: the patch splices new arrays and writes only
+the index's own ``edge_list`` and ``opaque``.
 """
 
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest.mock import patch
 
 import pytest
@@ -125,18 +127,27 @@ def _compiled_wide(graph):
 
 
 class TestPlanEqualsReference:
-    @given(tvgs(), semantics_strategy, windows())
-    @settings(DETERMINISTIC, max_examples=120)
-    def test_fresh_index(self, graph, semantics, window):
+    @given(tvgs(), semantics_strategy, windows(), st.booleans())
+    @settings(DETERMINISTIC, max_examples=160)
+    def test_fresh_index(self, graph, semantics, window, exact):
+        """On an index compiled wide, or (``exact``) over the plan's own
+        window: there the plan holds the index's ``edge_ptr`` and
+        ``dates`` unless black-box dates are spliced in."""
         start, horizon = window
-        nodes, plan = build_sweep_plan(
-            _compiled_wide(graph), start, semantics, horizon
+        engine = (
+            TemporalEngine(graph, window=window) if exact else _compiled_wide(graph)
         )
+        nodes, plan = build_sweep_plan(engine, start, semantics, horizon)
         ref_nodes, reference = reference_sweep_plan(
             _compiled_wide(graph), start, semantics, horizon
         )
         assert nodes == ref_nodes
         assert plan == reference
+        index = engine.compiled
+        whole = (index.window.start, index.window.end) == window
+        shares = whole and not index.opaque.any()
+        assert (plan.edge_ptr is index.edge_ptr) == shares
+        assert (plan.dep is index.dates) == shares
 
     @given(
         tvgs(),
@@ -150,13 +161,16 @@ class TestPlanEqualsReference:
     def test_patched_index_equals_fresh_compile(
         self, graph, semantics, window, swaps, again, grow
     ):
-        """Presence swaps patch the index and splice the previous plan,
-        also when the first swapped edge is swapped ``again`` and when a
-        wider query rebuilt the index in between (``grow``)."""
+        """Presence swaps patch the index, also when the first swapped
+        edge is swapped ``again`` and when a wider query rebuilt the
+        index in between (``grow``); the plan built before them keeps
+        its content and fingerprint."""
         start, horizon = window
         Counted.calls.clear()
         engine = _compiled_wide(graph)
-        build_sweep_plan(engine, start, semantics, horizon)
+        _nodes, before = build_sweep_plan(engine, start, semantics, horizon)
+        kept = replace(before, **{a: getattr(before, a).copy() for a in before.ARRAYS})
+        fingerprint = before.fingerprint
         index = engine.compiled
         keys = [edge.key for edge in graph.edges]
         if again is not None:
@@ -164,11 +178,11 @@ class TestPlanEqualsReference:
         for slot, presence in swaps:
             if keys:
                 graph.set_presence(keys[slot % len(keys)], presence)
-        if grow:
-            engine.index_for(0, 2 * SPAN)
-        with _counting_full_builds() as full_builds:
-            nodes, patched = build_sweep_plan(engine, start, semantics, horizon)
-        assert full_builds == []
+        engine.index_for(0, 2 * SPAN if grow else SPAN)
+        assert before == kept
+        nodes, patched = build_sweep_plan(engine, start, semantics, horizon)
+        assert before == kept
+        assert replace(before).fingerprint == fingerprint == kept.fingerprint
         assert (engine.compiled is index) != grow, "presence swaps patch, never rebuild"
         assert max(Counted.calls.values(), default=0) <= 1
         _nodes, reference = reference_sweep_plan(
@@ -180,16 +194,39 @@ class TestPlanEqualsReference:
         assert patched == reference == fresh
         assert patched.fingerprint == fresh.fingerprint
 
+    def test_patch_writes_the_index_own_lists_in_place(self):
+        """A swap lands in the index's ``edge_list`` and ``opaque`` in
+        place, so the successor kernel moves along the swapped edge;
+        the arrays a plan may hold are read-only from the compile on,
+        before any plan exists."""
+        graph = _line_graph()
+        engine = TemporalEngine(graph)
+        index = engine.index_for(0, SPAN)
+        assert not any(getattr(index, name).flags.writeable for name in index.SHARED)
+        edge_list, opaque = index.edge_list, index.opaque
+        for presence, flag, departures in (
+            (function_presence(lambda t: t % 3 == 1, "thirds"), True, [1, 4]),
+            (interval_presence([(2, 4)]), False, [2, 3]),
+        ):
+            graph.set_presence("bc", presence)
+            moves = engine.successors("b", 0, WAIT, 6)
+            assert engine.compiled is index
+            assert index.edge_list is edge_list and index.opaque is opaque
+            assert edge_list[1] is graph.edge("bc")
+            assert opaque.tolist() == [False, flag, False]
+            assert [(edge, dep) for edge, dep, _arr in moves] == [
+                (graph.edge("bc"), dep) for dep in departures
+            ]
+            assert not any(getattr(index, n).flags.writeable for n in index.SHARED)
+
     @pytest.mark.parametrize(
         "change", ["add_edge", "remove_edge", "other query", "memo full", "history"]
     )
     def test_any_other_chain_builds_in_full(self, change):
-        """Structural mutations, a previous plan that left the memo (a
-        newer version's build dropped it, or the FIFO evicted it) and a
-        chain past the delta history all build the plan in full."""
-        graph = TimeVaryingGraph(lifetime=Lifetime(0, SPAN), name="line")
-        for u, v in ("ab", "bc", "cd"):
-            graph.add_edge(u, v, presence=periodic_presence([0], 2), key=u + v)
+        """Structural mutations, a memo that dropped or evicted the
+        query's previous plan and a chain past the delta history each
+        build the plan once, in full, equal to a fresh engine's."""
+        graph = _line_graph()
         engine = TemporalEngine(graph)
         build_sweep_plan(engine, 0, WAIT, SPAN)
         if change == "memo full":
@@ -209,6 +246,13 @@ class TestPlanEqualsReference:
             _nodes, plan = build_sweep_plan(engine, 0, WAIT, SPAN)
         assert full_builds == [(0, SPAN)]
         assert plan == build_sweep_plan(TemporalEngine(graph), 0, WAIT, SPAN)[1]
+
+
+def _line_graph():
+    graph = TimeVaryingGraph(lifetime=Lifetime(0, SPAN), name="line")
+    for u, v in ("ab", "bc", "cd"):
+        graph.add_edge(u, v, presence=periodic_presence([0], 2), key=u + v)
+    return graph
 
 
 @contextmanager
