@@ -78,12 +78,13 @@ def _build_service():
 async def run_load_phase() -> dict:
     from repro.analysis.classes import classify
     from repro.analysis.evolution import reachability_growth
+    from repro.core.semantics import parse_semantics
+    from repro.core.serialize import decode_presence
     from repro.core.traversal import earliest_arrivals
     from repro.dynamics.workloads import generate_load_trace
     from repro.service.client import ServiceClient
     from repro.service.limits import percentile
     from repro.service.server import serve_service
-    from repro.service.wire import parse_semantics, presence_from_spec
 
     workload, shadow, service = _build_service()
     server = await serve_service(service, port=0)
@@ -179,7 +180,7 @@ async def run_load_phase() -> dict:
             latencies.append(time.perf_counter() - sent)
             shadow.add_edge(
                 op["source"], op["target"], key=op["key"],
-                presence=presence_from_spec(op["presence"]),
+                presence=decode_presence(op["presence"]),
             )
             mutations_applied += 1
         oracle_cache.clear()

@@ -122,15 +122,12 @@ def run_churn() -> dict:
     interpretive oracle on an independently mutated shadow graph."""
     from repro.analysis.classes import classify
     from repro.analysis.evolution import reachability_growth
+    from repro.core.semantics import parse_semantics
+    from repro.core.serialize import decode_presence
     from repro.core.traversal import earliest_arrivals
     from repro.dynamics.workloads import generate_service_trace, make_workload
     from repro.service.server import handle_request
     from repro.service.service import TVGService
-    from repro.service.wire import (
-        latency_from_spec,
-        parse_semantics,
-        presence_from_spec,
-    )
 
     workload = make_workload("flaky-backbone")
     shadow = make_workload("flaky-backbone").graph
@@ -151,15 +148,14 @@ def run_churn() -> dict:
         if kind == "add_edge":
             shadow.add_edge(
                 op["source"], op["target"], key=op["key"],
-                presence=presence_from_spec(op.get("presence")),
-                latency=latency_from_spec(op.get("latency")),
+                presence=decode_presence(op["presence"]),
             )
             mutations += 1
         elif kind == "remove_edge":
             shadow.remove_edge(op["key"])
             mutations += 1
         elif kind == "set_presence":
-            shadow.set_presence(op["key"], presence_from_spec(op["presence"]))
+            shadow.set_presence(op["key"], decode_presence(op["presence"]))
             mutations += 1
         elif kind in ("reach", "arrival"):
             semantics = parse_semantics(op["semantics"])

@@ -113,11 +113,6 @@ class SweepPlan:
         return split_csr(self.edge_ptr, self.dep)
 
     @property
-    def arrivals(self) -> list[np.ndarray]:
-        """Per edge: its arrival dates (views of :attr:`arr`)."""
-        return split_csr(self.edge_ptr, self.arr)
-
-    @property
     def fingerprint(self) -> str:
         """The plan's content identity: the first 16 hex characters of a
         sha256 over the four header ints (``max_wait=None`` distinct

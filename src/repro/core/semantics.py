@@ -93,11 +93,11 @@ def parse_semantics(text: str) -> WaitingSemantics:
     Accepts ``"wait"``, ``"nowait"``, and ``"wait[d]"`` with ``d`` a
     non-negative integer; anything else raises
     :class:`~repro.errors.SemanticsError`.  This is the ONE grammar for
-    semantics strings — the CLI and the service wire protocol both parse
-    through it and wrap the error into their native type
-    (``argparse.ArgumentTypeError`` / ``ServiceError``), so a malformed
-    ``wait[-1]`` is a clean diagnostic at every boundary, never a raw
-    traceback.
+    semantics strings — the CLI wraps the error into
+    ``argparse.ArgumentTypeError`` and the service protocol into the
+    ``ServiceError`` that names the request's op and field, so a
+    malformed ``wait[-1]`` is a clean diagnostic at every boundary,
+    never a raw traceback.
     """
     if not isinstance(text, str):
         raise SemanticsError(f"semantics must be a string, got {text!r}")

@@ -1,12 +1,31 @@
-"""JSON (de)serialization of time-varying graphs.
+"""JSON (de)serialization of time-varying graphs and their schedules.
 
 Round-trippable persistence for the schedule shapes that have an exact
-finite description — interval sets, periodic patterns, constant/affine
-latencies.  Black-box callables (the Theorem 2.1 clockwork) have no
+finite description — interval sets, periodic patterns, constant/affine/
+table latencies.  Black-box callables (the Theorem 2.1 clockwork) have no
 finite description by design; serializing them raises, with a pointer
 to sampling into intervals via :func:`sampled` instead.
 
-Format (version 1)::
+The schedule specs are the package's one presence/latency codec: graph
+files and the service protocol (:mod:`repro.service.server`) both read
+them through :func:`decode_presence` and :func:`decode_latency`.
+
+* presence — ``{"kind": "always" | "never"}``,
+  ``{"kind": "periodic", "pattern": [r, ...], "period": p}``,
+  ``{"kind": "intervals", "pairs": [[a, b], ...]}`` (half-open), or
+  ``{"kind": "at", "times": [t, ...]}`` (decoded only; it encodes as
+  intervals);
+* latency — ``{"kind": "constant", "value": v}``,
+  ``{"kind": "affine", "slope": a, "intercept": b}``, or
+  ``{"kind": "table", "entries": [[t, v], ...], "default": v | null}``.
+
+Malformed input of any shape raises a :class:`~repro.errors.ReproError`:
+a :class:`~repro.errors.TraceFormatError` for the shape of a spec or
+document, or the schedule factories' own
+:class:`~repro.errors.TimeDomainError` for a value they refuse (a
+fractional residue, say).
+
+Graph format (version 1)::
 
     {
       "format": "repro-tvg",
@@ -45,6 +64,7 @@ from repro.core.presence import (
     _AlwaysPresence,
     _NeverPresence,
     always,
+    at_times,
     interval_presence,
     never,
     periodic_presence,
@@ -57,7 +77,48 @@ FORMAT = "repro-tvg"
 VERSION = 1
 
 
-# -- schedule encoders ----------------------------------------------------------------
+# -- shape checks ---------------------------------------------------------------------
+
+
+def _object(value: Any, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TraceFormatError(
+            None, f"{what} must be an object, not {type(value).__name__}"
+        )
+    return value
+
+
+def _field(spec: dict, name: str, what: str) -> Any:
+    if name not in spec:
+        raise TraceFormatError(None, f"{what} has no {name!r} field")
+    return spec[name]
+
+
+def _list(value: Any, what: str, length: int | None = None) -> list | tuple:
+    """``value`` if it is a list (of ``length`` items, when given)."""
+    if not isinstance(value, (list, tuple)) or (
+        length is not None and len(value) != length
+    ):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise TraceFormatError(None, f"{what} must be {shape}, not {value!r:.60}")
+    return value
+
+
+def _int(value: Any, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass
+        raise TraceFormatError(None, f"{what} must be an integer, not {value!r:.60}")
+    return value
+
+
+def _scalar(value: Any, what: str) -> Any:
+    if isinstance(value, (list, dict)):
+        raise TraceFormatError(
+            None, f"{what} must be a JSON scalar, not {type(value).__name__}"
+        )
+    return value
+
+
+# -- schedule codec -------------------------------------------------------------------
 
 
 def encode_presence(presence: PresenceFunction) -> dict[str, Any]:
@@ -82,17 +143,23 @@ def encode_presence(presence: PresenceFunction) -> dict[str, Any]:
     )
 
 
-def decode_presence(data: dict[str, Any]) -> PresenceFunction:
-    kind = data.get("kind")
+def decode_presence(spec: Any) -> PresenceFunction:
+    """The presence a spec describes (see the module docstring)."""
+    kind = _object(spec, "a presence spec").get("kind")
+    what = f"the {kind} presence spec"
     if kind == "always":
         return always()
     if kind == "never":
         return never()
-    if kind == "intervals":
-        return interval_presence([tuple(pair) for pair in data["pairs"]])
     if kind == "periodic":
-        return periodic_presence(data["pattern"], data["period"])
-    raise TraceFormatError(0, f"unknown presence kind {kind!r}")
+        pattern = _list(_field(spec, "pattern", what), "a periodic pattern")
+        return periodic_presence(pattern, _field(spec, "period", what))
+    if kind == "intervals":
+        pairs = _list(_field(spec, "pairs", what), "interval pairs")
+        return interval_presence(_list(pair, "an interval", 2) for pair in pairs)
+    if kind == "at":
+        return at_times(_list(_field(spec, "times", what), "presence times"))
+    raise TraceFormatError(None, f"unknown presence kind {kind!r:.60}")
 
 
 def encode_latency(latency: LatencyFunction) -> dict[str, Any]:
@@ -116,17 +183,28 @@ def encode_latency(latency: LatencyFunction) -> dict[str, Any]:
     )
 
 
-def decode_latency(data: dict[str, Any]) -> LatencyFunction:
-    kind = data.get("kind")
+def decode_latency(spec: Any) -> LatencyFunction:
+    """The latency a spec describes (see the module docstring)."""
+    kind = _object(spec, "a latency spec").get("kind")
+    what = f"the {kind} latency spec"
     if kind == "constant":
-        return constant_latency(data["value"])
+        return constant_latency(_field(spec, "value", what))
     if kind == "affine":
-        return affine_latency(data["slope"], data["intercept"])
-    if kind == "table":
-        return table_latency(
-            {int(t): int(v) for t, v in data["entries"]}, data["default"]
+        return affine_latency(
+            _int(_field(spec, "slope", what), "a slope"),
+            _int(_field(spec, "intercept", what), "an intercept"),
         )
-    raise TraceFormatError(0, f"unknown latency kind {kind!r}")
+    if kind == "table":
+        entries = _list(_field(spec, "entries", what), "table entries")
+        default = _field(spec, "default", what)
+        return table_latency(
+            {
+                _int(t, "a table date"): _int(v, "a table latency")
+                for t, v in (_list(entry, "a table entry", 2) for entry in entries)
+            },
+            None if default is None else _int(default, "a table default"),
+        )
+    raise TraceFormatError(None, f"unknown latency kind {kind!r:.60}")
 
 
 # -- graph level ----------------------------------------------------------------------
@@ -156,27 +234,40 @@ def to_dict(graph: TimeVaryingGraph) -> dict[str, Any]:
     }
 
 
-def from_dict(data: dict[str, Any]) -> TimeVaryingGraph:
+def from_dict(data: Any) -> TimeVaryingGraph:
     """Rebuild a graph from its dictionary form."""
-    if data.get("format") != FORMAT:
-        raise TraceFormatError(0, f"not a {FORMAT} document")
+    if not isinstance(data, dict) or data.get("format") != FORMAT:
+        raise TraceFormatError(None, f"not a {FORMAT} document")
     if data.get("version") != VERSION:
-        raise TraceFormatError(0, f"unsupported version {data.get('version')!r}")
-    start, end = data["lifetime"]
-    lifetime = Lifetime(start, INFINITY if end is None else end)
+        version = data.get("version")
+        raise TraceFormatError(None, f"unsupported version {version!r:.60}")
+    start, end = _list(_field(data, "lifetime", "the document"), "the lifetime", 2)
+    period = data.get("period")
     graph = TimeVaryingGraph(
-        lifetime=lifetime, period=data.get("period"), name=data.get("name", "")
+        lifetime=Lifetime(start, INFINITY if end is None else end),
+        period=None if period is None else _int(period, "the period"),
+        name=data.get("name", ""),
     )
-    graph.add_nodes(data.get("nodes", []))
-    for entry in data.get("edges", []):
-        graph.add_edge(
-            entry["source"],
-            entry["target"],
-            label=entry.get("label"),
-            presence=decode_presence(entry["presence"]),
-            latency=decode_latency(entry["latency"]),
-            key=entry["key"],
-        )
+    graph.add_nodes(
+        _scalar(node, "a node") for node in _list(data.get("nodes", []), "the nodes")
+    )
+    for number, entry in enumerate(_list(data.get("edges", []), "the edges")):
+        try:
+            entry = _object(entry, "the entry")
+            source, target, key = (
+                _scalar(_field(entry, name, "the entry"), name)
+                for name in ("source", "target", "key")
+            )
+            graph.add_edge(
+                source,
+                target,
+                label=_scalar(entry.get("label"), "label"),
+                presence=decode_presence(_field(entry, "presence", "the entry")),
+                latency=decode_latency(_field(entry, "latency", "the entry")),
+                key=key,
+            )
+        except ReproError as exc:
+            raise TraceFormatError(None, f"edge {number}: {exc}") from None
     return graph
 
 
@@ -187,7 +278,11 @@ def dumps(graph: TimeVaryingGraph, indent: int | None = 2) -> str:
 
 def loads(text: str) -> TimeVaryingGraph:
     """Deserialize from a JSON string."""
-    return from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(exc.lineno, f"bad JSON: {exc.msg}") from None
+    return from_dict(data)
 
 
 def save(graph: TimeVaryingGraph, path: str | Path) -> None:

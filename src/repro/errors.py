@@ -85,10 +85,14 @@ class SimulationError(ReproError):
 
 
 class TraceFormatError(ReproError):
-    """A TVG trace file could not be parsed."""
+    """A TVG trace file, graph document or schedule spec could not be
+    parsed; ``line_number`` is None where the input has no line."""
 
-    def __init__(self, line_number: int, message: str) -> None:
-        super().__init__(f"trace parse error on line {line_number}: {message}")
+    def __init__(self, line_number: int | None, message: str) -> None:
+        super().__init__(
+            message if line_number is None
+            else f"trace parse error on line {line_number}: {message}"
+        )
         self.line_number = line_number
 
 

@@ -10,13 +10,13 @@ every mutation bumps the version and invalidates exactly the stale
 entries.
 
 ``server``/``client`` wrap the service in an asyncio JSON-lines
-protocol (``python -m repro serve``), and ``wire`` defines the
-JSON-serializable specs for presences, latencies, semantics, sweep
-plans, and sub-matrices that cross the socket.  ``cluster`` distributes
-the arrival sweep itself: ``python -m repro worker`` runs a long-lived
-sweep executor and :class:`ClusterExecutor` ships ``(plan, block)``
-jobs to a fleet of them, re-sweeping any failed block locally so
-answers are always element-for-element equal to the serial sweep.
+protocol (``python -m repro serve``); presences and latencies cross it
+as the specs of :mod:`repro.core.serialize`, and ``wire`` defines the
+packed sweep plans and offset matrices the cluster ships.  ``cluster``
+distributes the arrival sweep itself: ``python -m repro worker`` runs a
+long-lived sweep executor and :class:`ClusterExecutor` ships ``(plan,
+block)`` jobs to a fleet of them, re-sweeping any failed block locally
+so answers are always element-for-element equal to the serial sweep.
 
 ``limits`` and ``tasks`` harden the front end for real traffic:
 per-client sliding-window rate limiting with an admission gate on
@@ -43,19 +43,13 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "RateLimiter",
         "percentile",
     ),
-    "repro.service.replay": ("replay_service_trace",),
     "repro.service.server": ("ServiceFrontend", "handle_request", "serve_service"),
     "repro.service.service": ("TVGService",),
     "repro.service.tasks": ("BackgroundTask", "TaskTable"),
     "repro.service.wire": (
-        "latency_from_spec",
-        "latency_to_spec",
         "matrix_from_spec",
         "matrix_to_spec",
-        "parse_semantics",
         "plan_from_spec",
         "plan_to_spec",
-        "presence_from_spec",
-        "presence_to_spec",
     ),
 })

@@ -17,10 +17,12 @@ field kinds: a *date* is a non-bool int strictly inside ±2**62
 (:data:`~repro.core.time_domain.MAX_DATE`); a *scalar* (node id, edge
 key, label) is any JSON value but a list or object; ``semantics`` is
 ``"wait"`` (the default), ``"nowait"`` or ``"wait[d]"``; ``presence``
-and ``latency`` are the specs of :mod:`repro.service.wire`;
-``workers`` is a list of ``"host:port"`` strings; ``task`` is a task id
-string; ``request`` is a nested request ``submit`` may run.  Missing
-fields are named together in one ``ServiceError``, and a bad value gets
+and ``latency`` are the specs of :mod:`repro.core.serialize` (null
+means always present and the unit latency; only ``"constant"``
+latencies cross the protocol); ``workers`` is a list of
+``"host:port"`` strings; ``task`` is a task id string; ``request`` is
+a nested request ``submit`` may run.  Missing fields are named together
+in one ``ServiceError``, and any library error a value raises becomes
 one naming its op and field.
 
 Admission control (:mod:`repro.service.limits`) wraps the dispatcher
@@ -42,8 +44,12 @@ import re
 import time
 from typing import Any, Callable, NamedTuple
 
+from repro.core.latency import ConstantLatency, LatencyFunction, constant_latency
+from repro.core.presence import PresenceFunction, always
+from repro.core.semantics import parse_semantics
+from repro.core.serialize import decode_latency, decode_presence
 from repro.core.time_domain import MAX_DATE
-from repro.errors import REQUEST_ERRORS, ServiceError
+from repro.errors import REQUEST_ERRORS, ReproError, ServiceError
 from repro.service.limits import (
     GATE_RETRY_AFTER,
     AdmissionGate,
@@ -51,7 +57,6 @@ from repro.service.limits import (
     RateLimiter,
 )
 from repro.service.service import TVGService
-from repro.service.wire import latency_from_spec, parse_semantics, presence_from_spec
 
 #: The default of a field every request of its op must carry.
 REQUIRED: Any = object()
@@ -69,6 +74,21 @@ def _scalar(value: Any) -> Any:
     if isinstance(value, (list, dict)):
         raise ServiceError(f"must be a JSON scalar, not {type(value).__name__}")
     return value
+
+
+def _presence(value: Any) -> PresenceFunction:
+    return always() if value is None else decode_presence(value)
+
+
+def _latency(value: Any) -> LatencyFunction:
+    if value is None:
+        return constant_latency(1)
+    latency = decode_latency(value)
+    if not isinstance(latency, ConstantLatency):
+        raise ServiceError(
+            f"only constant latencies cross the protocol, not {value['kind']!r}"
+        )
+    return latency
 
 
 def _workers(value: Any) -> list[str]:
@@ -128,12 +148,12 @@ OPS: dict[str, Op] = {
     "classify": Op(_WINDOW, TVGService.classify, background=True),
     "add_edge": Op(
         (*_PAIR, ("key", _scalar, None), ("label", _scalar, None),
-         ("presence", presence_from_spec, None), ("latency", latency_from_spec, None)),
+         ("presence", _presence, None), ("latency", _latency, None)),
         TVGService.add_edge,
     ),
     "remove_edge": Op((("key", _scalar, REQUIRED),), TVGService.remove_edge),
     "set_presence": Op(
-        (("key", _scalar, REQUIRED), ("presence", presence_from_spec, REQUIRED)),
+        (("key", _scalar, REQUIRED), ("presence", _presence, REQUIRED)),
         TVGService.set_presence,
     ),
     "set_workers": Op((("workers", _workers, REQUIRED),), TVGService.set_workers),
@@ -154,7 +174,7 @@ def parse_request(op: Any, params: dict) -> tuple[Op, dict[str, Any]]:
 
     Raises :class:`ServiceError` for an unknown op, naming every
     missing required field at once, or naming the first field whose
-    value its kind refuses.
+    value its kind refuses with any :class:`~repro.errors.ReproError`.
     """
     spec = OPS.get(op) if isinstance(op, str) else None
     if spec is None:
@@ -168,7 +188,7 @@ def parse_request(op: Any, params: dict) -> tuple[Op, dict[str, Any]]:
             continue
         try:
             fields[name] = kind(value)
-        except ServiceError as exc:
+        except ReproError as exc:
             raise ServiceError(f"op {op!r} field {name!r}: {exc}") from None
     if missing:
         raise ServiceError(

@@ -1,14 +1,11 @@
-"""JSON-serializable specs for the values that cross the service socket.
+"""JSON-serializable specs for the sweep payloads that cross the
+cluster socket.
 
-The wire protocol is JSON lines, so presences, latencies, and waiting
-semantics need a round-trippable plain-data form:
+The wire protocol is JSON lines.  Presences and latencies cross it as
+the specs of :mod:`repro.core.serialize` and semantics as the strings
+of :func:`repro.core.semantics.parse_semantics`; this module holds the
+two packed payloads of the distributed sweep:
 
-* presence — ``{"kind": "always" | "never"}``,
-  ``{"kind": "periodic", "pattern": [...], "period": p}``,
-  ``{"kind": "intervals", "pairs": [[a, b], ...]}``, or
-  ``{"kind": "at", "times": [...]}``;
-* latency — ``{"kind": "constant", "value": v}``;
-* semantics — the CLI strings ``"wait"``, ``"nowait"``, ``"wait[d]"``;
 * sweep plan — a whole lowered :class:`~repro.core.parallel.SweepPlan`
   (``{"kind": "sweep_plan"}``), the payload the distributed sweep ships
   to :mod:`repro.service.cluster` workers.  The plan's flat CSR arrays
@@ -23,12 +20,10 @@ semantics need a round-trippable plain-data form:
   :data:`~repro.core.sweep_kernel.OFFSET_DTYPES`, named by
   ``np.dtype.name``), packed the same way, little-endian and row-major.
 
-Black-box :class:`~repro.core.presence.FunctionPresence` and callable
-latencies have no finite description, so they are rejected with a
-:class:`~repro.errors.ServiceError` — remote mutations are limited to
-the structured forms the compiled index lowers exactly.  In-process
-callers of :class:`~repro.service.service.TVGService` may still pass
-arbitrary presence objects directly.
+``presence_from_spec`` and ``parse_semantics`` remain importable from
+here as the core decoders themselves, because the repository
+benchmark's answer checker (``perfbench/checks.py``) reads them under
+these names.
 """
 
 from __future__ import annotations
@@ -38,114 +33,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.latency import ConstantLatency, LatencyFunction, constant_latency
 from repro.core.parallel import SweepPlan
-from repro.core.presence import (
-    IntervalPresence,
-    PeriodicPresence,
-    PresenceFunction,
-    _AlwaysPresence,
-    _NeverPresence,
-    always,
-    interval_presence,
-    never,
-    periodic_presence,
-)
-from repro.core.semantics import WaitingSemantics
-from repro.core.semantics import parse_semantics as parse_semantics_string
+from repro.core.semantics import parse_semantics  # noqa: F401  (perfbench/checks.py)
+from repro.core.serialize import decode_presence as presence_from_spec  # noqa: F401
 from repro.core.sweep_kernel import OFFSET_DTYPES
-from repro.errors import SemanticsError, ServiceError
-
-
-def presence_to_spec(presence: PresenceFunction) -> dict[str, Any]:
-    """The JSON-able description of a structured presence."""
-    if isinstance(presence, _AlwaysPresence):
-        return {"kind": "always"}
-    if isinstance(presence, _NeverPresence):
-        return {"kind": "never"}
-    if isinstance(presence, PeriodicPresence):
-        return {
-            "kind": "periodic",
-            "pattern": sorted(presence.pattern),
-            "period": presence.period,
-        }
-    if isinstance(presence, IntervalPresence):
-        return {
-            "kind": "intervals",
-            "pairs": [[iv.start, iv.end] for iv in presence.intervals],
-        }
-    raise ServiceError(
-        f"presence {presence!r} has no wire form; use always/never/"
-        f"periodic/interval presences over the protocol"
-    )
-
-
-def presence_from_spec(spec: dict[str, Any] | None) -> PresenceFunction:
-    """Rebuild a presence from its wire spec (None means always)."""
-    if spec is None:
-        return always()
-    try:
-        kind = spec["kind"]
-    except (TypeError, KeyError):
-        raise ServiceError(f"malformed presence spec {spec!r}") from None
-    try:
-        if kind == "always":
-            return always()
-        if kind == "never":
-            return never()
-        if kind == "periodic":
-            return periodic_presence(spec["pattern"], spec["period"])
-        if kind == "intervals":
-            return interval_presence(tuple(pair) for pair in spec["pairs"])
-        if kind == "at":
-            from repro.core.presence import at_times
-
-            return at_times(spec["times"])
-    except ServiceError:
-        raise
-    except Exception as exc:
-        raise ServiceError(f"malformed presence spec {spec!r}: {exc}") from None
-    raise ServiceError(f"unknown presence kind {kind!r}")
-
-
-def latency_to_spec(latency: LatencyFunction) -> dict[str, Any]:
-    """The JSON-able description of a constant latency."""
-    if isinstance(latency, ConstantLatency):
-        return {"kind": "constant", "value": latency.value}
-    raise ServiceError(
-        f"latency {latency!r} has no wire form; only constant latencies "
-        f"cross the protocol"
-    )
-
-
-def latency_from_spec(spec: dict[str, Any] | None) -> LatencyFunction:
-    """Rebuild a latency from its wire spec (None means unit latency)."""
-    if spec is None:
-        return constant_latency(1)
-    try:
-        kind = spec["kind"]
-    except (TypeError, KeyError):
-        raise ServiceError(f"malformed latency spec {spec!r}") from None
-    if kind == "constant":
-        try:
-            return constant_latency(spec["value"])
-        except Exception as exc:
-            raise ServiceError(f"malformed latency spec {spec!r}: {exc}") from None
-    raise ServiceError(f"unknown latency kind {kind!r}")
-
-
-def parse_semantics(text: str) -> WaitingSemantics:
-    """The semantics named by its wire string (inverse of ``str``).
-
-    The grammar lives in :func:`repro.core.semantics.parse_semantics` —
-    shared with the CLI — wrapped here into the service's native
-    :class:`~repro.errors.ServiceError` so malformed strings (``wait[-1]``,
-    ``wait[]``, ``wait[x]``) become protocol errors, not tracebacks.
-    """
-    try:
-        return parse_semantics_string(text)
-    except SemanticsError as exc:
-        raise ServiceError(str(exc)) from None
+from repro.errors import ServiceError
 
 
 # -- packed payloads (sweep plans and offset matrices) -------------------------

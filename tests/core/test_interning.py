@@ -38,10 +38,10 @@ from repro.core.presence import (
     periodic_presence,
 )
 from repro.core.semantics import NO_WAIT, WAIT
+from repro.core.serialize import encode_presence
 from repro.core.time_domain import Lifetime
 from repro.core.tvg import TimeVaryingGraph
 from repro.errors import TimeDomainError
-from repro.service.wire import presence_to_spec
 
 
 class TestPeriodicInterning:
@@ -61,7 +61,7 @@ class TestPeriodicInterning:
         assert type(q.period) is int
         assert all(type(r) is int for r in q.pattern)
         assert all(type(r) is int for r in q._sorted)
-        assert json.dumps(presence_to_spec(q)) == (
+        assert json.dumps(encode_presence(q)) == (
             '{"kind": "periodic", "pattern": [6], "period": 7}'
         )
 

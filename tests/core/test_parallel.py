@@ -21,6 +21,7 @@ from repro.analysis.reachability import reachability_matrix, reachability_ratio
 from repro.core import parallel
 from repro.core.engine import UNREACHED, TemporalEngine
 from repro.core.generators import periodic_random_tvg
+from repro.core.index import split_csr
 from repro.core.latency import function_latency
 from repro.core.parallel import (
     MIN_PARALLEL_NODES,
@@ -242,7 +243,8 @@ class TestSweepPlan:
         g, _predicates = blackbox_ring()
         engine = TemporalEngine(g)
         _nodes, plan = build_sweep_plan(engine, 0, WAIT, HORIZON)
-        for contacts, arrivals in zip(plan.contacts, plan.arrivals):
+        arrivals_per_edge = split_csr(plan.edge_ptr, plan.arr)
+        for contacts, arrivals in zip(plan.contacts, arrivals_per_edge):
             assert len(contacts) == len(arrivals)
             assert all(arr > dep for dep, arr in zip(contacts, arrivals))
 

@@ -13,7 +13,7 @@ from repro.dynamics.workloads import (
     workload_names,
 )
 from repro.errors import ReproError
-from repro.service.replay import replay_service_trace
+from repro.service.server import handle_request
 from repro.service.service import TVGService
 
 
@@ -109,10 +109,10 @@ class TestServiceTraces:
             make_workload("flaky-backbone"), operations=60, seed=9
         )
         streams = [
-            replay_service_trace(
-                TVGService(make_workload("flaky-backbone").graph), trace
+            [handle_request(service, op) for op in trace]
+            for service in (
+                TVGService(make_workload("flaky-backbone").graph) for _ in range(2)
             )
-            for _ in range(2)
         ]
         assert streams[0] == streams[1]
         assert len(streams[0]) == 60
@@ -125,7 +125,7 @@ class TestServiceTraces:
         trace = generate_service_trace(
             workload, operations=20, mutation_every=2, seed=2
         )
-        responses = replay_service_trace(service, trace)
+        responses = [handle_request(service, op) for op in trace]
         assert service.graph.version > version
         assert service.mutations_applied == 10
         assert all(response["ok"] for response in responses)

@@ -18,6 +18,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from repro.core.index import split_csr
 from repro.core.parallel import SweepPlan
 from repro.core.semantics import WaitingSemantics
 from repro.core.sweep_kernel import offsets_to_dates, sweep_block
@@ -99,7 +100,7 @@ def closure_cut(plan: SweepPlan, sources: Sequence[int]) -> SweepPlan:
         plan.out_edge_idx[plan.out_ptr[j] : plan.out_ptr[j + 1]].tolist()
         for j in range(plan.n)
     ]
-    contacts, arrivals = plan.contacts, plan.arrivals
+    contacts, arrivals = plan.contacts, split_csr(plan.edge_ptr, plan.arr)
     seen = set(sources)
     queue = deque(seen)
     while queue:

@@ -16,7 +16,6 @@ from repro.dynamics.workloads import generate_service_trace, make_workload
 from repro.errors import RateLimitError, ServiceError
 from repro.service.client import ServiceClient
 from repro.service.limits import GATE_RETRY_AFTER, AdmissionGate, RateLimiter
-from repro.service.replay import replay_service_trace
 from repro.service.server import (
     OPS,
     REQUIRED,
@@ -871,9 +870,8 @@ class TestTraceReplayOverSocket:
         async def body():
             workload = make_workload("flaky-backbone")
             trace = generate_service_trace(workload, operations=30, seed=5)
-            expected = replay_service_trace(
-                TVGService(make_workload("flaky-backbone").graph), trace
-            )
+            replayed = TVGService(make_workload("flaky-backbone").graph)
+            expected = [handle_request(replayed, op) for op in trace]
             service = TVGService(workload.graph)
             server, client = await served(service)
             try:

@@ -1,6 +1,7 @@
 """Unit tests for TVGService and the synchronous request dispatcher."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -9,9 +10,17 @@ from repro.analysis.evolution import reachability_growth
 from repro.core import sweep_kernel
 from repro.core.builders import TVGBuilder
 from repro.core.generators import periodic_random_tvg
+from repro.core.latency import affine_latency, constant_latency, table_latency
 from repro.core.parallel import ProcessShards, build_sweep_plan
-from repro.core.presence import never, periodic_presence
-from repro.core.semantics import NO_WAIT, WAIT
+from repro.core.presence import (
+    always,
+    at_times,
+    interval_presence,
+    never,
+    periodic_presence,
+)
+from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
+from repro.core.serialize import encode_latency, encode_presence
 from repro.core.traversal import earliest_arrivals
 from repro.errors import ServiceError
 from repro.service.server import OPS, ServiceFrontend, handle_request, parse_request
@@ -592,6 +601,96 @@ class TestDispatcher:
 
 
 @pytest.mark.slow
+class TestScheduleFields:
+    """The ``presence``, ``latency`` and ``semantics`` field kinds: the
+    core decoders, with the protocol's null defaults, and every refusal
+    named by its op and field."""
+
+    @pytest.mark.parametrize(
+        "presence",
+        [
+            always(),
+            never(),
+            periodic_presence([0, 2], 4),
+            interval_presence([(0, 3), (7, 9)]),
+            at_times([1, 4, 5]),
+        ],
+    )
+    def test_presence_round_trip_preserves_the_schedule(self, presence):
+        spec = json.loads(json.dumps(encode_presence(presence)))
+        _op, fields = parse_request("set_presence", {"key": "ab", "presence": spec})
+        for t in range(0, 16):
+            assert fields["presence"](t) == presence(t)
+
+    def test_at_spec_crosses_the_protocol(self):
+        spec = {"kind": "at", "times": [1, 4, 5]}
+        _op, fields = parse_request("set_presence", {"key": "ab", "presence": spec})
+        assert [t for t in range(8) if fields["presence"](t)] == [1, 4, 5]
+
+    def test_none_means_always(self):
+        _op, fields = parse_request("set_presence", {"key": "ab", "presence": None})
+        assert fields["presence"](123)
+        _op, fields = parse_request("add_edge", {"source": "a", "target": "c"})
+        assert fields["presence"] is always()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "quantum"},
+            {"pattern": [0]},
+            "periodic",
+            {"kind": "periodic", "pattern": [0]},  # missing period
+            {"kind": "periodic", "pattern": [0], "period": 0},
+        ],
+    )
+    def test_malformed_presence_specs_rejected(self, spec):
+        with pytest.raises(ServiceError, match="^op 'set_presence' field 'presence': "):
+            parse_request("set_presence", {"key": "ab", "presence": spec})
+
+    def test_constant_latency_round_trip(self):
+        spec = json.loads(json.dumps(encode_latency(constant_latency(3))))
+        _op, fields = parse_request(
+            "add_edge", {"source": "a", "target": "c", "latency": spec}
+        )
+        assert fields["latency"](7) == 3
+
+    def test_none_means_unit(self):
+        _op, fields = parse_request("add_edge", {"source": "a", "target": "c"})
+        assert fields["latency"](0) == 1
+
+    @pytest.mark.parametrize(
+        "latency", [affine_latency(1, 1), table_latency({0: 2}, default=1)]
+    )
+    def test_only_constant_latencies_cross_the_protocol(self, latency):
+        request = {"source": "a", "target": "c", "latency": encode_latency(latency)}
+        with pytest.raises(ServiceError, match="only constant latencies"):
+            parse_request("add_edge", request)
+
+    @pytest.mark.parametrize(
+        "spec", [{"kind": "affine"}, {"value": 2}, {"kind": "constant", "value": 0}]
+    )
+    def test_malformed_latency_specs_rejected(self, spec):
+        request = {"source": "a", "target": "c", "latency": spec}
+        with pytest.raises(ServiceError, match="^op 'add_edge' field 'latency': "):
+            parse_request("add_edge", request)
+
+    @pytest.mark.parametrize(
+        "semantics", [WAIT, NO_WAIT, bounded_wait(0), bounded_wait(3)]
+    )
+    def test_semantics_strings_round_trip(self, semantics):
+        request = {"start": 0, "end": 4, "semantics": str(semantics)}
+        _op, fields = parse_request("growth", request)
+        assert fields["semantics"] == semantics
+
+    @pytest.mark.parametrize(
+        "text", ["perhaps", "wait[x]", "wait[", "WAIT", "wait[-1]", "wait[]"]
+    )
+    def test_unknown_semantics_strings_rejected(self, text):
+        request = {"start": 0, "end": 4, "semantics": text}
+        with pytest.raises(ServiceError, match="^op 'growth' field 'semantics': "):
+            parse_request("growth", request)
+
+
 class TestShardsKnob:
     """TVGService(executor=ProcessShards(k)) runs cache-miss sweeps on
     the sharded path; every answer stays identical (slow: spawns

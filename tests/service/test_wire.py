@@ -1,4 +1,4 @@
-"""Round-trip tests for the wire specs."""
+"""Round-trip tests for the wire's packed sweep-plan and offset-matrix specs."""
 
 import base64
 import json
@@ -7,109 +7,14 @@ import numpy as np
 import pytest
 from plan_helpers import make_plan
 
-from repro.core.latency import constant_latency, function_latency
 from repro.core.parallel import SweepPlan, sweep_block
-from repro.core.presence import (
-    always,
-    at_times,
-    function_presence,
-    interval_presence,
-    never,
-    periodic_presence,
-)
-from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
 from repro.errors import ServiceError
 from repro.service.wire import (
-    latency_from_spec,
-    latency_to_spec,
     matrix_from_spec,
     matrix_to_spec,
-    parse_semantics,
     plan_from_spec,
     plan_to_spec,
-    presence_from_spec,
-    presence_to_spec,
 )
-
-
-class TestPresenceSpecs:
-    @pytest.mark.parametrize(
-        "presence",
-        [
-            always(),
-            never(),
-            periodic_presence([0, 2], 4),
-            interval_presence([(0, 3), (7, 9)]),
-            at_times([1, 4, 5]),
-        ],
-    )
-    def test_round_trip_preserves_the_schedule(self, presence):
-        spec = presence_to_spec(presence)
-        json.dumps(spec)  # must be JSON-able
-        rebuilt = presence_from_spec(spec)
-        for t in range(0, 16):
-            assert rebuilt(t) == presence(t)
-
-    def test_none_means_always(self):
-        assert presence_from_spec(None)(123)
-
-    def test_blackbox_presence_has_no_wire_form(self):
-        with pytest.raises(ServiceError):
-            presence_to_spec(function_presence(lambda t: True, "opaque"))
-
-    def test_combined_presence_has_no_wire_form(self):
-        with pytest.raises(ServiceError):
-            presence_to_spec(always().shifted(2))
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            {"kind": "quantum"},
-            {"pattern": [0]},
-            "periodic",
-            {"kind": "periodic", "pattern": [0]},  # missing period
-            {"kind": "periodic", "pattern": [0], "period": 0},
-        ],
-    )
-    def test_malformed_specs_rejected(self, spec):
-        with pytest.raises(ServiceError):
-            presence_from_spec(spec)
-
-
-class TestLatencySpecs:
-    def test_round_trip(self):
-        spec = latency_to_spec(constant_latency(3))
-        json.dumps(spec)
-        assert latency_from_spec(spec)(7) == 3
-
-    def test_none_means_unit(self):
-        assert latency_from_spec(None)(0) == 1
-
-    def test_varying_latency_has_no_wire_form(self):
-        with pytest.raises(ServiceError):
-            latency_to_spec(function_latency(lambda t: t + 1))
-
-    @pytest.mark.parametrize(
-        "spec", [{"kind": "affine"}, {"value": 2}, {"kind": "constant", "value": 0}]
-    )
-    def test_malformed_specs_rejected(self, spec):
-        with pytest.raises(ServiceError):
-            latency_from_spec(spec)
-
-
-class TestSemanticsStrings:
-    @pytest.mark.parametrize(
-        "semantics", [WAIT, NO_WAIT, bounded_wait(0), bounded_wait(3)]
-    )
-    def test_str_round_trips(self, semantics):
-        assert parse_semantics(str(semantics)) == semantics
-
-    @pytest.mark.parametrize(
-        "text", ["perhaps", "wait[x]", "wait[", "WAIT", "wait[-1]", "wait[]"]
-    )
-    def test_unknown_strings_rejected(self, text):
-        with pytest.raises(ServiceError):
-            parse_semantics(text)
 
 
 def _plan():
