@@ -110,7 +110,9 @@ def _int(value: Any, what: str) -> int:
     return value
 
 
-def _scalar(value: Any, what: str) -> Any:
+def _scalar(value: Any, what: str = "the value") -> Any:
+    """``value`` unless it is a list or object: what a node id, edge key
+    or label may be, in a graph file and on the wire alike."""
     if isinstance(value, (list, dict)):
         raise TraceFormatError(
             None, f"{what} must be a JSON scalar, not {type(value).__name__}"

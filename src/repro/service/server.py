@@ -15,15 +15,16 @@ its handler, and whether ``submit`` may run it in the background.
 :func:`parse_request` checks direct and submitted requests alike.  The
 field kinds: a *date* is a non-bool int strictly inside ±2**62
 (:data:`~repro.core.time_domain.MAX_DATE`); a *scalar* (node id, edge
-key, label) is any JSON value but a list or object; ``semantics`` is
-``"wait"`` (the default), ``"nowait"`` or ``"wait[d]"``; ``presence``
-and ``latency`` are the specs of :mod:`repro.core.serialize` (null
-means always present and the unit latency; only ``"constant"``
-latencies cross the protocol); ``workers`` is a list of
-``"host:port"`` strings; ``task`` is a task id string; ``request`` is
-a nested request ``submit`` may run.  Missing fields are named together
-in one ``ServiceError``, and any library error a value raises becomes
-one naming its op and field.
+key, label) is any JSON value but a list or object (the int and
+scalar checks are the graph files', from :mod:`repro.core.serialize`);
+``semantics`` is ``"wait"`` (the default), ``"nowait"`` or
+``"wait[d]"``; ``presence`` and ``latency`` are the specs of
+:mod:`repro.core.serialize` (null means always present and the unit
+latency; only ``"constant"`` latencies cross the protocol);
+``workers`` is a list of ``"host:port"`` strings; ``task`` is a task
+id string; ``request`` is a nested request ``submit`` may run.
+Missing fields are named together in one ``ServiceError``, and any
+library error a value raises becomes one naming its op and field.
 
 Admission control (:mod:`repro.service.limits`) wraps the dispatcher
 when :func:`serve_service` is given a rate limiter or in-flight gate:
@@ -47,7 +48,7 @@ from typing import Any, Callable, NamedTuple
 from repro.core.latency import ConstantLatency, LatencyFunction, constant_latency
 from repro.core.presence import PresenceFunction, always
 from repro.core.semantics import parse_semantics
-from repro.core.serialize import decode_latency, decode_presence
+from repro.core.serialize import _int, _scalar, decode_latency, decode_presence
 from repro.core.time_domain import MAX_DATE
 from repro.errors import REQUEST_ERRORS, ReproError, ServiceError
 from repro.service.limits import (
@@ -63,16 +64,8 @@ REQUIRED: Any = object()
 
 
 def _date(value: Any) -> int:
-    if type(value) is not int:  # bool is an int subclass
-        raise ServiceError(f"must be an integer date, not {type(value).__name__}")
-    if not -MAX_DATE < value < MAX_DATE:
+    if not -MAX_DATE < _int(value, "a date") < MAX_DATE:
         raise ServiceError("must be a date strictly between -2**62 and 2**62")
-    return value
-
-
-def _scalar(value: Any) -> Any:
-    if isinstance(value, (list, dict)):
-        raise ServiceError(f"must be a JSON scalar, not {type(value).__name__}")
     return value
 
 

@@ -23,7 +23,10 @@ two packed payloads of the distributed sweep:
 ``presence_from_spec`` and ``parse_semantics`` remain importable from
 here as the core decoders themselves, because the repository
 benchmark's answer checker (``perfbench/checks.py``) reads them under
-these names.
+these names.  They are not the old wrappers: ``presence_from_spec``
+refuses a null presence (the wrapper read it as ``always()``; the
+protocol's ``presence`` field kind still does), and both raise the
+core's own errors rather than ``ServiceError``.
 """
 
 from __future__ import annotations

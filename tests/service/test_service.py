@@ -600,7 +600,6 @@ class TestDispatcher:
         assert stats["graph"]["nodes"] == 3
 
 
-@pytest.mark.slow
 class TestScheduleFields:
     """The ``presence``, ``latency`` and ``semantics`` field kinds: the
     core decoders, with the protocol's null defaults, and every refusal
@@ -691,6 +690,7 @@ class TestScheduleFields:
             parse_request("growth", request)
 
 
+@pytest.mark.slow
 class TestShardsKnob:
     """TVGService(executor=ProcessShards(k)) runs cache-miss sweeps on
     the sharded path; every answer stays identical (slow: spawns
