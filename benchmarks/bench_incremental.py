@@ -151,17 +151,17 @@ def run_benchmark() -> dict:
             )
         )
         assert incremental is not None, "presence-only chain must be patchable"
-        _nodes, merged, reswept = incremental
+        _nodes, merged, rows = incremental
         assert np.array_equal(merged, scratch), (
             f"incremental matrix diverged from scratch under {label}"
         )
-        assert 0 < reswept <= CLUSTER_NODES, (
-            f"cone escaped the churned community: {reswept} rows re-swept"
+        assert 0 < len(rows) <= CLUSTER_NODES, (
+            f"cone escaped the churned community: {len(rows)} rows re-swept"
         )
         results["cases"][f"resweep_{label}"] = {
             "dirty_edges": len(dirty_keys),
             "dirty_fraction": len(dirty_keys) / graph.edge_count,
-            "rows_reswept": int(reswept),
+            "rows_reswept": len(rows),
             "rows_total": graph.node_count,
             "full_seconds": full_seconds,
             "incremental_seconds": incremental_seconds,
@@ -184,12 +184,12 @@ def run_benchmark() -> dict:
             ))
         )
         assert incremental is not None, "presence-only chain must be patchable"
-        _nodes, merged, reswept = incremental
+        _nodes, merged, rows = incremental
         assert np.array_equal(merged, scratch), (
             f"incremental miss diverged from scratch under {label}"
         )
-        assert 0 < reswept <= CLUSTER_NODES, (
-            f"cone escaped the churned community: {reswept} rows re-swept"
+        assert 0 < len(rows) <= CLUSTER_NODES, (
+            f"cone escaped the churned community: {len(rows)} rows re-swept"
         )
         results["cases"][f"miss_{label}"] = {
             **results["cases"][f"resweep_{label}"],

@@ -61,42 +61,62 @@ def component_curve(graph: TimeVaryingGraph, start: int, end: int) -> list[tuple
     ]
 
 
-def growth_curve_from_arrivals(
-    arrival: np.ndarray, start: int, end: int
-) -> list[tuple[int, float]]:
-    """The growth curve derived from an all-pairs arrival matrix.
+def arrival_counts(arrival: np.ndarray, start: int, end: int) -> np.ndarray:
+    """How many of ``arrival``'s entries arrive at each date of
+    ``[start, end)``: an int64 array indexed by offset from ``start``.
 
-    ``arrival`` is either form the engine answers in: the compact
-    offsets from ``start`` of
+    ``arrival`` holds entries in either form the engine answers in: the
+    compact offsets from ``start`` of
     :meth:`~repro.core.engine.TemporalEngine.arrival_offsets` (an
     unsigned dtype whose max marks unreached pairs) or the int64 dates
     of :meth:`~repro.core.engine.TemporalEngine.arrival_matrix`, told
     apart by dtype.  Dates are counted, not sorted: the arrivals before
     ``end`` — offsets below ``min(end - start, sentinel)``, so a window
     wider than the dtype never counts the sentinel — are
-    ``bincount``-ed by offset, and the cumulative sum is the number of
-    pairs joined by each date, less the diagonal's, which is removed by
-    position.  Shared by :func:`reachability_growth` and the query
-    service, which reuses one cached matrix across query families.
+    ``bincount``-ed by offset; an int64 date before ``start`` counts at
+    offset 0.  Each block is counted under its own dtype, so rows of
+    two offset dtypes can be counted apart and combined.
+    """
+    if arrival.dtype.kind == "u":
+        # Offsets from start; the dtype's max marks unreached pairs.
+        base, limit = 0, min(end - start, int(np.iinfo(arrival.dtype).max))
+    else:
+        # int64 dates; UNREACHED is never below end.
+        base, limit = start, end
+    early = arrival[arrival < limit].astype(np.int64, copy=False)
+    return np.bincount(np.maximum(early, base) - base, minlength=end - start)
+
+
+def joined_counts(arrival: np.ndarray, start: int, end: int) -> np.ndarray:
+    """:func:`arrival_counts` of an all-pairs matrix's off-diagonal
+    entries: how many ordered pairs are first joined at each date of
+    ``[start, end)``.  The diagonal is removed by position."""
+    return arrival_counts(arrival, start, end) - arrival_counts(
+        np.diagonal(arrival), start, end
+    )
+
+
+def growth_curve_from_arrivals(
+    arrival: np.ndarray, start: int, end: int, counts: np.ndarray | None = None
+) -> list[tuple[int, float]]:
+    """The growth curve derived from an all-pairs arrival matrix.
+
+    ``arrival`` is either form :func:`arrival_counts` reads.  The
+    cumulative sum of :func:`joined_counts` is the number of pairs
+    joined by each date.  ``counts``, when given, are those counts
+    already, kept by the caller (the query service patches them from
+    the rows it re-sweeps), and only ``arrival``'s size is read.
+    Shared by :func:`reachability_growth` and the query service, which
+    reuses one cached matrix across query families.
     """
     n = arrival.shape[0]
     if n <= 1:
         return [(t, 1.0) for t in range(start, end)]
     if end <= start:
         return []
-    if arrival.dtype.kind == "u":
-        # Offsets from start; the dtype's max marks unreached pairs.
-        base, limit = 0, min(end - start, int(np.iinfo(arrival.dtype).max))
-    else:
-        # int64 dates; UNREACHED is never below end.  An earlier date
-        # joins from the first date on.
-        base, limit = start, end
-
-    def counts(values: np.ndarray) -> np.ndarray:
-        early = values[values < limit].astype(np.int64, copy=False)
-        return np.bincount(np.maximum(early, base) - base, minlength=end - start)
-
-    joined = np.cumsum(counts(arrival) - counts(np.diagonal(arrival)))
+    if counts is None:
+        counts = joined_counts(arrival, start, end)
+    joined = np.cumsum(counts)
     total_pairs = n * (n - 1)
     return [
         (t, count / total_pairs) for t, count in zip(range(start, end), joined.tolist())

@@ -330,7 +330,7 @@ class TemporalEngine:
         deltas: "Sequence[MutationDelta] | None",
         semantics: WaitingSemantics = NO_WAIT,
         horizon: int | None = None,
-    ) -> tuple[list[Hashable], np.ndarray, int] | None:
+    ) -> tuple[list[Hashable], np.ndarray, list[int]] | None:
         """Patch a cached offset matrix across a mutation-delta chain.
 
         ``previous`` is a ``(nodes, offsets)`` pair some earlier
@@ -349,12 +349,16 @@ class TemporalEngine:
         old matrix, recast to the new plan's offset dtype when the
         chain moved it.
 
-        Returns ``(nodes, offsets, rows_reswept)``, entry-for-entry
-        equal to a from-scratch :meth:`arrival_offsets`, or None when
-        the incremental path does not apply: unknowable chain (``deltas
-        is None``), node additions (the matrix axes change), or a
-        node-order mismatch with ``previous``.  The cone itself is
-        always swept in-process.  The input matrix is never mutated.
+        Returns ``(nodes, offsets, rows)``: ``offsets`` entry-for-entry
+        equal to a from-scratch :meth:`arrival_offsets`, and ``rows``
+        the re-swept row indices, ascending, as a list of Python ints —
+        every other row of ``offsets`` equals ``previous``'s, so a
+        caller can update what it derived from the old matrix from
+        these rows alone.  None when the incremental path does not
+        apply: unknowable chain (``deltas is None``), node additions
+        (the matrix axes change), or a node-order mismatch with
+        ``previous``.  The cone itself is always swept in-process.  The
+        input matrix is never mutated.
         """
         horizon = _resolve_horizon(self.graph, horizon)
         if deltas is None:
@@ -381,12 +385,12 @@ class TemporalEngine:
             if tail is None:
                 return None
             tails[tail] = None
-        rows = affected_rows(prev_matrix, tuple(tails))
-        if rows.size:
-            block = sweep_block(plan, rows.tolist())
+        rows = affected_rows(prev_matrix, tuple(tails)).tolist()
+        if rows:
+            block = sweep_block(plan, rows)
         else:
             block = np.empty((0, plan.n), dtype=offset_dtype(plan))
-        return nodes, merge_rows(prev_matrix, rows, block), int(rows.size)
+        return nodes, merge_rows(prev_matrix, rows, block), rows
 
     # -- simulator fast path ---------------------------------------------------
 

@@ -11,7 +11,9 @@ are final before any of its states expand — and each date processed as
 vectorized row ops, its pushes merged per ``(arrival date, target)`` by
 one ``np.bitwise_or.reduceat``.  A journey leaves only nodes it has
 reached, so a block swept on a plan no sweep has lowered yet lowers
-only the contacts its sources' static forward closure can ride.
+only the contacts its sources' static forward closure can ride.  Bits
+are only ever set, so the scan ends at the date that stamps the last
+bit the block can stamp.
 
 The kernel answers in one compact form: arrival *offsets* from the
 plan's ``start_time`` in :func:`offset_dtype`, the narrowest unsigned
@@ -334,8 +336,15 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
     bit eligible for ``w`` more dates, exactly the bignum sweep's
     full-mask push discipline).  Each contact of the lowering — all of
     them, or on a plan not lowered yet those of the block's closure —
-    is touched once per sweep, and each run ORs its merged groups into
-    its arrival date's bucket.
+    is touched at most once per sweep, and each run ORs its merged
+    groups into its arrival date's bucket.
+
+    The walk stops at the first date after which every stampable bit
+    is stamped: a row's bit at its own source node, and every row's bit
+    at each target of a lowered contact (so a closure-restricted block
+    counts only its closure).  No other bit can ever be set, and the
+    kernel never unsets one, so no later date can change the answer,
+    under any semantics.
     """
     sources = tuple(sources)
     b = len(sources)
@@ -368,12 +377,20 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
 
     # Seed: one bucket at the start date carrying every source's own bit
     # (duplicate source nodes simply stack their bits in one row).
+    source_idx = np.asarray(sources, dtype=np.int64)
     seed = np.zeros((n, words), dtype=np.uint64)
     rows = np.arange(b, dtype=np.uint64)
     np.bitwise_or.at(
         seed,
-        (np.asarray(sources, dtype=np.int64), (rows >> np.uint64(6)).astype(np.int64)),
+        (source_idx, (rows >> np.uint64(6)).astype(np.int64)),
         np.uint64(1) << (rows & np.uint64(63)),
+    )
+    # The bits still to stamp: every row's at each contact target, plus
+    # each row's own bit at a source node no contact reaches.
+    targets = np.zeros(n, dtype=bool)
+    targets[group_tgt] = True
+    unstamped = b * int(np.count_nonzero(targets)) + int(
+        np.count_nonzero(~targets[source_idx])
     )
     buckets: dict[int, np.ndarray] = {start: seed}
     #: bounded-wait recency window: the (date, bucket) pairs with
@@ -399,6 +416,9 @@ def sweep_block(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray:
                 )
                 step = dtype.type(unreached - (t - start))
                 arrival[hit] = arrival.take(hit, axis=0) - bits * step
+                unstamped -= int(np.count_nonzero(bits))
+                if not unstamped:
+                    break
         if t >= horizon:
             continue
         lo = date_lo[di]

@@ -69,7 +69,7 @@ def write_trace(graph: TimeVaryingGraph, handle: TextIO, horizon: int | None = N
     """
     if horizon is None:
         if not graph.lifetime.bounded:
-            raise TraceFormatError(0, "an explicit horizon is required")
+            raise TraceFormatError(None, "an explicit horizon is required")
         horizon = int(graph.lifetime.end)
     handle.write(f"# trace of {graph.name or 'tvg'}\n")
     written: set[tuple[str, str]] = set()

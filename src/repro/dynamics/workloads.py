@@ -8,10 +8,10 @@ harness needs (suggested source/destination, window).
 The *service trace* half (:func:`generate_service_trace`) turns a
 scenario into a deterministic mixed stream of query and mutation
 operations in the wire-protocol shape of :mod:`repro.service.server`.
-The matching replayer lives in :mod:`repro.service.replay` (it drives
-the service dispatcher, which this layer may not import): the same
-trace against two fresh services yields identical answer streams,
-which is what lets the benchmark compare cached and cold runs
+Callers replay it by passing each op to the server's
+``handle_request`` in turn (this layer may not import the service):
+the same trace against two fresh services yields identical answer
+streams, which is what lets the benchmark compare cached and cold runs
 answer-for-answer.
 """
 

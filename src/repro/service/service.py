@@ -13,7 +13,8 @@ Reads and writes interleave freely:
   ``reach``, ``arrival``, and ``growth`` all derive from the batched
   arrival sweep, whose matrix of compact arrival offsets is cached once
   per ``(version, window, semantics)`` — point queries are array
-  lookups and the growth curve one ``bincount`` on top; ``classify``
+  lookups and the growth curve one ``bincount`` on top, or a sum of
+  the per-date counts a patched seed keeps; ``classify``
   runs its checkers through the engine and is cached at the result
   level;
 * a *mutation* (``add_edge``, ``remove_edge``, ``set_presence``) bumps
@@ -31,12 +32,16 @@ mutation/query schedules against a shadow copy to prove it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.analysis.classes import classify as classify_graph
-from repro.analysis.evolution import growth_curve_from_arrivals
+from repro.analysis.evolution import (
+    arrival_counts,
+    growth_curve_from_arrivals,
+    joined_counts,
+)
 from repro.core.engine import TemporalEngine
 from repro.core.intervals import Interval
 from repro.core.latency import LatencyFunction
@@ -57,6 +62,25 @@ if TYPE_CHECKING:  # pragma: no cover — typing only
 #: windows, and the engine memoizes at most ``PLAN_MEMO_SIZE`` (8)
 #: plans.
 MAX_SEEDS: int = 8
+
+
+class _Seed(NamedTuple):
+    """The newest offset matrix a service computed for one matrix
+    query.  ``node_index`` is the compiled index's own node map, whose
+    keys are the matrix axes in order; ``counts`` are the matrix's
+    :func:`~repro.analysis.evolution.joined_counts` over the query's
+    window, kept once a ``growth`` has counted them (None before, and
+    after a patch whose cone drops them)."""
+
+    version: int
+    node_index: dict
+    offsets: np.ndarray
+    counts: np.ndarray | None = None
+
+
+def _matrix_query(start: int, horizon: int, semantics: WaitingSemantics) -> tuple:
+    """The cache and seed key of one window's offset matrix."""
+    return ("arrival_matrix", start, horizon, str(semantics))
 
 
 class TVGService:
@@ -90,10 +114,8 @@ class TVGService:
         self.engine = TemporalEngine(graph, window, executor)
         self.cache = QueryCache(max_entries=cache_size)
         self.tasks = TaskTable(max_tasks=max_tasks)
-        # Matrix query -> the newest (version, node -> row, offsets)
-        # computed for it, oldest computation first.  The map is the
-        # compiled index's own: its keys are the matrix axes in order.
-        self._seeds: OrderedDict[tuple, tuple[int, dict, np.ndarray]] = OrderedDict()
+        # Matrix query -> its seed, oldest computation first.
+        self._seeds: OrderedDict[tuple, _Seed] = OrderedDict()
         self.seeds_retained = 0
         self.queries_served = 0
         self.mutations_applied = 0
@@ -122,7 +144,7 @@ class TVGService:
         shares this one entry, so a burst of ``reach``/``arrival``
         calls between mutations costs a single sweep.
         """
-        query = ("arrival_matrix", start, horizon, str(semantics))
+        query = _matrix_query(start, horizon, semantics)
         return self._cached(
             query, lambda: self._compute_matrix(query, start, horizon, semantics)
         )
@@ -134,38 +156,49 @@ class TVGService:
 
         A seed at the current version (its cache entry was evicted) is
         the answer; an older one is patched through the delta chain,
-        whatever the cone's size (a patch costs at most a full sweep plus
-        one matrix copy).  The result becomes the query's seed.  Its
-        node -> row map is the compiled index's own, as the patch or
-        sweep that made it ran on that index: no per-miss rebuild.
+        whatever the cone's size (a patch re-sweeps at most every row
+        and copies the matrix once).  Where the seed kept growth counts
+        and the cone holds under half the rows, the counts are patched
+        from the cone alone: they lose the rows' old entries and gain
+        their new ones, each block counted under its own dtype, and the
+        rows' diagonal entries, 0 in both, cancel.  A larger cone would
+        cost more to recount twice than the matrix once, so its counts
+        are dropped and the next ``growth`` counts afresh.  The result
+        becomes the query's seed.  Its node -> row map is the compiled
+        index's own, as the patch or sweep that made it ran on that
+        index: no per-miss rebuild.
         """
         version = self.graph.version
         seed = self._seeds.pop(query, None)
-        result = None
-        if seed is not None and seed[0] == version:
-            result = seed[1:]
-        elif seed is not None:
-            seed_version, node_index, matrix = seed
+        if seed is not None and seed.version != version:
+            old, seed = seed, None
             patched = self.engine.arrival_matrix_incremental(
-                start, (node_index, matrix), self.graph.deltas_since(seed_version),
-                semantics, horizon,
+                start, (old.node_index, old.offsets),
+                self.graph.deltas_since(old.version), semantics, horizon,
             )
             if patched is not None:
-                nodes, merged, reswept = patched
+                nodes, merged, rows = patched
                 self.incremental_sweeps += 1
-                self.rows_reswept += reswept
-                self.rows_reused += len(nodes) - reswept
-                result = self.engine.compiled.node_index, merged
-        if result is None:
+                self.rows_reswept += len(rows)
+                self.rows_reused += len(nodes) - len(rows)
+                counts = None
+                if old.counts is not None and 2 * len(rows) < len(nodes):
+                    counts = (
+                        old.counts
+                        - arrival_counts(old.offsets[rows], start, horizon)
+                        + arrival_counts(merged[rows], start, horizon)
+                    )
+                seed = _Seed(version, self.engine.compiled.node_index, merged, counts)
+        if seed is None:
             self.full_sweeps += 1
             _nodes, full = self.engine.arrival_offsets(
                 start, semantics, horizon=horizon
             )
-            result = self.engine.compiled.node_index, full
-        self._seeds[query] = (version, *result)
+            seed = _Seed(version, self.engine.compiled.node_index, full)
+        self._seeds[query] = seed
         if len(self._seeds) > MAX_SEEDS:
             self._seeds.popitem(last=False)
-        return result
+        return seed.node_index, seed.offsets
 
     # -- queries ---------------------------------------------------------------
 
@@ -213,13 +246,25 @@ class TVGService:
         Derived from the same cached arrival matrix the point queries
         use, so a growth query never re-runs a sweep that ``reach``/
         ``arrival`` already paid for on the window (or vice versa).
+        The first growth over a seed's matrix counts its arrivals per
+        date and keeps the counts on the seed; patched misses with small
+        cones keep them current (see :meth:`_compute_matrix`), so later
+        curves cost O(window), not O(n^2).
         """
         self.queries_served += 1
         require_window(start, end)
 
         def compute():
             _index, offsets = self._arrival_matrix(start, end, semantics)
-            return growth_curve_from_arrivals(offsets, start, end)
+            query = _matrix_query(start, end, semantics)
+            seed = self._seeds.get(query)
+            if seed is None or seed.offsets is not offsets:
+                return growth_curve_from_arrivals(offsets, start, end)
+            if seed.counts is None:
+                seed = self._seeds[query] = seed._replace(
+                    counts=joined_counts(offsets, start, end)
+                )
+            return growth_curve_from_arrivals(offsets, start, end, seed.counts)
 
         return self._cached(("growth", start, end, str(semantics)), compute)
 

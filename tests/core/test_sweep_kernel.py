@@ -17,11 +17,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.core import sweep_kernel
+from repro.core.builders import TVGBuilder
 from repro.core.engine import TemporalEngine
 from repro.core.latency import constant_latency
 from repro.core.parallel import build_sweep_plan
 from repro.core.presence import interval_presence
-from repro.core.semantics import WAIT, bounded_wait
+from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
 from repro.core.sweep_kernel import (
     SweepStats,
     _bitset_lowering,
@@ -191,6 +192,131 @@ class TestLoweringMemo:
         assert all(
             np.array_equal(offsets_to_dates(result, plan.start_time), expected)
             for result in results
+        )
+
+
+class DateReader:
+    """A lowering's date axis that counts how many dates the last sweep
+    over it read."""
+
+    def __init__(self, dates: np.ndarray) -> None:
+        self.dates = dates
+        self.read = 0
+
+    def tolist(self):
+        self.read = 0
+        for date in self.dates.tolist():
+            self.read += 1
+            yield date
+
+
+def reading_dates(monkeypatch) -> list:
+    """Every lowering built from now on gets a :class:`DateReader` for
+    its date axis; returns them, in order."""
+    real = sweep_kernel._BitsetLowering
+    readers = []
+
+    def recorded(*fields, **named):
+        lowered = real(*fields, **named)
+        readers.append(DateReader(lowered.dates))
+        return lowered._replace(dates=readers[-1])
+
+    monkeypatch.setattr(sweep_kernel, "_BitsetLowering", recorded)
+    return readers
+
+
+def rings_graph(*sizes: int) -> TimeVaryingGraph:
+    """Disjoint directed rings of the given sizes, every edge present
+    on the whole lifetime with latency 1: a ring of ``k`` nodes joins
+    its last pair at offset ``k - 1``."""
+    graph = TimeVaryingGraph(lifetime=Lifetime(0, HORIZON), name="rings")
+    base = 0
+    for size in sizes:
+        graph.add_nodes(range(base, base + size))
+        for i in range(size):
+            graph.add_edge(
+                base + i, base + (i + 1) % size,
+                presence=interval_presence([(0, HORIZON)]),
+            )
+        base += size
+    return graph
+
+
+def last_arrival_read(offsets: np.ndarray, reader: DateReader, start: int) -> int:
+    """How many dates a sweep reads if it stops at its last first
+    arrival."""
+    last = int(offsets[offsets != np.iinfo(offsets.dtype).max].max())
+    return int(np.searchsorted(reader.dates, start + last)) + 1
+
+
+class TestSaturationExit:
+    """The scan stops at the date that stamps the last bit the block can
+    stamp, and reads every date when some stampable bit stays unset."""
+
+    def test_a_connected_wait_sweep_stops_at_its_last_first_arrival(
+        self, monkeypatch
+    ):
+        readers = reading_dates(monkeypatch)
+        plan = build_sweep_plan(TemporalEngine(rings_graph(5)), 0, WAIT, HORIZON)[1]
+        offsets = sweep_block(plan, range(plan.n))
+        assert int(offsets.max()) == 4
+        assert readers[0].read == last_arrival_read(offsets, readers[0], 0) == 5
+        assert len(readers[0].dates) == HORIZON + 1
+        assert np.array_equal(
+            offsets_to_dates(offsets, 0), sweep_block_bignum(plan, range(plan.n))
+        )
+
+    def test_a_source_no_contact_reaches_holds_only_its_own_bit(
+        self, monkeypatch
+    ):
+        """Node 5 feeds a 5-ring but no contact reaches it: no other row
+        can ever stamp it, so the full sweep still stops, at the date
+        node 5's row reaches the far side of the ring."""
+        readers = reading_dates(monkeypatch)
+        graph = rings_graph(5)
+        graph.add_node(5)
+        graph.add_edge(5, 0, presence=interval_presence([(0, HORIZON)]))
+        plan = build_sweep_plan(TemporalEngine(graph), 0, WAIT, HORIZON)[1]
+        offsets = sweep_block(plan, range(plan.n))
+        assert int(offsets[5].max()) == 5 and (offsets[:5, 5] == 255).all()
+        assert readers[0].read == last_arrival_read(offsets, readers[0], 0) == 6
+        assert np.array_equal(
+            offsets_to_dates(offsets, 0), sweep_block_bignum(plan, range(plan.n))
+        )
+
+    def test_a_closure_cone_counts_only_its_closure(self, monkeypatch):
+        """On a fresh plan a block in the 3-ring lowers only that ring
+        and stops at offset 2; once a full lowering is cached, the same
+        block could reach no other ring's bits, so it reads every date,
+        as the full sweep of the two rings does."""
+        readers = reading_dates(monkeypatch)
+        plan = build_sweep_plan(TemporalEngine(rings_graph(5, 3)), 0, WAIT, HORIZON)[1]
+        cone = sweep_block(plan, (6, 5))
+        assert int(cone[cone != 255].max()) == 2
+        assert readers[0].read == last_arrival_read(cone, readers[0], 0) == 3
+        full = sweep_block(plan, range(plan.n))
+        assert len(readers) == 2 and readers[1].read == len(readers[1].dates)
+        assert np.array_equal(sweep_block(plan, (6, 5)), cone)
+        assert readers[1].read == len(readers[1].dates)
+        assert np.array_equal(full[[6, 5]], cone)
+
+    def test_a_no_wait_sweep_with_an_unreached_pair_reads_every_date(
+        self, monkeypatch
+    ):
+        readers = reading_dates(monkeypatch)
+        graph = (
+            TVGBuilder(name="line")
+            .lifetime(0, HORIZON)
+            .edge("a", "b", present=[(0, 2)], key="ab")
+            .edge("b", "c", present=[(5, 7)], key="bc")
+            .build()
+        )
+        plan = build_sweep_plan(TemporalEngine(graph), 0, NO_WAIT, HORIZON)[1]
+        offsets = sweep_block(plan, range(plan.n))
+        assert (offsets == 255).any()
+        assert readers[0].read == len(readers[0].dates) == 6
+        assert np.array_equal(
+            offsets_to_dates(offsets, 0), sweep_block_bignum(plan, range(plan.n))
         )
 
 

@@ -80,6 +80,15 @@ class TestWrite:
         write_trace(g, buffer, horizon=5)
         assert "a b 0 5" in buffer.getvalue()
 
+    def test_missing_horizon_names_no_line(self):
+        """Nothing was parsed, so the refusal cites no line."""
+        g = TVGBuilder().contact("a", "b").build()
+        with pytest.raises(TraceFormatError) as refused:
+            write_trace(g, io.StringIO())
+        assert refused.value.line_number is None
+        assert str(refused.value) == "an explicit horizon is required"
+        assert "line" not in str(refused.value)
+
     def test_file_round_trip(self, tmp_path):
         g = parse_trace(SAMPLE.splitlines())
         path = tmp_path / "contacts.trace"

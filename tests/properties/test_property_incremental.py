@@ -283,10 +283,16 @@ class TestEngineIncrementalEqualsScratch:
         )
         nodes_f, scratch = scratch_matrix(graph, start, semantics)
         assert result is not None  # no node was added, chain is complete
-        nodes_i, merged, reswept = result
+        nodes_i, merged, rows = result
         assert nodes_i == nodes_f
         assert np.array_equal(offsets_to_dates(merged, start), scratch)
-        assert 0 <= reswept <= len(nodes_i)
+        assert 0 <= len(rows) <= len(nodes_i)
+        # Plain ascending Python ints, and every other row is the seed's.
+        assert all(type(row) is int for row in rows) and rows == sorted(set(rows))
+        kept = np.setdiff1d(np.arange(len(nodes_i)), rows)
+        assert np.array_equal(
+            offsets_to_dates(merged[kept], start), offsets_to_dates(m0[kept], start)
+        )
 
     @given(graph=graphs(), batch=mutation_batches(), semantics=semantics_strategy)
     @settings(DETERMINISTIC, max_examples=20)
@@ -303,7 +309,7 @@ class TestEngineIncrementalEqualsScratch:
             0, (nodes0, m0), graph.deltas_since(v0), semantics, HORIZON
         )
         assert result is not None
-        _nodes, merged, _reswept = result
+        _nodes, merged, _rows = result
         _same, scratch = TemporalEngine(graph).arrival_matrix(
             0, semantics, horizon=HORIZON
         )
@@ -346,8 +352,8 @@ class TestEngineIncrementalEqualsScratch:
                 0, (previous, m0), deltas, WAIT, HORIZON
             )
             assert result is not None
-            nodes, merged, reswept = result
-            assert nodes == nodes0 and 0 < reswept <= len(nodes)
+            nodes, merged, rows = result
+            assert nodes == nodes0 and 0 < len(rows) <= len(nodes)
             assert np.array_equal(offsets_to_dates(merged, 0),
                                   scratch_matrix(graph, 0, WAIT)[1])
         assert engine.compiled.node_index is node_index  # patched in place
@@ -381,8 +387,8 @@ class TestEngineIncrementalEqualsScratch:
                 0, (nodes, seed), graph.deltas_since(version), semantics, HORIZON
             )
             assert result is not None
-            nodes, seed, reswept = result
-            assert seed.dtype == dtype and 0 < reswept < len(nodes)
+            nodes, seed, rows = result
+            assert seed.dtype == dtype and 0 < len(rows) < len(nodes)
             _same, scratch = scratch_matrix(graph, 0, semantics)
             assert np.array_equal(offsets_to_dates(seed, 0), scratch)
 
@@ -410,12 +416,13 @@ class TestServiceIncrementalPlumbing:
         service.add_edge("b", "c", presence=periodic_presence([1], 2), key="bc")
         service.growth(0, HORIZON, WAIT)
         query = ("arrival_matrix", 0, HORIZON, str(WAIT))
-        node_index = service._seeds[query][1]
+        node_index = service._seeds[query].node_index
         assert node_index is service.engine.compiled.node_index
         service.set_presence("ab", interval_presence([(2, 6)]))
         service.growth(0, HORIZON, WAIT)
         assert service.stats()["sweeps"]["incremental"] == 1
-        version, seed_index, merged = service._seeds[query]
+        seed = service._seeds[query]
+        version, seed_index, merged = seed.version, seed.node_index, seed.offsets
         assert version == graph.version and seed_index is node_index
         nodes, scratch = scratch_matrix(graph, 0, WAIT)
         assert list(seed_index) == nodes

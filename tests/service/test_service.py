@@ -3,12 +3,14 @@
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis.classes import classify
-from repro.analysis.evolution import reachability_growth
+from repro.analysis.evolution import joined_counts, reachability_growth
 from repro.core import sweep_kernel
 from repro.core.builders import TVGBuilder
+from repro.core.engine import TemporalEngine
 from repro.core.generators import periodic_random_tvg
 from repro.core.latency import affine_latency, constant_latency, table_latency
 from repro.core.parallel import ProcessShards, build_sweep_plan
@@ -21,8 +23,11 @@ from repro.core.presence import (
 )
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
 from repro.core.serialize import encode_latency, encode_presence
+from repro.core.time_domain import Lifetime
 from repro.core.traversal import earliest_arrivals
+from repro.core.tvg import TimeVaryingGraph
 from repro.errors import ServiceError
+from repro.service import service as service_module
 from repro.service.server import OPS, ServiceFrontend, handle_request, parse_request
 from repro.service.service import MAX_SEEDS, TVGService
 
@@ -38,6 +43,33 @@ def line_service():
         .build()
     )
     return TVGService(graph)
+
+
+SEMANTICS = [WAIT, NO_WAIT, bounded_wait(2)]
+
+
+def fresh_growth(graph, start, end, semantics):
+    """The growth curve of a from-scratch sweep on a fresh engine."""
+    return reachability_growth(
+        graph, start, end, semantics, engine=TemporalEngine(graph)
+    )
+
+
+def communities(count: int = 3, size: int = 5) -> TimeVaryingGraph:
+    """Disjoint communities with no edge between them: node ``base + i``
+    feeds ``base + i + 1`` and ``base + i + 2`` (mod ``size``), keyed
+    ``"{base + i}-{step}"``, so a swap's cone stays in its community."""
+    graph = TimeVaryingGraph(lifetime=Lifetime(0, 12), name="communities")
+    graph.add_nodes(range(count * size))
+    for base in range(0, count * size, size):
+        for i in range(size):
+            for step in (1, 2):
+                graph.add_edge(
+                    base + i, base + (i + step) % size,
+                    presence=periodic_presence([(i + step) % 4], 4),
+                    key=f"{base + i}-{step}",
+                )
+    return graph
 
 
 class TestQueries:
@@ -240,7 +272,8 @@ class TestCachingAcrossMutations:
             curve = service.growth(0, 12, WAIT)
             cached = [v for v, q in service.cache._entries if q == query]
             assert cached == [graph.version]
-            version, _index, matrix = service._seeds[query]
+            seed = service._seeds[query]
+            version, matrix = seed.version, seed.offsets
             assert version == graph.version
             assert matrix is service.cache._entries[(version, query)][1]
             assert curve == reachability_growth(graph, 0, 12, WAIT)
@@ -251,15 +284,7 @@ class TestCachingAcrossMutations:
         presence swap re-sweeps a cone inside the swapped edge's
         community and lowers exactly that community's contacts (its
         closure), and every curve equals the interpretive one."""
-        graph = TVGBuilder(name="two communities").lifetime(0, 12).build()
-        for base in (0, 6):
-            for i in range(6):
-                for step in (1, 2):
-                    graph.add_edge(
-                        base + i, base + (i + step) % 6,
-                        presence=periodic_presence([(i + step) % 4], 4),
-                        key=f"{base + i}-{step}",
-                    )
+        graph = communities(count=2, size=6)
         service = TVGService(graph)
         service.growth(0, 12, WAIT)
         lowered = []
@@ -402,8 +427,143 @@ class TestSeeds:
                 graph, 0, end, WAIT
             )
             assert len(service._seeds) <= MAX_SEEDS
-            assert all(v <= graph.version for v, _, _ in service._seeds.values())
+            assert all(
+                seed.version <= graph.version for seed in service._seeds.values()
+            )
         assert service.incremental_sweeps > 0
+
+
+class TestKeptGrowthCounts:
+    """A seed keeps its matrix's per-date arrival counts once a growth
+    has counted them; a patched miss whose cone holds under half the
+    rows updates them from those rows alone, a larger cone drops them,
+    and every curve equals a fresh engine's."""
+
+    @staticmethod
+    def count_full_counts(monkeypatch) -> list:
+        """Every full count of a matrix the service makes from now on."""
+        calls = []
+        real = service_module.joined_counts
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(service_module, "joined_counts", counted)
+        return calls
+
+    @staticmethod
+    def assert_counts_current(service, query, start, end):
+        seed = service._seeds[query]
+        assert seed.counts is not None
+        assert np.array_equal(seed.counts, joined_counts(seed.offsets, start, end))
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_patches_across_offset_dtypes(self, semantics, monkeypatch):
+        """Three 5-rings whose contacts all fall in [0, 8) give a uint8
+        seed over a 300-date window, so its sentinel, 255, lies inside
+        the window.  A 300-date latency moves the seed to uint16 and its
+        removal back: each patch counts the old rows under the old
+        dtype's sentinel and the new under the new one's."""
+        graph = TimeVaryingGraph(lifetime=Lifetime(0, 300), name="early rings")
+        graph.add_nodes(range(15))
+        for base in (0, 5, 10):
+            for i in range(5):
+                graph.add_edge(
+                    base + i, base + (i + 1) % 5,
+                    presence=interval_presence([(i, i + 4)]),
+                )
+        service = TVGService(graph)
+        full_counts = self.count_full_counts(monkeypatch)
+        query = ("arrival_matrix", 0, 300, str(semantics))
+        assert service.growth(0, 300, semantics) == fresh_growth(
+            graph, 0, 300, semantics
+        )
+        assert service._seeds[query].offsets.dtype == np.uint8
+        steps = (
+            (lambda: service.add_edge(
+                6, 7, presence=always(), latency=constant_latency(300), key="slow"
+            ), np.uint16),
+            (lambda: service.remove_edge("slow"), np.uint8),
+        )
+        for mutate, dtype in steps:
+            mutate()
+            curve = service.growth(0, 300, semantics)
+            assert service._seeds[query].offsets.dtype == dtype
+            assert curve == fresh_growth(graph, 0, 300, semantics)
+            self.assert_counts_current(service, query, 0, 300)
+        assert (service.full_sweeps, service.incremental_sweeps) == (1, 2)
+        assert 0 < service.rows_reswept <= 10  # one ring per patch
+        assert len(full_counts) == 1
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_reach_only_patches_keep_the_counts(self, semantics, monkeypatch):
+        """Misses answered for ``reach`` alone patch the counts too, so
+        the next growth derives from them without a full count."""
+        graph = communities()
+        service = TVGService(graph)
+        full_counts = self.count_full_counts(monkeypatch)
+        query = ("arrival_matrix", 0, 12, str(semantics))
+        assert service.growth(0, 12, semantics) == fresh_growth(graph, 0, 12, semantics)
+        for cycle in range(6):
+            for step in (1, 2):
+                base = 5 * ((cycle + step) % 3)
+                service.set_presence(
+                    f"{base + cycle % 5}-{step}",
+                    periodic_presence([(cycle + step) % 4], 4),
+                )
+                service.reach(base, base + 1 + cycle % 4, 0, 12, semantics)
+                self.assert_counts_current(service, query, 0, 12)
+            assert service.growth(0, 12, semantics) == fresh_growth(
+                graph, 0, 12, semantics
+            )
+        assert (service.full_sweeps, service.incremental_sweeps) == (1, 12)
+        assert len(full_counts) == 1
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_an_evicted_seed_counts_afresh(self, semantics, monkeypatch):
+        """Past :data:`MAX_SEEDS` newer windows the seed and its counts
+        are gone: the growth sweeps and counts in full, keeps the new
+        counts, and the next patch updates them."""
+        graph = communities()
+        service = TVGService(graph)
+        full_counts = self.count_full_counts(monkeypatch)
+        query = ("arrival_matrix", 0, 12, str(semantics))
+        service.growth(0, 12, semantics)
+        service.set_presence("0-1", periodic_presence([1], 4))
+        for start in range(1, MAX_SEEDS + 1):  # MAX_SEEDS newer windows
+            service.growth(start, 12, semantics)
+        assert query not in service._seeds
+        assert service.growth(0, 12, semantics) == fresh_growth(graph, 0, 12, semantics)
+        assert service.full_sweeps == MAX_SEEDS + 2
+        assert len(full_counts) == MAX_SEEDS + 2
+        self.assert_counts_current(service, query, 0, 12)
+        service.set_presence("6-2", periodic_presence([2, 3], 4))
+        assert service.growth(0, 12, semantics) == fresh_growth(graph, 0, 12, semantics)
+        assert service.incremental_sweeps == 1 and len(full_counts) == MAX_SEEDS + 2
+        self.assert_counts_current(service, query, 0, 12)
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_a_cone_of_half_the_rows_drops_the_counts(self, semantics, monkeypatch):
+        """On a ring of edges always present every row reaches every
+        tail, so a swap's cone is every row: patching the counts would
+        cost two full counts, so they are dropped, and the next growth
+        counts the matrix once."""
+        graph = TimeVaryingGraph(lifetime=Lifetime(0, 12), name="ring")
+        graph.add_nodes(range(6))
+        for i in range(6):
+            graph.add_edge(i, (i + 1) % 6, presence=always(), key=f"{i}-1")
+        service = TVGService(graph)
+        full_counts = self.count_full_counts(monkeypatch)
+        query = ("arrival_matrix", 0, 12, str(semantics))
+        service.growth(0, 12, semantics)
+        service.set_presence("2-1", periodic_presence([0, 1], 4))
+        service.reach(0, 3, 0, 12, semantics)
+        assert service.rows_reswept == graph.node_count
+        assert service._seeds[query].counts is None
+        assert service.growth(0, 12, semantics) == fresh_growth(graph, 0, 12, semantics)
+        assert service.incremental_sweeps == 1 and len(full_counts) == 2
+        self.assert_counts_current(service, query, 0, 12)
 
 
 class TestDispatcher:
