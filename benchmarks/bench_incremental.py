@@ -5,7 +5,7 @@ edges), with ~1% of the edges going dirty between queries — all of the
 churn concentrated in one community, the shape incremental maintenance
 is for.  The dirty cone (every source row that could reach a dirty
 edge's tail) then stays inside the churned community, so the
-incremental path re-sweeps a small block of rows and merges it over
+incremental path re-sweeps a small block of rows and writes it into
 the cached matrix while the from-scratch path re-sweeps everything.
 
 Two claims are checked:
@@ -22,7 +22,11 @@ Two claims are checked:
 Both paths run on the same engine and the same kernel, and both answer
 in the kernel's compact offset form (the seed and the full re-sweep come
 from ``arrival_offsets``); plans compile once and best-of-``REPEATS``
-timing amortizes warmup, so the timings isolate swept-row volume.
+timing amortizes warmup, so the timings isolate swept-row volume.  The
+incremental path is timed as the query service runs it, so it ends with
+a whole patched matrix: the engine call plus the write of the re-swept
+rows into the seed (:func:`patch`), onto a copy of the seed made
+outside the timed region.
 
 The ``miss_*`` cases, recorded but not gated, time both paths as a
 service miss runs them: the plan memo is cleared before each repeat,
@@ -56,14 +60,17 @@ REQUIRED_CPUS = 1            # single-core claim: the gate always applies
 REPEATS = 5
 
 
-def _best_of(fn, repeats: int = REPEATS):
+def _best_of(fn, repeats: int = REPEATS, prepare=lambda: None):
+    """``(result, seconds)`` of the fastest of ``repeats`` calls
+    ``fn(prepare())``; ``prepare`` runs outside the timed region."""
     import time
 
     best_seconds = None
     result = None
     for _ in range(repeats):
+        prepared = prepare()
         start = time.perf_counter()
-        result = fn()
+        result = fn(prepared)
         elapsed = time.perf_counter() - start
         if best_seconds is None or elapsed < best_seconds:
             best_seconds = elapsed
@@ -107,6 +114,24 @@ def churn(graph, rng):
     return keys
 
 
+def patch(engine, seed, nodes, deltas, semantics):
+    """A patched miss as the query service makes it: the engine
+    re-sweeps the cone, and the block is written into ``seed`` in place
+    (merged into a recast copy when the offset dtype moved).  Returns
+    ``(matrix, rows)``."""
+    from repro.core.sweep_kernel import merge_rows
+
+    result = engine.arrival_matrix_incremental(
+        0, (nodes, seed), deltas, semantics, HORIZON
+    )
+    assert result is not None, "presence-only chain must be patchable"
+    _nodes, block, rows = result
+    if block.dtype != seed.dtype:
+        return merge_rows(seed, rows, block), rows
+    seed[rows] = block
+    return seed, rows
+
+
 def run_benchmark() -> dict:
     import numpy as np
 
@@ -143,15 +168,12 @@ def run_benchmark() -> dict:
         assert deltas is not None and len(deltas) == len(dirty_keys)
 
         scratch, full_seconds = _best_of(
-            lambda: engine.arrival_offsets(0, semantics, horizon=HORIZON)[1]
+            lambda _: engine.arrival_offsets(0, semantics, horizon=HORIZON)[1]
         )
-        incremental, incremental_seconds = _best_of(
-            lambda: engine.arrival_matrix_incremental(
-                0, (nodes0, m0), deltas, semantics, HORIZON
-            )
+        (merged, rows), incremental_seconds = _best_of(
+            lambda seed: patch(engine, seed, nodes0, deltas, semantics),
+            prepare=m0.copy,
         )
-        assert incremental is not None, "presence-only chain must be patchable"
-        _nodes, merged, rows = incremental
         assert np.array_equal(merged, scratch), (
             f"incremental matrix diverged from scratch under {label}"
         )
@@ -169,22 +191,19 @@ def run_benchmark() -> dict:
         }
 
         def as_a_miss(path):
-            def run():
+            def run(prepared):
                 engine._plan_memo.clear()
-                return path()
+                return path(prepared)
 
             return run
 
         scratch, full_seconds = _best_of(
-            as_a_miss(lambda: engine.arrival_offsets(0, semantics, horizon=HORIZON)[1])
+            as_a_miss(lambda _: engine.arrival_offsets(0, semantics, horizon=HORIZON)[1])
         )
-        incremental, incremental_seconds = _best_of(
-            as_a_miss(lambda: engine.arrival_matrix_incremental(
-                0, (nodes0, m0), deltas, semantics, HORIZON
-            ))
+        (merged, rows), incremental_seconds = _best_of(
+            as_a_miss(lambda seed: patch(engine, seed, nodes0, deltas, semantics)),
+            prepare=m0.copy,
         )
-        assert incremental is not None, "presence-only chain must be patchable"
-        _nodes, merged, rows = incremental
         assert np.array_equal(merged, scratch), (
             f"incremental miss diverged from scratch under {label}"
         )

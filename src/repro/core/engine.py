@@ -331,7 +331,8 @@ class TemporalEngine:
         semantics: WaitingSemantics = NO_WAIT,
         horizon: int | None = None,
     ) -> tuple[list[Hashable], np.ndarray, list[int]] | None:
-        """Patch a cached offset matrix across a mutation-delta chain.
+        """The rows of a cached offset matrix that a mutation-delta
+        chain can change, re-swept.
 
         ``previous`` is a ``(nodes, offsets)`` pair some earlier
         :meth:`arrival_offsets` call produced **for the same**
@@ -345,20 +346,21 @@ class TemporalEngine:
         answers can have changed — a row with no finite old arrival at
         any dirty tail cannot gain or lose a journey through a dirty
         edge (see :func:`~repro.core.sweep_kernel.affected_rows`) —
-        so only those rows are re-swept and merged over a copy of the
-        old matrix, recast to the new plan's offset dtype when the
-        chain moved it.
+        so only those rows are re-swept.
 
-        Returns ``(nodes, offsets, rows)``: ``offsets`` entry-for-entry
-        equal to a from-scratch :meth:`arrival_offsets`, and ``rows``
-        the re-swept row indices, ascending, as a list of Python ints —
-        every other row of ``offsets`` equals ``previous``'s, so a
-        caller can update what it derived from the old matrix from
-        these rows alone.  None when the incremental path does not
-        apply: unknowable chain (``deltas is None``), node additions
-        (the matrix axes change), or a node-order mismatch with
-        ``previous``.  The cone itself is always swept in-process.  The
-        input matrix is never mutated.
+        Returns ``(nodes, block, rows)``: ``rows`` the re-swept row
+        indices, ascending, as a list of Python ints, and ``block`` their
+        new offsets, one row per entry of ``rows``, in the new plan's
+        offset dtype.  Every other row of the from-scratch
+        :meth:`arrival_offsets` equals ``previous``'s, so
+        :func:`~repro.core.sweep_kernel.merge_rows` (``previous`` recast
+        to the block's dtype, ``rows`` replaced) gives it entry for
+        entry, and a caller can update what it derived from the old
+        matrix from these rows alone.  None when the incremental path
+        does not apply: unknowable chain (``deltas is None``), node
+        additions (the matrix axes change), or a node-order mismatch
+        with ``previous``.  The cone itself is always swept in-process.
+        The input matrix is never mutated.
         """
         horizon = _resolve_horizon(self.graph, horizon)
         if deltas is None:
@@ -367,12 +369,7 @@ class TemporalEngine:
         if any(d.kind == "add_node" for d in deltas):
             return None
         from repro.core.parallel import build_sweep_plan
-        from repro.core.sweep_kernel import (
-            affected_rows,
-            merge_rows,
-            offset_dtype,
-            sweep_block,
-        )
+        from repro.core.sweep_kernel import affected_rows, offset_dtype, sweep_block
 
         index = self.index_for(min(start_time, horizon), horizon)
         nodes, plan = build_sweep_plan(self, start_time, semantics, horizon)
@@ -390,7 +387,7 @@ class TemporalEngine:
             block = sweep_block(plan, rows)
         else:
             block = np.empty((0, plan.n), dtype=offset_dtype(plan))
-        return nodes, merge_rows(prev_matrix, rows, block), rows
+        return nodes, block, rows
 
     # -- simulator fast path ---------------------------------------------------
 

@@ -312,6 +312,17 @@ def split_csr(
     return rows
 
 
+def write_csr(
+    ptr: np.ndarray, values: np.ndarray, rows: dict[int, np.ndarray]
+) -> np.ndarray:
+    """A copy of a flat CSR's ``values`` with ``rows`` (row index -> new
+    values, as many as the row holds) written in place of theirs."""
+    written = values.copy()
+    for i, row in rows.items():
+        written[ptr[i] : ptr[i + 1]] = row
+    return written
+
+
 def splice_csr(
     ptr: np.ndarray, values: np.ndarray, rows: dict[int, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -337,16 +348,17 @@ class CompiledTVG:
 
     Contacts live in one flat CSR: edge ``i``'s sorted present dates
     within ``[window.start, window.end)`` are
-    ``dates[edge_ptr[i]:edge_ptr[i + 1]]``.  Black-box edges are flagged
-    in ``opaque`` and hold an empty range there — their dates come from
+    ``dates[edge_ptr[i]:edge_ptr[i + 1]]``, and :attr:`arrivals` holds
+    the aligned arrival dates.  Black-box edges are flagged in
+    ``opaque`` and hold an empty range there — their dates come from
     the :class:`LazyContactCache`.  :attr:`contacts` is the per-edge
     view (an array per structured edge, None per black-box edge).
     ``out_ptr``/``out_edge_idx`` form the CSR adjacency: the out-edge
     indices of node ``j`` (in insertion order, matching
     :meth:`TimeVaryingGraph.out_edges`) are
     ``out_edge_idx[out_ptr[j]:out_ptr[j + 1]]``, and ``target_idx[i]``
-    is edge ``i``'s head node.  Those five arrays (:attr:`SHARED`) are
-    read-only from the moment they exist — :meth:`apply_deltas` splices
+    is edge ``i``'s head node.  Those six arrays (:attr:`SHARED`) are
+    read-only from the moment they exist — :meth:`apply_deltas` writes
     new ones — so a :class:`~repro.core.parallel.SweepPlan` may hold
     them.  ``edge_list`` (the graph's :class:`Edge` objects, by index)
     and ``opaque`` belong to the index alone: no plan holds either, so
@@ -355,12 +367,12 @@ class CompiledTVG:
     """
 
     #: The arrays a plan may hold, by attribute name.
-    SHARED = ("edge_ptr", "dates", "out_ptr", "out_edge_idx", "target_idx")
+    SHARED = ("edge_ptr", "dates", "arrivals", "out_ptr", "out_edge_idx", "target_idx")
 
     __slots__ = (
         "graph", "version", "window", "nodes", "node_index", "edge_list", "edge_ptr",
         "dates", "opaque", "cache", "const_latency", "out_ptr", "out_edge_idx",
-        "target_idx", "_out_lists", "_edge_pos",
+        "target_idx", "_arrivals", "_out_lists", "_edge_pos",
     )
 
     def __init__(
@@ -401,13 +413,36 @@ class CompiledTVG:
         np.cumsum(np.bincount(sources, minlength=len(self.nodes)), out=self.out_ptr[1:])
         #: Head-node index of each edge (for index-space sweeps).
         self.target_idx = np.array([node_pos[e.target] for e in edges], dtype=np.int64)
+        #: Built by the first :attr:`arrivals` read.
+        self._arrivals: np.ndarray | None = None
         # Rows as tuples (faster than numpy slices in hot loops), made on first use.
         self._out_lists: tuple[tuple[int, ...], ...] | None = None
         self._seal()
 
     def _seal(self) -> None:
         for name in self.SHARED:
-            getattr(self, name).flags.writeable = False
+            array = self._arrivals if name == "arrivals" else getattr(self, name)
+            if array is not None:
+                array.flags.writeable = False
+
+    @property
+    def arrivals(self) -> np.ndarray:
+        """Each contact's arrival date, aligned with :attr:`dates`.
+
+        Built on first read — the first plan build — so an index that
+        only answers single-source searches never evaluates a latency
+        for it; callable latencies are evaluated once per contact.
+        :meth:`apply_deltas` keeps it current from then on."""
+        if self._arrivals is None:
+            ptr, dates, latency = self.edge_ptr, self.dates, self.const_latency
+            arrivals = dates + np.repeat(latency, np.diff(ptr))
+            for ei in np.flatnonzero(latency < 0).tolist():
+                arrivals[ptr[ei] : ptr[ei + 1]] = self.arrival_dates(
+                    ei, dates[ptr[ei] : ptr[ei + 1]]
+                )
+            self._arrivals = arrivals
+            self._seal()
+        return self._arrivals
 
     @property
     def contacts(self) -> list[np.ndarray | None]:
@@ -435,9 +470,14 @@ class CompiledTVG:
 
         Presence swaps leave nodes, edges, adjacency and latencies
         intact, so a chain of ``"set_presence"`` deltas relowers the
-        touched edges (through the same lowering as a compile) and
-        splices them into fresh ``edge_ptr`` and ``dates`` arrays,
-        leaving the old ones to any plan holding them; ``edge_list`` and
+        touched edges (through the same lowering as a compile), with
+        their arrival dates once :attr:`arrivals` is built.  When every
+        touched edge keeps its number of dates in the window (a swap
+        between periodic schedules of as many residues) ``edge_ptr``
+        stands and the new rows are written into one copy each of
+        ``dates`` and ``arrivals``; otherwise both are spliced into
+        fresh arrays with a fresh ``edge_ptr``.  Either way the old
+        arrays are left to any plan holding them; ``edge_list`` and
         ``opaque`` are written in place at the touched positions.
         Returns False, for a rebuild, on any other delta kind or an
         unknowable chain (``deltas is None``).
@@ -453,9 +493,19 @@ class CompiledTVG:
                 return False
             touched[pos] = self.graph.edge(delta.edge_key)
         ptr, dates, opaque = _lower_edges(list(touched.values()), self.window)
-        self.edge_ptr, self.dates = splice_csr(
-            self.edge_ptr, self.dates, dict(zip(touched, split_csr(ptr, dates)))
-        )
+        rows = dict(zip(touched, split_csr(ptr, dates)))
+        arrivals = self._arrivals
+        if arrivals is not None:
+            arrival_rows = {pos: self.arrival_dates(pos, row) for pos, row in rows.items()}
+        old = self.edge_ptr
+        if all(len(row) == old[pos + 1] - old[pos] for pos, row in rows.items()):
+            self.dates = write_csr(old, self.dates, rows)
+            if arrivals is not None:
+                self._arrivals = write_csr(old, arrivals, arrival_rows)
+        else:
+            self.edge_ptr, self.dates = splice_csr(old, self.dates, rows)
+            if arrivals is not None:
+                self._arrivals = splice_csr(old, arrivals, arrival_rows)[1]
         self._seal()
         for pos, edge in touched.items():
             self.edge_list[pos] = edge
@@ -531,6 +581,14 @@ class CompiledTVG:
         if value >= 0:
             return departure + value
         return departure + self.edge_list[edge_idx].latency(departure)
+
+    def arrival_dates(self, edge_idx: int, departures: np.ndarray) -> np.ndarray:
+        """:meth:`arrival` of every date of ``departures`` (int64)."""
+        value = int(self.const_latency[edge_idx])
+        if value >= 0:
+            return departures + value
+        zeta = self.edge_list[edge_idx].latency
+        return np.array([d + zeta(d) for d in departures.tolist()], dtype=np.int64)
 
     # -- stats ----------------------------------------------------------------
 

@@ -8,13 +8,13 @@ may be arbitrary Python callables that do not pickle, and re-evaluating
 a black-box predicate in ``k`` workers would break the engine's
 at-most-once-per-(edge, date) contract.  So :func:`build_sweep_plan`
 lowers in the parent, straight from the compiled index's flat contact
-CSR (the index's own arrays when its window is the plan's, else a
-window mask, plus ``arr = dep + latency[edge]``); only black-box edges
-(through the engine's :class:`~repro.core.index.LazyContactCache`) and
-callable latencies are visited one edge at a time.  A presence swap is
-spliced once, into the index; the next plan reads it from there.  The
-plan pickles and ships over the wire as its arrays
-(:mod:`repro.service.wire`).
+CSR and its aligned arrival dates (the index's own arrays when its
+window is the plan's, else a window mask over them); only black-box
+edges (through the engine's
+:class:`~repro.core.index.LazyContactCache`) are visited one edge at a
+time.  A presence swap is written once, into the index; the next plan
+reads it from there.  The plan pickles and ships over the wire as its
+arrays (:mod:`repro.service.wire`).
 
 The sweep is partitionable by *source blocks*: the arrival dates
 recorded for source ``i`` never depend on which other sources share
@@ -80,8 +80,9 @@ class SweepPlan:
     index's CSR.  ``max_wait`` is the waiting bound (None for
     unbounded, 0 for no-wait).  The arrays are read-only, so plans and
     the index may share them: a plan over the whole compiled window
-    holds the index's own ``edge_ptr`` and ``dates`` as ``edge_ptr``
-    and ``dep``.  Plans compare by content.
+    with no black-box edge holds the index's own ``edge_ptr``,
+    ``dates`` and ``arrivals`` as ``edge_ptr``, ``dep`` and ``arr``,
+    and computes no arrival date.  Plans compare by content.
 
     State derived from the content — :attr:`fingerprint`, the kernel's
     lowering (:func:`~repro.core.sweep_kernel._bitset_lowering`) and
@@ -162,16 +163,18 @@ def build_sweep_plan(
     here, through the engine's
     :class:`~repro.core.index.LazyContactCache`, so arbitrary
     predicates never need to pickle and each still fires at most once
-    per (edge, date) across the engine's lifetime; callable latencies
-    are evaluated per contact of their edge.  Returns the node
-    ordering alongside (the matrix axes).
+    per (edge, date) across the engine's lifetime.  Arrival dates come
+    from the index's :attr:`~repro.core.index.CompiledTVG.arrivals`,
+    which the first build makes (callable latencies evaluated once per
+    contact); only the black-box rows' are computed here.  Returns the
+    node ordering alongside (the matrix axes).
 
     Plans are memoized on the engine by ``(version, start, horizon,
     max_wait)``, so repeated sweeps of the same query (sharded blocks,
     retries) share one lowering.  A plan for an older version can never
     be asked for again, so building one drops them.  Presence swaps
     need no plan-side work: :meth:`~repro.core.index.CompiledTVG.apply_deltas`
-    splices them into the index, and the next build reads it.
+    writes them into the index, and the next build reads it.
     """
     version = engine.graph.version
     key = (version, start_time, horizon, semantics.max_wait)
@@ -206,28 +209,23 @@ def _window_rows(
     index, start_time: int, horizon: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(edge_ptr, dep, arr)`` of every edge's contacts in ``[start_time,
-    horizon)``: the index's own ``edge_ptr`` and ``dates`` when its
-    window lies inside (every date is kept), else one mask over its
-    flat dates; the black-box edges' dates spliced in from the cache;
-    ``arr = dep + latency`` with callable latencies evaluated per
-    contact of their edge."""
-    plan_ptr, dep = index.edge_ptr, index.dates
+    horizon)``: the index's own ``edge_ptr``, ``dates`` and ``arrivals``
+    when its window lies inside (every date is kept), else one mask over
+    all three; the black-box edges' dates spliced in from the cache,
+    with arrival dates computed for those rows alone."""
+    plan_ptr, dep, arr = index.edge_ptr, index.dates, index.arrivals
     if not start_time <= index.window.start <= index.window.end <= horizon:
         keep = (dep >= start_time) & (dep < horizon)
         kept_before = np.zeros(len(dep) + 1, dtype=np.int64)
         np.cumsum(keep, out=kept_before[1:])
-        plan_ptr, dep = kept_before[plan_ptr], dep[keep]
+        plan_ptr, dep, arr = kept_before[plan_ptr], dep[keep], arr[keep]
     # Black-box edges hold empty ranges in the flat arrays: splice their
     # cache-resolved dates in.
     opaque = np.flatnonzero(index.opaque).tolist()
     rows = {ei: index.opaque_contacts(ei, start_time, horizon) for ei in opaque}
+    arrivals = {ei: index.arrival_dates(ei, row) for ei, row in rows.items()}
+    arr = splice_csr(plan_ptr, arr, arrivals)[1]
     plan_ptr, dep = splice_csr(plan_ptr, dep, rows)
-    latency = index.const_latency
-    arr = dep + np.repeat(latency, np.diff(plan_ptr))
-    for ei in np.flatnonzero(latency < 0).tolist():
-        lo, hi = plan_ptr[ei], plan_ptr[ei + 1]
-        zeta = index.edge_list[ei].latency
-        arr[lo:hi] = [d + zeta(d) for d in dep[lo:hi].tolist()]
     return plan_ptr, dep, arr
 
 
@@ -258,7 +256,9 @@ def partition_sources(
 class SweepExecutor(Protocol):
     """Where a full sweep runs: ``sweep(plan)`` returns the plan's
     ``(n, n)`` arrival-offset matrix, dtype included, element for
-    element equal to ``sweep_block(plan, range(plan.n))``."""
+    element equal to ``sweep_block(plan, range(plan.n))``, as a fresh
+    array the caller owns (the query service later writes patched rows
+    into it)."""
 
     def sweep(self, plan: SweepPlan) -> np.ndarray: ...
 

@@ -131,11 +131,14 @@ def merge_rows(
     replaced by ``block``'s rows.
 
     ``block`` is the output of :func:`sweep_block` over exactly
-    ``rows`` (in order).  A ``previous`` of another dtype (the plan's
-    largest offset moved across a dtype bound) is recast sentinel to
-    sentinel; every offset outside ``rows`` fits the new dtype, because
-    those rows' answers did not change.  The merge never mutates
-    ``previous`` — cached matrices stay valid for their own version.
+    ``rows`` (in order), as
+    :meth:`~repro.core.engine.TemporalEngine.arrival_matrix_incremental`
+    returns it.  A ``previous`` of another dtype (the plan's largest
+    offset moved across a dtype bound) is recast sentinel to sentinel;
+    every offset outside ``rows`` fits the new dtype, because those
+    rows' answers did not change.  The merge never mutates ``previous``;
+    a caller that owns ``previous`` and keeps its dtype can write the
+    block into it in place instead, as the query service does.
     """
     merged = previous.astype(block.dtype)
     if merged.dtype != previous.dtype:
@@ -217,17 +220,22 @@ def _csr_rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.arange(len(owner)) - skip, owner
 
 
-def _closure_edges(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray | None:
-    """The edges, ascending, whose contacts a sweep of ``sources`` can
-    ride: a journey leaves only nodes it has reached, so an edge with a
-    contact counts when its tail lies in the static forward closure of
-    ``sources`` over such edges.  None when that is every edge with a
-    contact.  Taken frontier by frontier, each node and edge once; a
-    node reached by several edges at once joins the next frontier once,
-    through the one position its ``slot`` kept (no sort)."""
+def _closure_edges(
+    plan: "SweepPlan", sources: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(edges, tails)``: the edges, ascending, whose contacts a sweep
+    of ``sources`` can ride, and each one's tail node.  A journey
+    leaves only nodes it has reached, so an edge with a contact counts
+    when its tail lies in the static forward closure of ``sources``
+    over such edges.  None when that is every edge with a contact.
+    Taken frontier by frontier, each node and edge once, the tails read
+    off the walk; a node reached by several edges at once joins the
+    next frontier once, through the one position its ``slot`` kept (no
+    sort)."""
     live = plan.edge_ptr[1:] > plan.edge_ptr[:-1]
     reached = np.zeros(plan.n, dtype=bool)
     kept = np.zeros(len(live), dtype=bool)
+    tail = np.empty(len(live), dtype=np.int64)
     slot = np.empty(plan.n, dtype=np.int64)
     frontier = np.unique(np.asarray(sources, dtype=np.int64))
     count = 0
@@ -236,16 +244,19 @@ def _closure_edges(plan: "SweepPlan", sources: Sequence[int]) -> np.ndarray | No
         count += len(frontier)
         if count == plan.n:
             return None
-        out = plan.out_edge_idx[_csr_rows(plan.out_ptr, frontier)[0]]
-        out = out[live[out]]
+        positions, owner = _csr_rows(plan.out_ptr, frontier)
+        out = plan.out_edge_idx[positions]
+        riding = live[out]
+        out = out[riding]
         kept[out] = True
+        tail[out] = frontier[owner[riding]]
         heads = plan.target_idx[out]
         heads = heads[~reached[heads]]
         positions = np.arange(len(heads))
         slot[heads] = positions
         frontier = heads[slot[heads] == positions]
     edges = np.flatnonzero(kept)
-    return None if len(edges) == np.count_nonzero(live) else edges
+    return None if len(edges) == np.count_nonzero(live) else (edges, tail[edges])
 
 
 def _bitset_lowering(
@@ -258,8 +269,9 @@ def _bitset_lowering(
 
     Given the ``sources`` of a sweep, a plan not lowered yet lowers only
     the contacts of :func:`_closure_edges` — the rest can never carry
-    one of their bits — and that restricted lowering is returned but
-    never stored; a closure that reaches every contact lowers in full.
+    one of their bits — with the source nodes its walk found, and that
+    restricted lowering is returned but never stored; a closure that
+    reaches every contact lowers in full, with every edge's source.
 
     Contacts are put in (departure, arrival, target) order by
     :func:`_radix_order`, and the date axis is read off the sorted
@@ -268,16 +280,20 @@ def _bitset_lowering(
     lowered = plan.__dict__.get("_lowering")
     if lowered is not None:
         return lowered
-    edges = None if sources is None else _closure_edges(plan, sources)
-    edge_count = len(plan.target_idx)
-    src_of_edge = np.empty(edge_count, dtype=np.int64)
-    src_of_edge[plan.out_edge_idx] = np.repeat(np.arange(plan.n), np.diff(plan.out_ptr))
-    if edges is None:
+    closure = None if sources is None else _closure_edges(plan, sources)
+    if closure is None:
+        edge_count = len(plan.target_idx)
+        src_of_edge = np.empty(edge_count, dtype=np.int64)
+        src_of_edge[plan.out_edge_idx] = np.repeat(
+            np.arange(plan.n), np.diff(plan.out_ptr)
+        )
         edge_of_contact = np.repeat(np.arange(edge_count), np.diff(plan.edge_ptr))
+        src_of_contact = src_of_edge[edge_of_contact]
         dep, arr = plan.dep, plan.arr
     else:
+        edges, tails = closure
         contact, owner = _csr_rows(plan.edge_ptr, edges)
-        edge_of_contact = edges[owner]
+        edge_of_contact, src_of_contact = edges[owner], tails[owner]
         dep, arr = plan.dep[contact], plan.arr[contact]
     tgt_flat = plan.target_idx[edge_of_contact]
     order = _radix_order((dep, arr, tgt_flat))
@@ -299,7 +315,7 @@ def _bitset_lowering(
     date_lo = np.searchsorted(dep_s, dates, side="left")
     date_hi = np.searchsorted(dep_s, dates, side="right")
     lowered = _BitsetLowering(
-        src_s=src_of_edge[edge_of_contact[order]],
+        src_s=src_of_contact[order],
         dates=dates,
         date_lo=date_lo,
         date_hi=date_hi,
@@ -310,7 +326,7 @@ def _bitset_lowering(
         group_offset=group_starts - dep_starts[np.cumsum(new_dep[group_starts]) - 1],
         group_tgt=tgt_s[group_starts],
     )
-    if edges is None:
+    if closure is None:
         object.__setattr__(plan, "_lowering", lowered)
     return lowered
 

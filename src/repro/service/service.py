@@ -47,7 +47,7 @@ from repro.core.intervals import Interval
 from repro.core.latency import LatencyFunction
 from repro.core.presence import PresenceFunction
 from repro.core.semantics import WAIT, WaitingSemantics
-from repro.core.sweep_kernel import sentinel
+from repro.core.sweep_kernel import merge_rows, sentinel
 from repro.core.time_domain import require_window
 from repro.core.tvg import TimeVaryingGraph
 from repro.errors import ServiceError
@@ -156,17 +156,23 @@ class TVGService:
 
         A seed at the current version (its cache entry was evicted) is
         the answer; an older one is patched through the delta chain,
-        whatever the cone's size (a patch re-sweeps at most every row
-        and copies the matrix once).  Where the seed kept growth counts
-        and the cone holds under half the rows, the counts are patched
-        from the cone alone: they lose the rows' old entries and gain
-        their new ones, each block counted under its own dtype, and the
-        rows' diagonal entries, 0 in both, cancel.  A larger cone would
-        cost more to recount twice than the matrix once, so its counts
-        are dropped and the next ``growth`` counts afresh.  The result
+        whatever the cone's size (a patch re-sweeps at most every row).
+        The mutation that staled the seed purged its cache entry, so the
+        service popped the one reference it keeps: the re-swept rows
+        are written into the seed's matrix in place, and only a block in
+        another offset dtype is merged into a recast copy
+        (:func:`~repro.core.sweep_kernel.merge_rows`).  Where the seed
+        kept growth counts and the cone holds under half the rows, the
+        counts are patched from the cone alone, its old rows counted
+        before the write: they lose the rows' old entries and gain their
+        new ones, each block counted under its own dtype, and the rows'
+        diagonal entries, 0 in both, cancel.  A larger cone would cost
+        more to recount twice than the matrix once, so its counts are
+        dropped and the next ``growth`` counts afresh.  The result
         becomes the query's seed.  Its node -> row map is the compiled
         index's own, as the patch or sweep that made it ran on that
-        index: no per-miss rebuild.
+        index: no per-miss rebuild.  The matrix is read-only from here
+        on, while cached; only the next patch of its seed writes it.
         """
         version = self.graph.version
         seed = self._seeds.pop(query, None)
@@ -177,7 +183,7 @@ class TVGService:
                 self.graph.deltas_since(old.version), semantics, horizon,
             )
             if patched is not None:
-                nodes, merged, rows = patched
+                nodes, block, rows = patched
                 self.incremental_sweeps += 1
                 self.rows_reswept += len(rows)
                 self.rows_reused += len(nodes) - len(rows)
@@ -186,15 +192,22 @@ class TVGService:
                     counts = (
                         old.counts
                         - arrival_counts(old.offsets[rows], start, horizon)
-                        + arrival_counts(merged[rows], start, horizon)
+                        + arrival_counts(block, start, horizon)
                     )
-                seed = _Seed(version, self.engine.compiled.node_index, merged, counts)
+                offsets = old.offsets
+                if block.dtype != offsets.dtype:
+                    offsets = merge_rows(offsets, rows, block)
+                elif rows:
+                    offsets.flags.writeable = True
+                    offsets[rows] = block
+                seed = _Seed(version, self.engine.compiled.node_index, offsets, counts)
         if seed is None:
             self.full_sweeps += 1
             _nodes, full = self.engine.arrival_offsets(
                 start, semantics, horizon=horizon
             )
             seed = _Seed(version, self.engine.compiled.node_index, full)
+        seed.offsets.flags.writeable = False
         self._seeds[query] = seed
         if len(self._seeds) > MAX_SEEDS:
             self._seeds.popitem(last=False)

@@ -43,7 +43,7 @@ from repro.core.presence import (
     periodic_presence,
 )
 from repro.core.semantics import NO_WAIT, WAIT, bounded_wait
-from repro.core.sweep_kernel import offsets_to_dates, sweep_block_bignum
+from repro.core.sweep_kernel import merge_rows, offsets_to_dates, sweep_block_bignum
 from repro.core.time_domain import Lifetime
 from repro.core.tvg import TimeVaryingGraph
 from repro.service.service import TVGService
@@ -283,7 +283,8 @@ class TestEngineIncrementalEqualsScratch:
         )
         nodes_f, scratch = scratch_matrix(graph, start, semantics)
         assert result is not None  # no node was added, chain is complete
-        nodes_i, merged, rows = result
+        nodes_i, block, rows = result
+        merged = merge_rows(m0, rows, block)
         assert nodes_i == nodes_f
         assert np.array_equal(offsets_to_dates(merged, start), scratch)
         assert 0 <= len(rows) <= len(nodes_i)
@@ -309,7 +310,8 @@ class TestEngineIncrementalEqualsScratch:
             0, (nodes0, m0), graph.deltas_since(v0), semantics, HORIZON
         )
         assert result is not None
-        _nodes, merged, _rows = result
+        _nodes, block, rows = result
+        merged = merge_rows(m0, rows, block)
         _same, scratch = TemporalEngine(graph).arrival_matrix(
             0, semantics, horizon=HORIZON
         )
@@ -352,7 +354,8 @@ class TestEngineIncrementalEqualsScratch:
                 0, (previous, m0), deltas, WAIT, HORIZON
             )
             assert result is not None
-            nodes, merged, rows = result
+            nodes, block, rows = result
+            merged = merge_rows(m0, rows, block)
             assert nodes == nodes0 and 0 < len(rows) <= len(nodes)
             assert np.array_equal(offsets_to_dates(merged, 0),
                                   scratch_matrix(graph, 0, WAIT)[1])
@@ -387,7 +390,8 @@ class TestEngineIncrementalEqualsScratch:
                 0, (nodes, seed), graph.deltas_since(version), semantics, HORIZON
             )
             assert result is not None
-            nodes, seed, rows = result
+            nodes, block, rows = result
+            seed = merge_rows(seed, rows, block)
             assert seed.dtype == dtype and 0 < len(rows) < len(nodes)
             _same, scratch = scratch_matrix(graph, 0, semantics)
             assert np.array_equal(offsets_to_dates(seed, 0), scratch)

@@ -7,12 +7,15 @@ replaced produces (``reference_sweep_plan`` in ``tests/plan_helpers``):
 on graphs mixing every structured presence form, black-box predicates
 and callable latencies; on windows narrower than the compiled one (and
 empty ones) and equal to it, where the plan holds the index's own
-``edge_ptr`` and ``dates``; and on an index patched in place by
-:meth:`~repro.core.index.CompiledTVG.apply_deltas`, which must also
-equal the plan of a fresh compile, with black-box predicates still
+``edge_ptr``, ``dates`` and ``arrivals``; and on an index patched in
+place by :meth:`~repro.core.index.CompiledTVG.apply_deltas`, which must
+also equal the plan of a fresh compile, with black-box predicates still
 firing at most once per (edge, date).  A plan built before a presence
-swap keeps its content: the patch splices new arrays and writes only
-the index's own ``edge_list`` and ``opaque``.
+swap keeps its content: the patch writes new arrays (keeping
+``edge_ptr`` when every touched edge keeps its number of dates) and
+writes only the index's own ``edge_list`` and ``opaque`` in place.  The
+index's ``arrivals`` equal a per-contact ``arrival`` call, and nothing
+but a plan build computes them.
 """
 
 from collections import Counter
@@ -131,8 +134,8 @@ class TestPlanEqualsReference:
     @settings(DETERMINISTIC, max_examples=160)
     def test_fresh_index(self, graph, semantics, window, exact):
         """On an index compiled wide, or (``exact``) over the plan's own
-        window: there the plan holds the index's ``edge_ptr`` and
-        ``dates`` unless black-box dates are spliced in."""
+        window: there the plan holds the index's ``edge_ptr``, ``dates``
+        and ``arrivals`` unless black-box dates are spliced in."""
         start, horizon = window
         engine = (
             TemporalEngine(graph, window=window) if exact else _compiled_wide(graph)
@@ -148,6 +151,7 @@ class TestPlanEqualsReference:
         shares = whole and not index.opaque.any()
         assert (plan.edge_ptr is index.edge_ptr) == shares
         assert (plan.dep is index.dates) == shares
+        assert (plan.arr is index.arrivals) == shares
 
     @given(
         tvgs(),
@@ -164,7 +168,9 @@ class TestPlanEqualsReference:
         """Presence swaps patch the index, also when the first swapped
         edge is swapped ``again`` and when a wider query rebuilt the
         index in between (``grow``); the plan built before them keeps
-        its content and fingerprint."""
+        its content and fingerprint, every shared array stays
+        read-only, and a chain whose edges keep their number of dates
+        keeps ``edge_ptr``."""
         start, horizon = window
         Counted.calls.clear()
         engine = _compiled_wide(graph)
@@ -172,13 +178,24 @@ class TestPlanEqualsReference:
         kept = replace(before, **{a: getattr(before, a).copy() for a in before.ARRAYS})
         fingerprint = before.fingerprint
         index = engine.compiled
+        edge_ptr = index.edge_ptr
         keys = [edge.key for edge in graph.edges]
         if again is not None:
             swaps = [*swaps, (swaps[0][0], again)]
+        touched = set()
         for slot, presence in swaps:
             if keys:
                 graph.set_presence(keys[slot % len(keys)], presence)
+                touched.add(slot % len(keys))
         engine.index_for(0, 2 * SPAN if grow else SPAN)
+        assert not any(getattr(index, n).flags.writeable for n in index.SHARED)
+        if not grow:
+            fresh_ptr = _compiled_wide(graph).compiled.edge_ptr
+            lengths_kept = all(
+                edge_ptr[i + 1] - edge_ptr[i] == fresh_ptr[i + 1] - fresh_ptr[i]
+                for i in touched
+            )
+            assert (index.edge_ptr is edge_ptr) == lengths_kept
         assert before == kept
         nodes, patched = build_sweep_plan(engine, start, semantics, horizon)
         assert before == kept
@@ -219,6 +236,79 @@ class TestPlanEqualsReference:
             ]
             assert not any(getattr(index, n).flags.writeable for n in index.SHARED)
 
+    @given(
+        tvgs(),
+        st.lists(st.tuples(st.integers(0, 9), presences()), max_size=5),
+        st.booleans(),
+    )
+    @settings(DETERMINISTIC, max_examples=120)
+    def test_index_arrivals_equal_each_contact_arrival(self, graph, swaps, built):
+        """``arrivals`` holds ``arrival(ei, d)`` for every contact after
+        a compile, and after a chain of swaps that change edges' numbers
+        of dates and turn black-box edges structured and back, whether
+        the array was ``built`` before the chain (so the patch writes
+        it) or not (so it is built from the patched dates)."""
+        engine = _compiled_wide(graph)
+        index = engine.compiled
+        _assert_arrivals(index)
+        if not built:
+            engine = _compiled_wide(graph)
+            index = engine.compiled
+        keys = [edge.key for edge in graph.edges]
+        for slot, presence in swaps:
+            if keys:
+                graph.set_presence(keys[slot % len(keys)], presence)
+        assert engine.index_for(0, SPAN) is index
+        _assert_arrivals(index)
+        assert not index.arrivals.flags.writeable
+
+    def test_swaps_of_equal_length_write_the_arrivals(self):
+        """Swaps between schedules with as many dates keep ``edge_ptr``
+        and write the new arrival dates, callable latencies included,
+        into a copy of ``arrivals``; the plan built before keeps the old
+        array, and the next one holds the new."""
+        graph = _line_graph()
+        graph.add_edge(
+            "b", "d", presence=periodic_presence([0], 2),
+            latency=function_latency(lambda t: 1 + t % 3), key="bd",
+        )
+        engine = TemporalEngine(graph)
+        _nodes, before = build_sweep_plan(engine, 0, WAIT, SPAN)
+        index = engine.compiled
+        edge_ptr, arrivals = index.edge_ptr, index.arrivals
+        for key in ("bc", "bd"):
+            graph.set_presence(key, periodic_presence([1], 2))
+        _nodes, after = build_sweep_plan(engine, 0, WAIT, SPAN)
+        assert engine.compiled is index and index.edge_ptr is edge_ptr
+        assert before.arr is arrivals and after.arr is index.arrivals
+        _assert_arrivals(index)
+        assert after == reference_sweep_plan(_compiled_wide(graph), 0, WAIT, SPAN)[1]
+
+    def test_successors_alone_never_build_arrivals(self):
+        """An engine that only answers ``successors`` calls a callable
+        latency once per move it returns, none to build ``arrivals``;
+        the first plan build then calls it once per contact."""
+        calls = []
+
+        def zeta(t):
+            calls.append(t)
+            return 1 + t % 3
+
+        graph = _line_graph()
+        graph.add_edge("b", "d", latency=function_latency(zeta), key="bd")
+        engine = TemporalEngine(graph)
+        moves = [
+            move
+            for node in graph.nodes
+            for ready in range(SPAN)
+            for move in engine.successors(node, ready, WAIT, SPAN)
+        ]
+        along = [dep for edge, dep, _arr in moves if edge.key == "bd"]
+        assert along and sorted(calls) == sorted(along)
+        calls.clear()
+        build_sweep_plan(engine, 0, WAIT, SPAN)
+        assert calls == list(range(SPAN))  # "bd" is always present
+
     @pytest.mark.parametrize(
         "change", ["add_edge", "remove_edge", "other query", "memo full", "history"]
     )
@@ -246,6 +336,17 @@ class TestPlanEqualsReference:
             _nodes, plan = build_sweep_plan(engine, 0, WAIT, SPAN)
         assert full_builds == [(0, SPAN)]
         assert plan == build_sweep_plan(TemporalEngine(graph), 0, WAIT, SPAN)[1]
+
+
+def _assert_arrivals(index):
+    """``index.arrivals`` is aligned with ``dates``, entry for entry the
+    ``arrival`` of its contact."""
+    assert len(index.arrivals) == len(index.dates)
+    for ei in range(len(index.edge_list)):
+        lo, hi = index.edge_ptr[ei], index.edge_ptr[ei + 1]
+        assert index.arrivals[lo:hi].tolist() == [
+            index.arrival(ei, d) for d in index.dates[lo:hi].tolist()
+        ]
 
 
 def _line_graph():

@@ -409,6 +409,47 @@ class TestSeeds:
         assert service.growth(0, 5, WAIT) == reachability_growth(graph, 0, 5, WAIT)
         assert service.full_sweeps == MAX_SEEDS + 2
 
+    def test_a_patch_writes_its_rows_into_the_popped_seed(self):
+        """A patched miss whose offset dtype holds writes the re-swept
+        rows into the seed's own matrix: the mutation purged that
+        matrix's cache entry, so no entry at an older version refers to
+        it, and every curve equals a fresh engine's."""
+        graph = communities()
+        service = TVGService(graph)
+        query = ("arrival_matrix", 0, 12, str(WAIT))
+        service.growth(0, 12, WAIT)
+        matrix = service._seeds[query].offsets
+        for cycle in range(6):
+            service.set_presence(
+                f"{5 * (cycle % 3) + cycle % 5}-{1 + cycle % 2}",
+                periodic_presence([cycle % 4], 4),
+            )
+            assert service.growth(0, 12, WAIT) == fresh_growth(graph, 0, 12, WAIT)
+            assert service._seeds[query].offsets is matrix
+            holders = [
+                version
+                for (version, _q), value in service.cache._entries.items()
+                if isinstance(value, tuple) and value[1] is matrix
+            ]
+            assert holders == [graph.version]
+        assert (service.full_sweeps, service.incremental_sweeps) == (1, 6)
+
+    def test_cached_matrices_are_read_only(self, line_service):
+        """A cached offset matrix refuses writes, also one a patch wrote
+        its rows into; only the next patch of its seed lifts the flag."""
+        line_service.growth(0, 10, WAIT)
+        _index, offsets = line_service._arrival_matrix(0, 10, WAIT)
+        with pytest.raises(ValueError):
+            offsets[0, 1] = 0
+        line_service.set_presence("bc", periodic_presence([1], 2))
+        _index, patched = line_service._arrival_matrix(0, 10, WAIT)
+        assert line_service.incremental_sweeps == 1 and patched is offsets
+        with pytest.raises(ValueError):
+            patched[0, 1] = 0
+        assert line_service.growth(0, 10, WAIT) == fresh_growth(
+            line_service.graph, 0, 10, WAIT
+        )
+
     def test_seeds_stay_bounded_and_exact_under_churn(self):
         """Mutations interleaved with queries over more windows than
         :data:`MAX_SEEDS`: the seeds stay bounded, none is newer than
@@ -487,8 +528,11 @@ class TestKeptGrowthCounts:
             (lambda: service.remove_edge("slow"), np.uint8),
         )
         for mutate, dtype in steps:
+            before = service._seeds[query].offsets
             mutate()
             curve = service.growth(0, 300, semantics)
+            # The dtype moved: the rows are merged into a recast copy.
+            assert service._seeds[query].offsets is not before
             assert service._seeds[query].offsets.dtype == dtype
             assert curve == fresh_growth(graph, 0, 300, semantics)
             self.assert_counts_current(service, query, 0, 300)
